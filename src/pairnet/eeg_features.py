@@ -9,12 +9,21 @@ sum) and six fixed frequency bands, four quantities are emitted:
 
 Order is channel-major, band-minor, quantity-innermost: 3 * 6 * 4 = 72.
 The power spectrum is a rectangular-window periodogram of the mean-removed
-signal, scaled so the powers sum to the signal's population variance. Band
-variances are computed independently by zeroing all out-of-band bins and
-inverse-transforming, which under this normalization must reproduce the
-band powers; the redundancy is a built-in cross-check on the pipeline.
+signal, scaled so the powers sum to the signal's population variance. Under
+that scaling the variance of the band-limited signal (out-of-band bins
+zeroed, then inverse-transformed) equals the band power, so the two variance
+columns are filled from the power columns; the tests keep the inverse-DFT
+computation as the reference they are checked against.
+
+A recording is featurized in one batch: its segments become the rows of a
+(k, n) array per derived channel, one real FFT runs along the rows, and the
+seven band sums (0-25 Hz total plus the six bands) come from a single
+product with a (frequency x 7) 0/1 mask. A single segment is the k = 1 case
+of the same kernel.
 """
 
+import math
+import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -53,6 +62,15 @@ DEFAULT_BANDS = (
     BandSpec("beta1", 13.5, 19.5),
     BandSpec("beta2", 19.5, 25.0),
 )
+TOTAL_BAND = BandSpec("total", 0.0, TOTAL_BAND_HZ)
+
+
+def _check_rate(fs: float) -> None:
+    if not (math.isfinite(fs) and fs >= MIN_SAMPLING_HZ):
+        raise ParameterError(
+            f"sampling rate {fs} Hz unusable; need a finite rate >= "
+            f"{MIN_SAMPLING_HZ} Hz to cover the {TOTAL_BAND_HZ} Hz top band edge"
+        )
 
 
 @dataclass(frozen=True)
@@ -70,11 +88,7 @@ class SegmentSignal:
         object.__setattr__(self, "c4", c4)
         if c3.ndim != 1 or c4.ndim != 1 or c3.shape != c4.shape:
             raise DimensionError("channels must be 1-D and equally long")
-        if self.fs < MIN_SAMPLING_HZ:
-            raise ParameterError(
-                f"sampling rate {self.fs} Hz too low; need >= {MIN_SAMPLING_HZ} "
-                f"to cover the {TOTAL_BAND_HZ} Hz top band edge"
-            )
+        _check_rate(self.fs)
         expected = round(self.fs * SEGMENT_SECONDS)
         if c3.shape[0] != expected:
             raise DimensionError(
@@ -85,6 +99,20 @@ class SegmentSignal:
 class Psd(NamedTuple):
     freqs: np.ndarray
     power: np.ndarray
+
+
+def _one_sided_power(rows: np.ndarray) -> np.ndarray:
+    """Periodogram of each row of a (k, n) array, one-sided, scaled so each
+    row's powers sum to that row's population variance (discrete Parseval).
+    """
+    n = rows.shape[1]
+    spec = np.fft.rfft(rows - rows.mean(axis=1, keepdims=True), axis=1)
+    power = np.abs(spec) ** 2 / n**2
+    if n % 2 == 0:
+        power[:, 1:-1] *= 2.0
+    else:
+        power[:, 1:] *= 2.0
+    return power
 
 
 def periodogram(signal: np.ndarray, fs: float) -> Psd:
@@ -100,37 +128,26 @@ def periodogram(signal: np.ndarray, fs: float) -> Psd:
     if fs <= 0:
         raise ParameterError(f"fs must be > 0, got {fs}")
     n = x.shape[0]
-    xc = x - x.mean()
-    spec = np.fft.rfft(xc)
-    power = np.abs(spec) ** 2 / n**2
-    if n % 2 == 0:
-        power[1:-1] *= 2.0
-    else:
-        power[1:] *= 2.0
-    return Psd(freqs=np.fft.rfftfreq(n, 1.0 / fs), power=power)
+    return Psd(freqs=np.fft.rfftfreq(n, 1.0 / fs), power=_one_sided_power(x[None])[0])
+
+
+def _band_mask(freqs: np.ndarray, bands) -> np.ndarray:
+    """(len(freqs), len(bands)) 0/1 matrix selecting each band's bins."""
+    for band in bands:
+        if band.hi_hz > freqs[-1] + 1e-9:
+            raise ParameterError(
+                f"band {band.name} reaches {band.hi_hz} Hz but the spectrum "
+                f"stops at {freqs[-1]:g} Hz"
+            )
+    lo = np.array([b.lo_hz for b in bands])
+    hi = np.array([b.hi_hz for b in bands])
+    f = freqs[:, None]
+    return ((f > lo) & (f <= hi)).astype(np.float64)
 
 
 def band_power(psd: Psd, band: BandSpec) -> float:
     """Sum of spectral power at frequencies in (lo_hz, hi_hz]."""
-    if band.hi_hz > psd.freqs[-1] + 1e-9:
-        raise ParameterError(
-            f"band {band.name} reaches {band.hi_hz} Hz but the spectrum "
-            f"stops at {psd.freqs[-1]:g} Hz"
-        )
-    mask = (psd.freqs > band.lo_hz) & (psd.freqs <= band.hi_hz)
-    return float(psd.power[mask].sum())
-
-
-def _band_limited_variance(signal: np.ndarray, fs: float, band: BandSpec) -> float:
-    """Variance of the band's reconstructed component, via inverse DFT."""
-    x = np.asarray(signal, dtype=np.float64)
-    n = x.shape[0]
-    xc = x - x.mean()
-    spec = np.fft.rfft(xc)
-    freqs = np.fft.rfftfreq(n, 1.0 / fs)
-    keep = (freqs > band.lo_hz) & (freqs <= band.hi_hz)
-    spec = np.where(keep, spec, 0.0)
-    return float(np.var(np.fft.irfft(spec, n=n)))
+    return float(psd.power @ _band_mask(psd.freqs, (band,))[:, 0])
 
 
 def feature_names(bands: tuple[BandSpec, ...] = DEFAULT_BANDS) -> list[str]:
@@ -143,54 +160,110 @@ def feature_names(bands: tuple[BandSpec, ...] = DEFAULT_BANDS) -> list[str]:
     ]
 
 
+def _featurize(
+    c3: np.ndarray, c4: np.ndarray, fs: float, bands: tuple[BandSpec, ...]
+) -> np.ndarray:
+    """Features of k segments given as (k, n) channel arrays; returns (k, 72).
+
+    Relative quantities are normalized by the channel's total over the
+    0-25 Hz range; when that total is not above 1e-15 they are 0.
+    """
+    n = c3.shape[1]
+    mask = _band_mask(np.fft.rfftfreq(n, 1.0 / fs), (TOTAL_BAND, *bands))
+    out = np.empty((c3.shape[0], len(CHANNEL_NAMES), len(bands), len(QUANTITY_NAMES)))
+    for c, ch in enumerate((c3, c4, c3 + c4)):
+        sums = _one_sided_power(ch) @ mask
+        total, absolute = sums[:, :1], sums[:, 1:]
+        relative = np.divide(
+            absolute, total, out=np.zeros_like(absolute), where=total > POWER_FLOOR
+        )
+        out[:, c, :, 0] = out[:, c, :, 2] = absolute
+        out[:, c, :, 1] = out[:, c, :, 3] = relative
+    return out.reshape(c3.shape[0], -1)
+
+
 def extract_features(
     seg: SegmentSignal, bands: tuple[BandSpec, ...] = DEFAULT_BANDS
 ) -> np.ndarray:
     """Compute the 72 spectral features of one segment.
 
     Relative quantities are normalized by the channel's total over the
-    0-25 Hz range (power chain and variance chain each use their own
-    total); when that total falls below 1e-15 the relative values are 0.
+    0-25 Hz range; when that total falls below 1e-15 the relative values
+    are 0. Variance columns equal the matching power columns.
     """
-    total_band = BandSpec("total", 0.0, TOTAL_BAND_HZ)
-    channels = (seg.c3, seg.c4, seg.c3 + seg.c4)
-    out = np.empty(len(channels) * len(bands) * len(QUANTITY_NAMES))
-    pos = 0
-    for ch in channels:
-        psd = periodogram(ch, seg.fs)
-        total_pow = band_power(psd, total_band)
-        total_var = _band_limited_variance(ch, seg.fs, total_band)
-        for band in bands:
-            p = band_power(psd, band)
-            v = _band_limited_variance(ch, seg.fs, band)
-            out[pos] = p
-            out[pos + 1] = p / total_pow if total_pow > POWER_FLOOR else 0.0
-            out[pos + 2] = v
-            out[pos + 3] = v / total_var if total_var > POWER_FLOOR else 0.0
-            pos += 4
-    return out
+    return _featurize(seg.c3[None], seg.c4[None], seg.fs, bands)[0]
+
+
+# Characters other than "\n" at which str.splitlines breaks a line; np.loadtxt
+# reads them as whitespace instead. Text read in universal-newline mode holds
+# no "\r", but the set stays complete.
+_EXTRA_LINE_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
 
 def read_signal_file(path) -> tuple[float, np.ndarray, np.ndarray]:
     """Parse a two-channel signal file.
 
-    Line 1 holds the sampling rate (``fs=<value>`` or a bare number); every
-    following non-empty line holds two samples (first channel, second
-    channel), whitespace separated.
+    Line 1 holds the sampling rate (``fs=<value>`` or a bare number, finite
+    and > 0); every following non-empty line holds two finite samples (first
+    channel, second channel), whitespace separated. Lines are those of
+    ``str.splitlines``. The body is parsed in one ``np.loadtxt`` call; when
+    that fails or its result is not a finite (n, 2) array, the line parser
+    runs instead and either returns the same arrays or names the bad line.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise ParseError("signal file is empty", line=1)
-    head = lines[0].strip()
-    if head.startswith("fs="):
-        head = head[3:]
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+        if not text:
+            raise ParseError("signal file is empty", line=1)
+        if any(ch in text for ch in _EXTRA_LINE_BREAKS):
+            head, *body_lines = text.splitlines()
+            return (_parse_rate(head), *_parse_sample_lines(body_lines))
+        fs = _parse_rate(text.partition("\n")[0])
+        samples = None
+        if fh.seekable():
+            # np.loadtxt iterates the file's own lines faster, and in less
+            # memory, than those of an in-memory copy of the text.
+            fh.seek(0)
+            fh.readline()
+            samples = _load_samples_fast(fh)
+    if samples is None:
+        samples = _parse_sample_lines(text.split("\n")[1:])
+    return (fs, *samples)
+
+
+def _parse_rate(head: str) -> float:
+    value = head.strip()
+    if value.startswith("fs="):
+        value = value[3:]
     try:
-        fs = float(head)
+        fs = float(value)
     except ValueError:
-        raise ParseError(f"expected sampling rate, got '{lines[0]}'", line=1) from None
+        raise ParseError(f"expected sampling rate, got '{head}'", line=1) from None
+    if not (math.isfinite(fs) and fs > 0):
+        raise ParseError(f"sampling rate must be finite and > 0, got '{head}'", line=1)
+    return fs
+
+
+def _load_samples_fast(lines) -> tuple[np.ndarray, np.ndarray] | None:
+    """Both channels via np.loadtxt, or None when the line parser must decide."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+            data = np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if data.shape[1] != 2 or not np.isfinite(data).all():
+        return None
+    c3, c4 = data.T.copy()
+    return c3, c4
+
+
+def _parse_sample_lines(lines: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Line-by-line parser of the lines after the header (line 2 onwards)."""
     c3, c4 = [], []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in enumerate(lines, start=2):
         line = line.strip()
         if not line:
             continue
@@ -198,11 +271,14 @@ def read_signal_file(path) -> tuple[float, np.ndarray, np.ndarray]:
         if len(parts) != 2:
             raise ParseError(f"expected 2 samples per line, found {len(parts)}", line=lineno)
         try:
-            c3.append(float(parts[0]))
-            c4.append(float(parts[1]))
+            a, b = float(parts[0]), float(parts[1])
         except ValueError:
             raise ParseError(f"non-numeric sample in '{line}'", line=lineno) from None
-    return fs, np.asarray(c3), np.asarray(c4)
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise ParseError(f"non-finite sample in '{line}'", line=lineno)
+        c3.append(a)
+        c4.append(b)
+    return np.asarray(c3, dtype=np.float64), np.asarray(c4, dtype=np.float64)
 
 
 def segment_signal(fs: float, c3: np.ndarray, c4: np.ndarray) -> list[SegmentSignal]:
@@ -214,6 +290,26 @@ def segment_signal(fs: float, c3: np.ndarray, c4: np.ndarray) -> list[SegmentSig
         SegmentSignal(c3=c3[k * n_per : (k + 1) * n_per], c4=c4[k * n_per : (k + 1) * n_per], fs=fs)
         for k in range(n_full)
     ]
+
+
+def _segment_rows(
+    rec_id: int, fs: float, c3: np.ndarray, c4: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """A recording's whole 10-second segments as (k, n) arrays per channel."""
+    if not (math.isfinite(fs) and fs > 0):
+        raise ParameterError(
+            f"recording {rec_id}: sampling rate must be finite and > 0, got {fs}"
+        )
+    c3 = np.asarray(c3, dtype=np.float64)
+    c4 = np.asarray(c4, dtype=np.float64)
+    if c3.ndim != 1 or c3.shape != c4.shape:
+        raise DimensionError(f"recording {rec_id}: channels must be 1-D and equally long")
+    n_per = round(fs * SEGMENT_SECONDS)
+    k = len(c3) // n_per
+    if k == 0:
+        raise EmptyInputError(f"recording {rec_id} is shorter than one 10-second segment")
+    _check_rate(fs)
+    return c3[: k * n_per].reshape(k, n_per), c4[: k * n_per].reshape(k, n_per)
 
 
 def signals_to_dataset(
@@ -232,15 +328,10 @@ def signals_to_dataset(
         )
     feats, labels_raw, records = [], [], []
     for rec_id, (fs, c3, c4) in enumerate(recordings, start=1):
-        segs = segment_signal(fs, c3, c4)
-        if not segs:
-            raise EmptyInputError(
-                f"recording {rec_id} is shorter than one 10-second segment"
-            )
-        for seg in segs:
-            feats.append(extract_features(seg))
-            labels_raw.append(class_labels_per_recording[rec_id - 1])
-            records.append(rec_id)
+        rows3, rows4 = _segment_rows(rec_id, fs, c3, c4)
+        feats.append(_featurize(rows3, rows4, fs, DEFAULT_BANDS))
+        labels_raw += [class_labels_per_recording[rec_id - 1]] * len(rows3)
+        records += [rec_id] * len(rows3)
 
     distinct = sorted(set(labels_raw))
     try:

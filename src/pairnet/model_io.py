@@ -13,12 +13,14 @@ Floats are written with shortest round-trip precision, so save followed by
 load reproduces the model bit for bit.
 """
 
+import itertools
+
 import numpy as np
 
 from .dataset import Standardization
 from .errors import ParseError
 from .linear_machine import LinearMachine
-from .pairwise_net import PairwiseNetwork, PairwiseTest, enumerate_pairs
+from .pairwise_net import PairwiseNetwork, PairwiseTest
 
 MAGIC_PAIRNET = "PAIRNET v1"
 MAGIC_LM = "LM v1"
@@ -126,7 +128,10 @@ def load_model(path):
 
     if magic == MAGIC_PAIRNET:
         tests = []
-        for i, j in enumerate_pairs(r):
+        # combinations() is lazy, so each pair must find its section in the
+        # file before the next is made: a bogus r ends at the first missing
+        # section instead of sizing r(r-1)/2 pairs up front.
+        for i, j in itertools.combinations(range(1, r + 1), 2):
             header = rd.next(f"section 'PAIR {i} {j}'")
             if header != f"PAIR {i} {j}":
                 raise ParseError(

@@ -10,6 +10,7 @@ segments; a small configurable fraction of segments receives an injected
 artifact spike that the screening is expected to catch.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,8 +76,8 @@ def default_config(seed: int = 0, scale: float = 1.0, **overrides) -> SynthConfi
     the expected total near 59k segments at scale 1. scale=0.1 is the
     desk-sized variant used by the bundled benchmark.
     """
-    if scale <= 0:
-        raise ParameterError(f"scale must be > 0, got {scale}")
+    if not (math.isfinite(scale) and scale > 0):
+        raise ParameterError(f"scale must be finite and > 0, got {scale}")
     lo = max(2, round(500 * scale))
     hi = max(lo, round(1300 * scale))
     params = dict(

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import pairnet
 from pairnet.cli import main
 
 
@@ -10,6 +14,21 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_child(*argv):
+    """The CLI in its own interpreter, so an uncaught exception shows as a
+    traceback on stderr and exit code 1."""
+    pythonpath = os.pathsep.join(
+        p for p in (os.path.dirname(os.path.dirname(pairnet.__file__)),
+                    os.environ.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", "from pairnet.cli import entry; entry()", *map(str, argv)],
+        env={**os.environ, "PYTHONPATH": pythonpath},
+        capture_output=True, text=True, timeout=120,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 @pytest.fixture
@@ -41,6 +60,12 @@ class TestGen:
         run(capsys, "gen", "--out", str(a), "--scale", "0.02", "--seed", "9")
         run(capsys, "gen", "--out", str(b), "--scale", "0.02", "--seed", "9")
         assert a.read_text() == b.read_text()
+
+    @pytest.mark.parametrize("scale", ["nan", "inf"])
+    def test_non_finite_scale_exits_2(self, tmp_path, scale):
+        code, _, err = run_child("gen", "--out", tmp_path / "x.csv", "--scale", scale)
+        assert code == 2, err
+        assert "scale must be finite" in err and "Traceback" not in err
 
 
 class TestTrain:
@@ -242,6 +267,25 @@ class TestExtract:
             "--out", str(tmp_path / "x.csv"),
         )
         assert code == 2
+
+    @pytest.mark.parametrize("head", ["fs=nan", "fs=inf"])
+    def test_non_finite_rate_exits_3(self, tmp_path, head):
+        (tmp_path / "sig.txt").write_text(f"{head}\n" + "0.5 1.5\n" * 1000)
+        code, _, err = run_child(
+            "extract", tmp_path / "sig.txt", "--classes", "1", "--out", tmp_path / "x.csv"
+        )
+        assert code == 3, err
+        assert "line 1: sampling rate" in err and "Traceback" not in err
+
+    def test_nan_sample_exits_3_naming_the_line(self, tmp_path):
+        body = ["0.5 1.5"] * 1000
+        body[41] = "nan 1.5"
+        (tmp_path / "sig.txt").write_text("fs=100\n" + "\n".join(body) + "\n")
+        code, _, err = run_child(
+            "extract", tmp_path / "sig.txt", "--classes", "1", "--out", tmp_path / "x.csv"
+        )
+        assert code == 3, err
+        assert "line 43: non-finite sample" in err and "Traceback" not in err
 
 
 class TestBench:

@@ -1,5 +1,11 @@
+import math
+import os
+import threading
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from pairnet.eeg_features import (
     DEFAULT_BANDS,
@@ -17,6 +23,41 @@ from pairnet.errors import DimensionError, ParameterError, ParseError
 
 FS = 100.0
 N = 1000  # 10 seconds at 100 Hz
+ORACLE_RTOL, ORACLE_ATOL = 1e-9, 1e-15
+
+
+def _band_limited_variance(signal, fs, band):
+    """Variance of the band's reconstructed component, via inverse DFT."""
+    x = np.asarray(signal, dtype=np.float64)
+    n = x.shape[0]
+    spec = np.fft.rfft(x - x.mean())
+    freqs = np.fft.rfftfreq(n, 1.0 / fs)
+    keep = (freqs > band.lo_hz) & (freqs <= band.hi_hz)
+    return float(np.var(np.fft.irfft(np.where(keep, spec, 0.0), n=n)))
+
+
+def oracle_features(seg):
+    """The 72 features one segment at a time, each band sum taken over its
+    own masked bins and each variance column by inverse transform."""
+    def masked_sum(psd, band):
+        return float(psd.power[(psd.freqs > band.lo_hz) & (psd.freqs <= band.hi_hz)].sum())
+
+    total_band = BandSpec("total", 0.0, 25.0)
+    out = []
+    for ch in (seg.c3, seg.c4, seg.c3 + seg.c4):
+        psd = periodogram(ch, seg.fs)
+        total_pow = masked_sum(psd, total_band)
+        total_var = _band_limited_variance(ch, seg.fs, total_band)
+        for band in DEFAULT_BANDS:
+            p = masked_sum(psd, band)
+            v = _band_limited_variance(ch, seg.fs, band)
+            out += [
+                p,
+                p / total_pow if total_pow > 1e-15 else 0.0,
+                v,
+                v / total_var if total_var > 1e-15 else 0.0,
+            ]
+    return np.asarray(out)
 
 
 def sinusoid(freq, fs=FS, n=N, amp=1.0, phase=0.0):
@@ -225,3 +266,207 @@ class TestSignalFiles:
         np.testing.assert_array_equal(np.unique(ds.records), [1, 2])
         # recording 1 got label "37" -> class id 2 after numeric sort
         assert set(ds.y[ds.records == 1]) == {2}
+
+
+def _recording(rng, fs, k, kind):
+    n = round(fs * 10) * k + 3  # a partial tail that must be dropped
+    if kind == "zero":
+        return np.zeros(n), np.zeros(n)
+    if kind == "constant":
+        return np.full(n, 3.7), np.full(n, -12.25)
+    t = np.arange(n) / fs
+    c3 = 20.0 * np.sin(2 * np.pi * 9.0 * t) + rng.normal(0.0, 10.0, n) + 4.0
+    return c3, 0.6 * c3 + rng.normal(0.0, 5.0, n)
+
+
+class TestBatchedKernel:
+    @pytest.mark.parametrize("fs", [50.0, 57.3, 100.0, 128.0, 199.9, 256.0])
+    def test_matches_inverse_dft_oracle(self, fs):
+        rng = np.random.default_rng(int(fs * 10))
+        recs = [(fs, *_recording(rng, fs, k, kind))
+                for k, kind in ((3, "noise"), (1, "zero"), (2, "constant"))]
+        ds = signals_to_dataset(recs, ["1", "2", "3"])
+        expected = np.vstack([
+            oracle_features(seg) for rec in recs for seg in segment_signal(*rec)
+        ])
+        assert ds.X.shape == expected.shape == (6, 72)
+        np.testing.assert_allclose(ds.X, expected, rtol=ORACLE_RTOL, atol=ORACLE_ATOL)
+
+    @pytest.mark.parametrize("fs", [50.0, 57.3, 128.0])
+    def test_single_segment_is_a_dataset_row(self, fs):
+        rng = np.random.default_rng(7)
+        recs = [(fs, *_recording(rng, fs, k, "noise")) for k in (3, 1)]
+        ds = signals_to_dataset(recs, ["1", "2"])
+        segs = [seg for rec in recs for seg in segment_signal(*rec)]
+        assert len(segs) == len(ds) == 4
+        for row, seg in zip(ds.X, segs):
+            np.testing.assert_allclose(
+                extract_features(seg), row, rtol=ORACLE_RTOL, atol=ORACLE_ATOL
+            )
+
+    def test_rejects_low_or_non_finite_rate(self):
+        x = np.zeros(5000)
+        for fs in (40.0, math.nan, math.inf, 0.0, -100.0):
+            with pytest.raises(ParameterError, match="sampling rate"):
+                signals_to_dataset([(fs, x, x)], ["1"])
+
+    def test_rejects_unequal_channels(self):
+        with pytest.raises(DimensionError):
+            signals_to_dataset([(100.0, np.zeros(2000), np.zeros(1999))], ["1"])
+
+
+def reference_read(path):
+    """The line-at-a-time reader: str.splitlines lines, header on line 1, two
+    finite samples on every other non-blank line."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    if not lines:
+        raise ParseError("signal file is empty", line=1)
+    head = lines[0].strip().removeprefix("fs=")
+    try:
+        fs = float(head)
+    except ValueError:
+        raise ParseError("bad rate", line=1) from None
+    if not (math.isfinite(fs) and fs > 0):
+        raise ParseError("bad rate", line=1)
+    c3, c4 = [], []
+    for lineno, line in enumerate(lines[1:], start=2):
+        parts = line.split()
+        if not parts:
+            continue
+        if len(parts) != 2:
+            raise ParseError("token count", line=lineno)
+        try:
+            a, b = float(parts[0]), float(parts[1])
+        except ValueError:
+            raise ParseError("non-numeric", line=lineno) from None
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise ParseError("non-finite", line=lineno)
+        c3.append(a)
+        c4.append(b)
+    return fs, np.asarray(c3, dtype=np.float64), np.asarray(c4, dtype=np.float64)
+
+
+def outcome(reader, path):
+    try:
+        fs, c3, c4 = reader(path)
+    except ParseError as exc:
+        return ("error", exc.line)
+    return ("ok", fs, c3.dtype, c3.tobytes(), c4.dtype, c4.tobytes())
+
+
+class TestSignalReaderEdges:
+    def read(self, tmp_path, text):
+        path = tmp_path / "sig.txt"
+        path.write_bytes(text.encode("utf-8"))
+        return path
+
+    @pytest.mark.parametrize("head", ["fs=nan", "fs=inf", "-inf", "fs=0", "-100"])
+    def test_rejects_unusable_rate_on_line_1(self, tmp_path, head):
+        with pytest.raises(ParseError, match="sampling rate") as exc:
+            read_signal_file(self.read(tmp_path, f"{head}\n1 2\n"))
+        assert exc.value.line == 1
+
+    @pytest.mark.parametrize("bad", ["nan 1", "1 inf", "-inf 0", "1e400 0"])
+    def test_rejects_non_finite_sample_by_line(self, tmp_path, bad):
+        path = self.read(tmp_path, f"fs=100\n1 2\n\n3 4\n{bad}\n5 6\n")
+        with pytest.raises(ParseError, match="non-finite") as exc:
+            read_signal_file(path)
+        assert exc.value.line == 5
+
+    def test_form_feed_breaks_a_line(self, tmp_path):
+        # str.splitlines breaks at \x0c; loadtxt would read one 2-column row
+        with pytest.raises(ParseError, match="found 1") as exc:
+            read_signal_file(self.read(tmp_path, "fs=100\n1\x0c2\n"))
+        assert exc.value.line == 2
+
+    def test_vertical_tab_breaks_a_line(self, tmp_path):
+        # loadtxt would read one 4-column row
+        fs, c3, c4 = read_signal_file(self.read(tmp_path, "fs=100\n1 2\x0b3 4\n"))
+        np.testing.assert_array_equal(c3, [1.0, 3.0])
+        np.testing.assert_array_equal(c4, [2.0, 4.0])
+
+    def test_header_only_gives_empty_channels(self, tmp_path):
+        fs, c3, c4 = read_signal_file(self.read(tmp_path, "fs=100\n\n  \n"))
+        assert fs == 100.0 and c3.shape == c4.shape == (0,)
+
+    def test_crlf_and_blank_lines(self, tmp_path):
+        fs, c3, c4 = read_signal_file(self.read(tmp_path, "128\r\n1\t2\r\n\r\n 3  4 \r\n"))
+        assert fs == 128.0
+        np.testing.assert_array_equal(c3, [1.0, 3.0])
+        np.testing.assert_array_equal(c4, [2.0, 4.0])
+
+    def test_pipe_is_read_by_the_line_parser(self, tmp_path):
+        fifo = tmp_path / "sig.fifo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_text, args=("fs=100\n1 2\n3 4\n",))
+        writer.start()
+        try:
+            fs, c3, c4 = read_signal_file(fifo)
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert fs == 100.0
+        np.testing.assert_array_equal(c3, [1.0, 3.0])
+        np.testing.assert_array_equal(c4, [2.0, 4.0])
+
+    def test_not_utf8_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "sig.txt"
+        path.write_bytes(b"fs=100\n1 2\n\xff\xfe 3\n")
+        with pytest.raises(ParseError, match="UTF-8"):
+            read_signal_file(path)
+
+
+_tokens = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**6, 10**6).map(str),
+    st.sampled_from(["nan", "-inf", "1e400", "abc", "1_0", "0x10", "١", "+.5", "5.", "1e-320"]),
+)
+_separators = st.sampled_from([" ", "\t", "  ", "\xa0", " \t "])
+_line_ends = st.sampled_from(["\n", "\n", "\n", "\r\n", "\r", "\x0b", "\x0c", "\x85", " "])
+_body_line = st.one_of(
+    st.lists(_tokens, min_size=2, max_size=2),
+    st.lists(_tokens, min_size=0, max_size=3),
+).flatmap(lambda toks: st.tuples(st.just(toks), _separators, st.sampled_from(["", " ", "\t"])))
+_heads = st.sampled_from(["fs=100", "128", " fs=57.3 ", "fs=nan", "fs=inf", "0", "-5", "hello", ""])
+
+
+def _render(head, body, ends):
+    parts = [head]
+    for (toks, sep, pad), end in zip(body, ends):
+        parts.append(end + pad + sep.join(toks) + pad)
+    return "".join(parts) + "\n"
+
+
+class TestSignalReaderProperties:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        head=_heads,
+        body=st.lists(_body_line, max_size=8),
+        ends=st.lists(_line_ends, min_size=8, max_size=8),
+    )
+    def test_agrees_with_line_parser(self, tmp_path, head, body, ends):
+        path = tmp_path / "sig.txt"
+        path.write_bytes(_render(head, body, ends).encode("utf-8"))
+        assert outcome(read_signal_file, path) == outcome(reference_read, path)
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        fs=st.floats(50.0, 1e4),
+        samples=st.lists(
+            st.tuples(st.floats(allow_nan=False, allow_infinity=False),
+                      st.floats(allow_nan=False, allow_infinity=False)),
+            max_size=40,
+        ),
+    )
+    def test_repr_round_trip(self, tmp_path, fs, samples):
+        path = tmp_path / "sig.txt"
+        lines = [f"fs={fs!r}"] + [f"{a!r} {b!r}" for a, b in samples]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        got_fs, c3, c4 = read_signal_file(path)
+        want = np.asarray(samples, dtype=np.float64).reshape(-1, 2)
+        assert got_fs == fs
+        assert c3.tobytes() == want[:, 0].tobytes()
+        assert c4.tobytes() == want[:, 1].tobytes()

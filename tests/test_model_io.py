@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
+import pairnet
 from pairnet import (
     LinearMachine,
     PairwiseNetwork,
@@ -144,3 +150,36 @@ class TestMalformedFiles:
         with pytest.raises(ParseError) as exc:
             load_model(path)
         assert exc.value.line == 5
+
+
+class TestDimensionBound:
+    """Nothing is sized by a header's r before the file shows its sections:
+    r=100000 once made load_model build ~5e9 pair tuples."""
+
+    @pytest.mark.parametrize("magic,r", [("PAIRNET v1", 100_000), ("LM v1", 10**12)])
+    def test_huge_r_fails_fast_under_a_memory_cap(self, tmp_path, magic, r):
+        path = tmp_path / "model.txt"
+        path.write_text(f"{magic}\nr={r} m=1\nstandardization=none\n")
+        # The child caps its own address space, so a regression ends in a
+        # MemoryError there instead of exhausting this process's host.
+        code = textwrap.dedent(f"""
+            import resource
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+            from pairnet.errors import ParseError
+            from pairnet.model_io import load_model
+            try:
+                load_model({str(path)!r})
+            except ParseError as exc:
+                print("ParseError:", exc)
+        """)
+        pythonpath = os.pathsep.join(
+            p for p in (os.path.dirname(os.path.dirname(pairnet.__file__)),
+                        os.environ.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": pythonpath, "OPENBLAS_NUM_THREADS": "1"},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "file truncated: missing section" in proc.stdout
