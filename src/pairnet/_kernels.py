@@ -7,6 +7,15 @@ parts of the package worth JIT-compiling. Both loops exist twice:
 * ``*_numba`` -- scalar loops compiled with ``@njit(cache=True, nogil=True)``.
 * ``*_numpy`` -- the same algorithm written against numpy primitives.
 
+Without numba a visit costs a Python loop iteration, and most of that cost
+is numpy call overhead rather than arithmetic (one 73-long dot product, or
+a 16x73 product, per visit). So the numpy variants keep each visit on
+Python scalars: the example rows are taken once as a list of row views,
+the targets or labels and the visit order as Python lists, and each visit
+makes a single BLAS call (``x.dot(pi)`` or ``W.dot(x)``) whose result is
+turned into a Python float or int before any comparison. Full-set
+accuracy evaluations and weight updates stay whole-array operations.
+
 ``pocket_loop`` and ``lm_loop`` point at the active variant. Set the
 environment variable ``PAIRNET_DISABLE_NUMBA=1`` before import to force the
 numpy path (it is also used automatically when numba is not installed).
@@ -193,36 +202,42 @@ def pocket_loop_numpy(xb, targets, order, c, max_iters):
     n, d = xb.shape
     pi = np.zeros(d)
     pocket = np.zeros(d)
+    pos = targets > 0.0
     pocket_acc = float(np.count_nonzero(targets < 0.0)) / n
 
     hist_it = [0]
     hist_acc = [pocket_acc]
 
+    rows = list(xb)
+    wanted = targets.tolist()
+    visits = order[:max_iters].tolist()
     best_run = 0
     run = 0
     cached_acc = -1.0
     it = 0
-    while it < max_iters and pocket_acc < 1.0:
-        idx = order[it]
-        act = float(xb[idx] @ pi)
-        out = 1.0 if act > 0.0 else -1.0
-        if out == targets[idx]:
+    for it, idx in enumerate(visits, 1):
+        x = rows[idx]
+        t = wanted[idx]
+        # The conditional turns the numpy bool into a Python float before
+        # the comparison: comparing the numpy bool itself with a Python
+        # value would cost about 1 us a visit.
+        if (1.0 if x.dot(pi) > 0.0 else -1.0) == t:
             run += 1
             if run > best_run:
                 if cached_acc < 0.0:
-                    preds = np.where(xb @ pi > 0.0, 1.0, -1.0)
-                    cached_acc = float(np.count_nonzero(preds == targets)) / n
+                    cached_acc = np.count_nonzero((xb @ pi > 0.0) == pos) / n
                 if cached_acc > pocket_acc:
                     pocket = pi.copy()
                     pocket_acc = cached_acc
                     best_run = run
-                    hist_it.append(it + 1)
+                    hist_it.append(it)
                     hist_acc.append(pocket_acc)
+                    if pocket_acc >= 1.0:
+                        break
         else:
-            pi = pi + (c * targets[idx]) * xb[idx]
+            pi = pi + (c * t) * x
             run = 0
             cached_acc = -1.0
-        it += 1
 
     return (
         pocket,
@@ -243,34 +258,42 @@ def lm_loop_numpy(xb, y0, r, order, c, max_iters):
     hist_it = [0]
     hist_acc = [pocket_acc]
 
+    rows = list(xb)
+    labels = y0.tolist()
+    # W is only ever updated in place, through its row views, so the bound
+    # method and the views stay valid; a row view's += skips the copy back
+    # that W[j] += upd makes.
+    scores = W.dot
+    w_rows = list(W)
+    visits = order[:max_iters].tolist()
     best_run = 0
     run = 0
     cached_acc = -1.0
     it = 0
-    while it < max_iters and pocket_acc < 1.0:
-        idx = order[it]
-        g = W @ xb[idx]
-        best_j = int(np.argmax(g))
-        true_j = y0[idx]
+    for it, idx in enumerate(visits, 1):
+        x = rows[idx]
+        best_j = int(scores(x).argmax())
+        true_j = labels[idx]
         if best_j == true_j:
             run += 1
             if run > best_run:
                 if cached_acc < 0.0:
                     preds = np.argmax(xb @ W.T, axis=1)
-                    cached_acc = float(np.count_nonzero(preds == y0)) / n
+                    cached_acc = np.count_nonzero(preds == y0) / n
                 if cached_acc > pocket_acc:
                     pocket = W.copy()
                     pocket_acc = cached_acc
                     best_run = run
-                    hist_it.append(it + 1)
+                    hist_it.append(it)
                     hist_acc.append(pocket_acc)
+                    if pocket_acc >= 1.0:
+                        break
         else:
-            upd = c * xb[idx]
-            W[true_j] += upd
-            W[best_j] -= upd
+            upd = c * x
+            w_rows[true_j] += upd
+            w_rows[best_j] -= upd
             run = 0
             cached_acc = -1.0
-        it += 1
 
     return (
         pocket,

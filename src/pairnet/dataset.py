@@ -17,6 +17,7 @@ import numpy as np
 from .errors import EmptyInputError, ParameterError, ParseError, SchemaError
 
 RESERVED_COLUMNS = ("class", "record")
+_CSV_CHUNK_ROWS = 64
 
 
 class Example(NamedTuple):
@@ -244,15 +245,21 @@ def _parse_cells_slow(rows: list[list[str]], feature_names: list[str]) -> np.nda
 
 def save_csv(ds: Dataset, path) -> None:
     """Write a dataset back out in the standard schema (full float precision)."""
+    # csv formats a float cell with repr, the shortest round-trip form.
+    # tolist() hands it Python floats a few rows at a time: larger chunks
+    # were no faster and raised peak memory by the chunk's Python objects.
+    labels = ds.class_labels
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(list(ds.feature_names) + ["class", "record"])
-        labels = ds.class_labels
-        for i in range(len(ds)):
-            row = [repr(float(v)) for v in ds.X[i]]
-            row.append(labels[ds.y[i] - 1])
-            row.append(str(int(ds.records[i])))
-            writer.writerow(row)
+        for s in range(0, len(ds), _CSV_CHUNK_ROWS):
+            rows = ds.X[s : s + _CSV_CHUNK_ROWS].tolist()
+            ys = ds.y[s : s + _CSV_CHUNK_ROWS].tolist()
+            recs = ds.records[s : s + _CSV_CHUNK_ROWS].tolist()
+            for row, y, rec in zip(rows, ys, recs):
+                row.append(labels[y - 1])
+                row.append(rec)
+            writer.writerows(rows)
 
 
 def screen_outliers(ds: Dataset, k: float = 3.0) -> tuple[Dataset, ScreeningReport]:

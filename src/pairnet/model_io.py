@@ -83,9 +83,14 @@ def _parse_floats(line: str, count: int, what: str, lineno: int) -> np.ndarray:
             f"{what}: expected {count} values, found {len(parts)}", line=lineno
         )
     try:
-        return np.asarray([float(p) for p in parts], dtype=np.float64)
+        values = np.asarray([float(p) for p in parts], dtype=np.float64)
     except ValueError as exc:
         raise ParseError(f"{what}: {exc}", line=lineno) from None
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        k = int(bad[0])
+        raise ParseError(f"{what}: value {k + 1} is not finite ({parts[k]})", line=lineno)
+    return values
 
 
 def load_model(path):
@@ -119,6 +124,12 @@ def load_model(path):
     elif std_line == "standardization=present":
         means = _parse_floats(rd.next("standardization means"), m, "means", rd.lineno)
         stds = _parse_floats(rd.next("standardization stds"), m, "stds", rd.lineno)
+        bad = np.flatnonzero(stds <= 0.0)
+        if bad.size:
+            k = int(bad[0])
+            raise ParseError(
+                f"stds: value {k + 1} must be > 0, got {float(stds[k])!r}", line=rd.lineno
+            )
         standardization = Standardization(means=means, stds=stds)
     else:
         raise ParseError(

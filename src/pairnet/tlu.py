@@ -1,5 +1,7 @@
 """Single threshold logic unit: linear test, error correction, pocket training."""
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,11 +29,17 @@ class TrainConfig:
     shuffle: bool = True
 
     def __post_init__(self):
-        if self.c <= 0:
-            raise ParameterError(f"correction amount c must be > 0, got {self.c}")
-        if self.max_iterations <= 0:
+        if not (isinstance(self.c, numbers.Real) and math.isfinite(self.c) and self.c > 0):
             raise ParameterError(
-                f"max_iterations must be > 0, got {self.max_iterations}"
+                f"correction amount c must be a finite number > 0, got {self.c}"
+            )
+        if (
+            not isinstance(self.max_iterations, numbers.Integral)
+            or isinstance(self.max_iterations, bool)
+            or self.max_iterations < 1
+        ):
+            raise ParameterError(
+                f"max_iterations must be an integer >= 1, got {self.max_iterations}"
             )
 
 

@@ -125,6 +125,14 @@ class TestTrain:
         manifest = json.loads((tmp_path / "m.txt.manifest.json").read_text())
         assert manifest["seed"] == 31
 
+    @pytest.mark.parametrize("c", ["nan", "inf"])
+    def test_non_finite_c_exits_2(self, tmp_path, small_csv, c):
+        model = tmp_path / "m.txt"
+        code, _, err = run_child("train", small_csv, "--out", model, "--c", c)
+        assert code == 2, err
+        assert "finite number > 0" in err and "Traceback" not in err
+        assert not model.exists()
+
     def test_malformed_env_seed_exits_2(self, capsys, small_csv, monkeypatch):
         monkeypatch.setenv("PAIRNET_SEED", "not-a-number")
         code, _, stderr = run(capsys, "train", str(small_csv))
@@ -187,6 +195,17 @@ class TestEvaluate:
         code, _, stderr = run(capsys, "evaluate", str(trained), str(other))
         assert code == 4
         assert "features" in stderr or "r=" in stderr
+
+    def test_non_finite_weight_exits_3(self, tmp_path, capsys, small_csv, trained):
+        lines = trained.read_text().splitlines()
+        k = lines.index("PAIR 1 2") + 1
+        lines[k] = " ".join(["nan"] + lines[k].split()[1:])
+        bad = tmp_path / "bad.txt"
+        bad.write_text("\n".join(lines) + "\n")
+        code, _, err = run_child("evaluate", bad, small_csv)
+        assert code == 3, err
+        assert f"line {k + 1}: PAIR 1 2: value 1 is not finite" in err
+        assert "Traceback" not in err
 
     def test_out_file_and_manifest(self, tmp_path, capsys, small_csv, trained):
         out = tmp_path / "report.tsv"

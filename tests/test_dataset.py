@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -100,6 +102,33 @@ class TestLoadCsv:
         np.testing.assert_array_equal(back.records, ds.records)
         assert back.feature_names == ds.feature_names
         assert back.class_labels == ds.class_labels
+
+    def test_writer_bytes_match_per_cell_repr(self, tmp_path):
+        # The per-row writer that save_csv replaced: one repr per cell.
+        def reference_save_csv(ds, path):
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(list(ds.feature_names) + ["class", "record"])
+                for i in range(len(ds)):
+                    row = [repr(float(v)) for v in ds.X[i]]
+                    row.append(ds.class_labels[ds.y[i] - 1])
+                    row.append(str(int(ds.records[i])))
+                    writer.writerow(row)
+
+        rng = np.random.default_rng(3)
+        n = 2 * 1024 + 5  # crosses chunk boundaries
+        X = rng.normal(size=(n, 4)) * 10.0 ** rng.integers(-300, 300, size=(n, 4))
+        X[0] = [-0.0, 5e-324, 1e308, -1.7976931348623157e308]
+        X[1] = [0.1, 1e16, 123456789.0, 2.0**-1074]
+        y = rng.integers(1, 4, size=n)
+        y[:3] = [1, 2, 3]
+        ds = Dataset(X, y, y * 1000 + 7, ("a", "b c", 'q"x', "d,e"), ('a,"b', "7", " sp "))
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        save_csv(ds, new)
+        reference_save_csv(ds, old)
+        assert new.read_bytes() == old.read_bytes()
+        back = load_csv(new)
+        np.testing.assert_array_equal(back.X, ds.X)
 
     def test_default_synthetic_shape(self, tmp_path):
         ds = generate(default_config(seed=5))

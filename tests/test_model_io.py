@@ -152,6 +152,54 @@ class TestMalformedFiles:
         assert exc.value.line == 5
 
 
+class TestNonFiniteValues:
+    """Values that would classify as garbage are refused at load, naming
+    the line, instead of loading silently."""
+
+    def lines(self, tmp_path, model):
+        path = tmp_path / "model.txt"
+        save_model(model, path)
+        return path, path.read_text().splitlines()
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "NaN", "1e999"])
+    @pytest.mark.parametrize("row,what", [(3, "means"), (4, "stds"), (6, "PAIR 1 2"), (-1, "PAIR 3 4")])
+    def test_network_values(self, tmp_path, token, row, what):
+        path, lines = self.lines(tmp_path, random_net(with_std=True))
+        parts = lines[row].split()
+        parts[1] = token
+        lines[row] = " ".join(parts)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=f"{what}: value 2 is not finite") as exc:
+            load_model(path)
+        assert exc.value.line == (len(lines) if row == -1 else row + 1)
+
+    @pytest.mark.parametrize("token", ["nan", "inf"])
+    def test_lm_weights(self, tmp_path, token):
+        path, lines = self.lines(tmp_path, random_lm())
+        lines[-1] = token + " " + " ".join(lines[-1].split()[1:])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match="CLASS 3: value 1 is not finite") as exc:
+            load_model(path)
+        assert exc.value.line == len(lines)
+
+    @pytest.mark.parametrize("token", ["0.0", "-0.0", "-1.5", "-5e-324"])
+    def test_stds_must_be_positive(self, tmp_path, token):
+        path, lines = self.lines(tmp_path, random_lm(with_std=True))
+        parts = lines[4].split()
+        parts[2] = token
+        lines[4] = " ".join(parts)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match="stds: value 3 must be > 0") as exc:
+            load_model(path)
+        assert exc.value.line == 5
+
+    def test_tiny_positive_std_loads(self, tmp_path):
+        path, lines = self.lines(tmp_path, random_lm(with_std=True))
+        lines[4] = " ".join(["5e-324"] + lines[4].split()[1:])
+        path.write_text("\n".join(lines) + "\n")
+        assert load_model(path).standardization.stds[0] == 5e-324
+
+
 class TestDimensionBound:
     """Nothing is sized by a header's r before the file shows its sections:
     r=100000 once made load_model build ~5e9 pair tuples."""

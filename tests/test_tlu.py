@@ -153,3 +153,19 @@ class TestTrainPocket:
             TrainConfig(c=-1.0)
         with pytest.raises(ParameterError):
             TrainConfig(max_iterations=0)
+
+    @pytest.mark.parametrize("c", [0.0, -0.5, float("nan"), float("inf"), -float("inf"),
+                                   np.float64("nan"), "1.0", None])
+    def test_c_must_be_finite_and_positive(self, c):
+        with pytest.raises(ParameterError, match="finite number > 0"):
+            TrainConfig(c=c)
+
+    @pytest.mark.parametrize("max_iterations", [0, -3, 2.5, 20000.0, True, False, "10", None])
+    def test_max_iterations_must_be_a_positive_integer(self, max_iterations):
+        with pytest.raises(ParameterError, match="integer >= 1"):
+            TrainConfig(max_iterations=max_iterations)
+
+    @pytest.mark.parametrize("c,max_iterations", [(1, 1), (0.5, np.int64(7)), (np.float64(2.0), 20_000)])
+    def test_valid_config_accepted(self, c, max_iterations):
+        cfg = TrainConfig(c=c, max_iterations=max_iterations)
+        assert cfg.c == c and cfg.max_iterations == max_iterations
