@@ -255,8 +255,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
         raise ParameterError(
             f"{len(args.signals)} signal files but {len(labels)} class labels"
         )
-    recordings = [read_signal_file(p) for p in args.signals]
-    ds = signals_to_dataset(recordings, labels)
+    ds = signals_to_dataset((read_signal_file(p) for p in args.signals), labels)
     save_csv(ds, args.out)
     print(f"extracted {len(ds)} segments x {ds.m} features from "
           f"{len(args.signals)} recording(s) -> {args.out}")

@@ -8,6 +8,8 @@ freely across threads.
 
 import csv
 import io
+import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
@@ -272,8 +274,8 @@ def screen_outliers(ds: Dataset, k: float = 3.0) -> tuple[Dataset, ScreeningRepo
     Records with fewer than 2 segments are passed through unscreened and
     listed in the report's skipped_records.
     """
-    if k <= 0:
-        raise ParameterError(f"screening threshold k must be > 0, got {k}")
+    if not (isinstance(k, numbers.Real) and math.isfinite(k) and k > 0):
+        raise ParameterError(f"screening threshold k must be a finite number > 0, got {k}")
     if len(ds) == 0:
         raise EmptyInputError("cannot screen an empty dataset")
 

@@ -24,12 +24,13 @@ of the same kernel.
 
 import math
 import warnings
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import Dataset, _parse_labels
 from .errors import DimensionError, EmptyInputError, ParameterError, ParseError
 
 SEGMENT_SECONDS = 10.0
@@ -313,37 +314,40 @@ def _segment_rows(
 
 
 def signals_to_dataset(
-    recordings: list[tuple[float, np.ndarray, np.ndarray]],
-    class_labels_per_recording: list[str],
+    recordings: Iterable[tuple[float, np.ndarray, np.ndarray]],
+    class_labels_per_recording: Iterable[str],
 ) -> Dataset:
     """Featurize recordings into the standard dataset layout.
 
     Each recording becomes one record (ids 1..n in input order) carrying
-    its given class label; its 10-second segments become the rows.
+    its given class label; its 10-second segments become the rows. The
+    iterable is consumed once, in order, and each recording is featurized
+    and released before the next one is drawn, so a generator that reads
+    recordings from disk holds the samples of one recording at a time.
     """
-    if len(recordings) != len(class_labels_per_recording):
-        raise ParameterError(
-            f"{len(recordings)} recordings but "
-            f"{len(class_labels_per_recording)} class labels"
-        )
-    feats, labels_raw, records = [], [], []
-    for rec_id, (fs, c3, c4) in enumerate(recordings, start=1):
-        rows3, rows4 = _segment_rows(rec_id, fs, c3, c4)
+    labels = list(class_labels_per_recording)
+    feats = []
+    for fs, c3, c4 in recordings:
+        if len(feats) == len(labels):
+            raise ParameterError(
+                f"more than {len(labels)} recordings for {len(labels)} class labels"
+            )
+        rows3, rows4 = _segment_rows(len(feats) + 1, fs, c3, c4)
         feats.append(_featurize(rows3, rows4, fs, DEFAULT_BANDS))
-        labels_raw += [class_labels_per_recording[rec_id - 1]] * len(rows3)
-        records += [rec_id] * len(rows3)
+        # The loop variables would otherwise keep this recording's samples
+        # alive while the iterable produces the next one.
+        del c3, c4, rows3, rows4
+    if len(feats) != len(labels):
+        raise ParameterError(f"{len(feats)} recordings but {len(labels)} class labels")
 
-    distinct = sorted(set(labels_raw))
-    try:
-        distinct.sort(key=float)
-    except ValueError:
-        pass
+    distinct = _parse_labels(labels)
     label_to_id = {lab: k + 1 for k, lab in enumerate(distinct)}
-    y = np.asarray([label_to_id[lab] for lab in labels_raw], dtype=np.int64)
+    ids = np.asarray([label_to_id[lab] for lab in labels], dtype=np.int64)
+    counts = [len(f) for f in feats]
     return Dataset(
         X=np.vstack(feats),
-        y=y,
-        records=np.asarray(records, dtype=np.int64),
+        y=np.repeat(ids, counts),
+        records=np.repeat(np.arange(1, len(feats) + 1, dtype=np.int64), counts),
         feature_names=tuple(feature_names()),
         class_labels=tuple(distinct),
     )

@@ -8,6 +8,8 @@ variance of the feature within class i. Large scores flag features whose
 class means spread widely relative to the scatter inside the classes.
 """
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,8 +92,12 @@ def sigma_intervals(ds: Dataset, j: int, k: float = 3.0) -> np.ndarray:
     sigma is the within-class population std; single-example or constant
     classes get zero-width bands. Rows are in class-id order, shape (r, 3).
     """
-    if k < 0:
-        raise ParameterError(f"k must be >= 0, got {k}")
+    if not (isinstance(k, numbers.Real) and math.isfinite(k) and k >= 0):
+        raise ParameterError(f"k must be a finite number >= 0, got {k}")
+    if not (isinstance(j, numbers.Integral) and 0 <= j < ds.m):
+        raise ParameterError(
+            f"feature index j must be an integer in 0..{ds.m - 1}, got {j}"
+        )
     rows = []
     for _, block in _class_blocks(ds):
         mu = block[:, j].mean()

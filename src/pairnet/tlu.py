@@ -14,6 +14,11 @@ from .errors import DimensionError, EmptyInputError, ParameterError, TrainingErr
 TluWeights = np.ndarray
 
 
+def _check_c(c) -> None:
+    if not (isinstance(c, numbers.Real) and math.isfinite(c) and c > 0):
+        raise ParameterError(f"correction amount c must be a finite number > 0, got {c}")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Knobs for pocket training.
@@ -29,10 +34,7 @@ class TrainConfig:
     shuffle: bool = True
 
     def __post_init__(self):
-        if not (isinstance(self.c, numbers.Real) and math.isfinite(self.c) and self.c > 0):
-            raise ParameterError(
-                f"correction amount c must be a finite number > 0, got {self.c}"
-            )
+        _check_c(self.c)
         if (
             not isinstance(self.max_iterations, numbers.Integral)
             or isinstance(self.max_iterations, bool)
@@ -86,8 +88,7 @@ def error_correct(w: TluWeights, x: np.ndarray, target: int, c: float = 1.0) -> 
     Returns a new weight vector; the input is left unmodified. Meant to be
     applied when the unit misclassifies x (target is the desired +/-1).
     """
-    if c <= 0:
-        raise ParameterError(f"correction amount c must be > 0, got {c}")
+    _check_c(c)
     if target not in (1, -1):
         raise ParameterError(f"target must be +1 or -1, got {target}")
     w = np.asarray(w, dtype=np.float64)

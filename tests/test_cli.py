@@ -258,6 +258,13 @@ class TestReports:
         code, _, _ = run(capsys, "intervals", str(small_csv), "--feature", "nope")
         assert code == 2
 
+    @pytest.mark.parametrize("k", ["nan", "inf"])
+    def test_intervals_non_finite_k_exits_2(self, small_csv, k):
+        code, out, err = run_child("intervals", small_csv, "--feature", "f3", "--k", k)
+        assert code == 2, err
+        assert "finite number >= 0" in err and "Traceback" not in err
+        assert out == ""
+
 
 class TestExtract:
     def test_end_to_end(self, tmp_path, capsys):
@@ -295,6 +302,25 @@ class TestExtract:
         )
         assert code == 3, err
         assert "line 1: sampling rate" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("slow_first,code,message", [
+        (True, 2, "sampling rate 40.0 Hz unusable"),
+        (False, 3, "No such file"),
+    ])
+    def test_first_bad_recording_decides_the_error(self, tmp_path, capsys,
+                                                    slow_first, code, message):
+        # Recordings are read and featurized one at a time, in argument order.
+        slow = tmp_path / "slow.txt"
+        slow.write_text("fs=40\n" + "0.5 1.5\n" * 400)
+        paths = [slow, tmp_path / "missing.txt"]
+        if not slow_first:
+            paths.reverse()
+        out = tmp_path / "x.csv"
+        got, _, err = run(capsys, "extract", *map(str, paths), "--classes", "1,2",
+                          "--out", str(out))
+        assert got == code, err
+        assert message in err
+        assert not out.exists() and not (tmp_path / "x.csv.manifest.json").exists()
 
     def test_nan_sample_exits_3_naming_the_line(self, tmp_path):
         body = ["0.5 1.5"] * 1000

@@ -215,6 +215,12 @@ class TestScreenOutliers:
         with pytest.raises(ParameterError):
             screen_outliers(ds, k=0.0)
 
+    @pytest.mark.parametrize("k", [-3.0, float("nan"), float("inf"), np.float64("nan"), "3", None])
+    def test_k_must_be_finite_and_positive(self, k):
+        ds = make_dataset([[0.0], [1.0]], [1, 2], [1, 2])
+        with pytest.raises(ParameterError, match="finite number > 0"):
+            screen_outliers(ds, k=k)
+
     def test_default_generator_rate_below_six_percent(self):
         ds = generate(default_config(seed=11, scale=0.1))
         _, report = screen_outliers(ds, k=3.0)

@@ -1,6 +1,8 @@
+import gc
 import math
 import os
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -313,6 +315,63 @@ class TestBatchedKernel:
     def test_rejects_unequal_channels(self):
         with pytest.raises(DimensionError):
             signals_to_dataset([(100.0, np.zeros(2000), np.zeros(1999))], ["1"])
+
+
+class TestStreaming:
+    """signals_to_dataset over an iterable that it may draw from only once."""
+
+    def _recordings(self):
+        rng = np.random.default_rng(11)
+        return [(fs, *_recording(rng, fs, k, kind))
+                for fs, k, kind in ((100.0, 2, "noise"), (128.0, 3, "zero"), (256.0, 1, "noise"))]
+
+    def test_generator_matches_list_bitwise(self):
+        recs = self._recordings()
+        labels = ["b", "a", "b"]
+        from_list = signals_to_dataset(recs, labels)
+        from_gen = signals_to_dataset((rec for rec in recs), iter(labels))
+        for name in ("X", "y", "records"):
+            a, b = getattr(from_list, name), getattr(from_gen, name)
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes(), name
+        assert from_gen.class_labels == from_list.class_labels == ("a", "b")
+        assert from_gen.feature_names == from_list.feature_names
+
+    def test_each_recording_released_before_the_next_is_drawn(self):
+        rng = np.random.default_rng(5)
+        refs = []
+
+        def fresh():
+            c3, c4 = _recording(rng, FS, 2, "noise")
+            refs.append((weakref.ref(c3), weakref.ref(c4)))
+            return FS, c3, c4
+
+        def recordings():
+            for k in range(4):
+                gc.collect()
+                alive = [i for i, pair in enumerate(refs) if any(r() is not None for r in pair)]
+                assert not alive, f"recordings {alive} alive while drawing recording {k}"
+                yield fresh()
+
+        ds = signals_to_dataset(recordings(), ["1", "2", "1", "2"])
+        assert len(ds) == 8 and len(refs) == 4
+        gc.collect()
+        assert all(r() is None for pair in refs for r in pair)
+
+    @pytest.mark.parametrize("n_labels,match", [(2, "more than 2 recordings for 2 class labels"),
+                                                (4, "3 recordings but 4 class labels")])
+    def test_label_count_mismatch(self, n_labels, match):
+        recs = self._recordings()
+        drawn = []
+
+        def recordings():
+            for rec in recs:
+                drawn.append(rec)
+                yield rec
+
+        with pytest.raises(ParameterError, match=match):
+            signals_to_dataset(recordings(), ["1"] * n_labels)
+        assert len(drawn) == min(n_labels + 1, len(recs))
 
 
 def reference_read(path):

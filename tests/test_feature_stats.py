@@ -8,6 +8,7 @@ from pairnet import (
     sigma_intervals,
     significance,
 )
+from pairnet.errors import ParameterError
 
 
 def make_dataset(X, y, r=None):
@@ -161,3 +162,20 @@ class TestSigmaIntervals:
         ds = make_dataset([[0.0], [2.0], [5.0]], [1, 1, 2])
         bands = sigma_intervals(ds, 0, k=0.0)
         np.testing.assert_allclose(bands[0], [1.0, 1.0, 1.0])
+
+    @pytest.mark.parametrize("k", [-1.0, float("nan"), float("inf"), -float("inf"),
+                                   np.float64("nan"), "3", None])
+    def test_k_must_be_finite_and_non_negative(self, k):
+        ds = make_dataset([[0.0], [2.0], [5.0]], [1, 1, 2])
+        with pytest.raises(ParameterError, match="finite number >= 0"):
+            sigma_intervals(ds, 0, k=k)
+
+    @pytest.mark.parametrize("j", [2, 999, -1, 1.0, "0", None])
+    def test_j_must_index_a_feature(self, j):
+        ds = make_dataset([[0.0, 1.0], [2.0, 1.0], [5.0, 1.0]], [1, 1, 2])
+        with pytest.raises(ParameterError, match=r"integer in 0\.\.1"):
+            sigma_intervals(ds, j)
+
+    def test_numpy_integer_j_accepted(self):
+        ds = make_dataset([[0.0, 1.0], [2.0, 1.0], [5.0, 1.0]], [1, 1, 2])
+        np.testing.assert_array_equal(sigma_intervals(ds, np.int64(1)), sigma_intervals(ds, 1))

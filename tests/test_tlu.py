@@ -64,6 +64,12 @@ class TestErrorCorrect:
         with pytest.raises(ParameterError):
             error_correct(np.zeros(2), np.array([1.0]), 1, c=0.0)
 
+    @pytest.mark.parametrize("c", [-1.0, float("nan"), float("inf"), np.float64("inf"),
+                                   "1.0", None])
+    def test_c_must_be_finite_and_positive(self, c):
+        with pytest.raises(ParameterError, match="finite number > 0"):
+            error_correct(np.zeros(2), np.array([1.0]), 1, c=c)
+
     def test_margin_gain(self):
         # each correction moves target*activation up by exactly c*(1 + |x|^2)
         rng = np.random.default_rng(0)
