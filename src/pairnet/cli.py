@@ -110,7 +110,8 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--test-fraction", type=float, default=0.33,
                    help="fraction of records per class held out for testing")
     p.add_argument("--jobs", type=int, default=1,
-                   help="worker threads for pairwise test training")
+                   help="accepted for compatibility; must be >= 1 and does not "
+                        "change the result")
 
 
 def _add_synth_flags(p: argparse.ArgumentParser) -> None:
@@ -137,6 +138,8 @@ def _synth_config(args: argparse.Namespace, seed: int) -> SynthConfig:
 
 def _train_model(ds_train, args, model_kind: str):
     """Shared train-split fitting used by cmd_train and cmd_bench."""
+    if args.jobs < 1:
+        raise ParameterError(f"jobs must be >= 1, got {args.jobs}")
     st = None
     if not args.no_standardize:
         ds_train, st = standardize(ds_train)

@@ -7,7 +7,7 @@ import numpy as np
 from . import _kernels
 from .dataset import Dataset, Standardization
 from .errors import DimensionError, TrainingError
-from .tlu import PocketResult, TrainConfig, extend
+from .tlu import PocketResult, TrainConfig, extend, prepare
 
 
 @dataclass(frozen=True)
@@ -31,17 +31,9 @@ class LinearMachine:
                 f"weights shape {W.shape} does not match (r={self.r}, m+1={self.m + 1})"
             )
 
-    def _prepare(self, X: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        if X.shape[1] != self.m:
-            raise DimensionError(f"expected {self.m} features, got {X.shape[1]}")
-        if self.standardization is not None:
-            X = self.standardization.apply(X)
-        return extend(X)
-
     def discriminants_batch(self, X: np.ndarray) -> np.ndarray:
         """(n, r) matrix of raw discriminant values."""
-        return self._prepare(X) @ self.weights.T
+        return prepare(X, self.m, self.standardization) @ self.weights.T
 
     def classify_batch(self, X: np.ndarray) -> np.ndarray:
         """Predicted class ids (argmax, ties to the lowest id)."""

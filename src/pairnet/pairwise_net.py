@@ -8,14 +8,13 @@ Classification takes the argmax of the integer sums, breaking ties by the
 corresponding sum of raw activations and then by the lowest class id.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dataset import Dataset, Standardization
 from .errors import DimensionError, EmptyInputError, ParameterError, TrainingError
-from .tlu import TrainConfig, extend, train_pocket
+from .tlu import TrainConfig, prepare, train_pocket
 
 
 @dataclass(frozen=True)
@@ -59,14 +58,6 @@ class PairwiseNetwork:
                     f"expected {self.m + 1}"
                 )
 
-    def _prepare(self, X: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        if X.shape[1] != self.m:
-            raise DimensionError(f"expected {self.m} features, got {X.shape[1]}")
-        if self.standardization is not None:
-            X = self.standardization.apply(X)
-        return extend(X)
-
     def _stacked_weights(self) -> np.ndarray:
         return np.vstack([t.weights for t in self.tests])
 
@@ -78,16 +69,19 @@ class PairwiseNetwork:
             S[t_idx, t.j - 1] = -1
         return S
 
+    def _activations(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(n, n_tests) raw test activations and their +1/-1 outputs."""
+        acts = prepare(X, self.m, self.standardization) @ self._stacked_weights().T
+        return acts, np.where(acts > 0.0, 1, -1).astype(np.int64)
+
     def outputs_batch(self, X: np.ndarray) -> np.ndarray:
         """(n, r) integer output sums g_1..g_r per example."""
-        acts = self._prepare(X) @ self._stacked_weights().T
-        signs = np.where(acts > 0.0, 1, -1).astype(np.int64)
+        _, signs = self._activations(X)
         return signs @ self._wiring()
 
     def classify_batch(self, X: np.ndarray) -> np.ndarray:
         """Predicted class ids with the raw-margin / lowest-id tie-break."""
-        acts = self._prepare(X) @ self._stacked_weights().T
-        signs = np.where(acts > 0.0, 1, -1).astype(np.int64)
+        acts, signs = self._activations(X)
         S = self._wiring()
         g = signs @ S
         margins = acts @ S
@@ -132,8 +126,8 @@ def enumerate_pairs(r: int) -> list[tuple[int, int]]:
 
 
 def derive_pair_seed(seed: int, i: int, j: int) -> int:
-    """Deterministic per-pair seed so training order and parallelism cannot
-    change which random stream a pair sees."""
+    """Deterministic per-pair seed so training order cannot change which
+    random stream a pair sees."""
     return int(np.random.SeedSequence([int(seed), int(i), int(j)]).generate_state(1)[0])
 
 
@@ -163,18 +157,14 @@ def train_pairwise(
 
     Test (i, j) is pocket-trained on only the examples of classes i and j,
     with targets +1 for i and -1 for j, using a seed derived from
-    (cfg.seed, i, j). Tests share no mutable state, so jobs > 1 trains them
-    in a thread pool; results are gathered in lexicographic pair order and
-    are identical for any worker count.
+    (cfg.seed, i, j). Tests are trained one after another in lexicographic
+    pair order. jobs is accepted for compatibility and must be >= 1; it
+    does not change the result.
     """
     pairs = enumerate_pairs(ds.r)
     if jobs < 1:
         raise ParameterError(f"jobs must be >= 1, got {jobs}")
-    if jobs == 1:
-        tests = [_train_one_pair(ds, cfg, i, j) for i, j in pairs]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            tests = list(pool.map(lambda p: _train_one_pair(ds, cfg, *p), pairs))
+    tests = [_train_one_pair(ds, cfg, i, j) for i, j in pairs]
     return PairwiseNetwork(
         r=ds.r, m=ds.m, tests=tuple(tests), standardization=standardization
     )

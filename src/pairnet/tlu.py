@@ -66,6 +66,17 @@ def extend(X: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.hstack([np.ones((X.shape[0], 1)), X]))
 
 
+def prepare(X: np.ndarray, m: int, standardization=None) -> np.ndarray:
+    """A model's input path: check that X has m features, apply the
+    model's standardization when it has one, and extend the result."""
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    if X.shape[1] != m:
+        raise DimensionError(f"expected {m} features, got {X.shape[1]}")
+    if standardization is not None:
+        X = standardization.apply(X)
+    return extend(X)
+
+
 def activation(w: TluWeights, x: np.ndarray) -> float:
     """Raw linear test value w[0] + sum(w[1:] * x)."""
     w = np.asarray(w, dtype=np.float64)

@@ -5,7 +5,6 @@ PASS line with the measured values (run with ``pytest -s`` to see them).
 import time
 
 import numpy as np
-import pytest
 
 from pairnet import (
     Dataset,
@@ -26,18 +25,10 @@ from pairnet import (
     train_pairwise,
     train_pocket,
 )
-from pairnet._kernels import warm_kernels
 from pairnet.eeg_features import DEFAULT_BANDS, SegmentSignal, band_power, extract_features, feature_names, periodogram
 from pairnet.synthgen import default_config, generate
 
 from test_feature_stats import significance_oracle
-
-
-@pytest.fixture(scope="module", autouse=True)
-def warm():
-    # JIT compilation happens once here so criterion 1 times the benchmark,
-    # not the compiler
-    warm_kernels()
 
 
 def small_dataset(X, y, records, r):
@@ -250,7 +241,7 @@ def test_c09_screening_rate_below_six_percent():
 
 def test_c10_serialization_and_jobs_independence(tmp_path):
     """save -> load -> classify agrees bit-exactly on 1000 probes, and the
-    trained model is byte-identical for any --jobs worker count."""
+    trained model is byte-identical for any --jobs value."""
     rng = np.random.default_rng(5)
     y = np.repeat(np.arange(1, 7), 30)
     X = rng.normal(size=(len(y), 4)) + 0.8 * y[:, None]

@@ -133,6 +133,16 @@ class TestTrain:
         assert "finite number > 0" in err and "Traceback" not in err
         assert not model.exists()
 
+    @pytest.mark.parametrize("model_kind", ["pairnet", "lm"])
+    def test_bad_jobs_exits_2_for_every_model(self, tmp_path, small_csv, model_kind):
+        model = tmp_path / "m.txt"
+        code, _, err = run_child("train", small_csv, "--model", model_kind,
+                                 "--out", model, "--jobs", "0")
+        assert code == 2, err
+        assert "jobs must be >= 1, got 0" in err and "Traceback" not in err
+        assert not model.exists()
+        assert not (tmp_path / "m.txt.manifest.json").exists()
+
     def test_malformed_env_seed_exits_2(self, capsys, small_csv, monkeypatch):
         monkeypatch.setenv("PAIRNET_SEED", "not-a-number")
         code, _, stderr = run(capsys, "train", str(small_csv))

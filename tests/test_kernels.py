@@ -1,33 +1,188 @@
-"""The numba kernels and the numpy fallbacks must walk the same trajectory.
+"""The training loops against a scalar reference, and the training
+wiring against the same reference.
 
-Probe problems use small-integer features so every dot product is exact in
-float64 regardless of summation order; any divergence between the paths is
-then a real decision-sequence difference, not rounding noise.
+``_pocket_loop_impl`` and ``_lm_loop_impl`` below are plain scalar loops
+that sum every dot product left to right; they are the oracle for
+``pocket_loop`` and ``lm_loop``, which decide by BLAS dot products. Probe
+problems use small-integer features (and corrections of 1 or 0.5) so every
+dot product is exact in float64 regardless of summation order; any
+divergence is then a real decision-sequence difference, not rounding
+noise.
 """
-
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
+from pairnet import Dataset, TrainConfig, derive_pair_seed, train_pairwise
 from pairnet import _kernels
-from pairnet._kernels import (
-    build_visit_order,
-    lm_loop_numpy,
-    pocket_loop_numpy,
-)
+from pairnet._kernels import build_visit_order, lm_loop, pocket_loop
+from pairnet.linear_machine import lm_train_pocket
 
-needs_numba = pytest.mark.skipif(
-    not _kernels.HAVE_NUMBA, reason="numba not installed"
-)
+
+def _pocket_loop_impl(xb, targets, order, c, max_iters):
+    """Pocket algorithm with ratchet over a fixed visit order.
+
+    xb is the (n, m+1) extended example matrix (column 0 all ones), targets
+    holds +/-1 per row, and order lists the example index visited at each
+    iteration. The pocket starts as the zero vector and is replaced only
+    when the current perceptron's run of correct classifications exceeds
+    the pocket's best run AND its full-set accuracy is strictly better.
+    The accuracy of the current perceptron is cached between errors so the
+    expensive full pass runs at most once per error-free run.
+
+    Returns (pocket_weights, pocket_accuracy, iterations_used,
+    history_iterations, history_accuracies).
+    """
+    n, d = xb.shape
+    pi = np.zeros(d, dtype=np.float64)
+    pocket = np.zeros(d, dtype=np.float64)
+
+    correct0 = 0
+    for i in range(n):
+        if targets[i] < 0.0:
+            correct0 += 1
+    pocket_acc = correct0 / n
+
+    hist_cap = n + 2
+    hist_it = np.zeros(hist_cap, dtype=np.int64)
+    hist_acc = np.zeros(hist_cap, dtype=np.float64)
+    hist_acc[0] = pocket_acc
+    n_hist = 1
+
+    best_run = 0
+    run = 0
+    cached_acc = -1.0
+    it = 0
+    while it < max_iters and pocket_acc < 1.0:
+        idx = order[it]
+        act = 0.0
+        for k in range(d):
+            act += pi[k] * xb[idx, k]
+        out = 1.0 if act > 0.0 else -1.0
+        if out == targets[idx]:
+            run += 1
+            if run > best_run:
+                if cached_acc < 0.0:
+                    cnt = 0
+                    for i in range(n):
+                        a = 0.0
+                        for k in range(d):
+                            a += pi[k] * xb[i, k]
+                        o = 1.0 if a > 0.0 else -1.0
+                        if o == targets[i]:
+                            cnt += 1
+                    cached_acc = cnt / n
+                if cached_acc > pocket_acc:
+                    for k in range(d):
+                        pocket[k] = pi[k]
+                    pocket_acc = cached_acc
+                    best_run = run
+                    hist_it[n_hist] = it + 1
+                    hist_acc[n_hist] = pocket_acc
+                    n_hist += 1
+        else:
+            t = c * targets[idx]
+            for k in range(d):
+                pi[k] += t * xb[idx, k]
+            run = 0
+            cached_acc = -1.0
+        it += 1
+
+    return pocket, pocket_acc, it, hist_it[:n_hist].copy(), hist_acc[:n_hist].copy()
+
+
+def _lm_loop_impl(xb, y0, r, order, c, max_iters):
+    """Jointly trained linear machine with a whole-machine pocket ratchet.
+
+    y0 holds 0-based class indices. Each visit classifies one example by
+    winner-take-all over the r discriminants (ties to the lowest index);
+    a misclassification adds c*x to the true class's weight row and
+    subtracts it from the winner's. The pocket stores the best whole-machine
+    training accuracy seen, guarded by the same run-length ratchet and
+    accuracy cache as the single-unit pocket.
+
+    Returns (pocket_weights (r, m+1), pocket_accuracy, iterations_used,
+    history_iterations, history_accuracies).
+    """
+    n, d = xb.shape
+    W = np.zeros((r, d), dtype=np.float64)
+    pocket = np.zeros((r, d), dtype=np.float64)
+
+    correct0 = 0
+    for i in range(n):
+        if y0[i] == 0:
+            correct0 += 1
+    pocket_acc = correct0 / n
+
+    hist_cap = n + 2
+    hist_it = np.zeros(hist_cap, dtype=np.int64)
+    hist_acc = np.zeros(hist_cap, dtype=np.float64)
+    hist_acc[0] = pocket_acc
+    n_hist = 1
+
+    best_run = 0
+    run = 0
+    cached_acc = -1.0
+    it = 0
+    while it < max_iters and pocket_acc < 1.0:
+        idx = order[it]
+        best_j = 0
+        best_g = 0.0
+        for j in range(r):
+            g = 0.0
+            for k in range(d):
+                g += W[j, k] * xb[idx, k]
+            if j == 0 or g > best_g:
+                best_g = g
+                best_j = j
+        true_j = y0[idx]
+        if best_j == true_j:
+            run += 1
+            if run > best_run:
+                if cached_acc < 0.0:
+                    cnt = 0
+                    for i in range(n):
+                        bj = 0
+                        bg = 0.0
+                        for j in range(r):
+                            g = 0.0
+                            for k in range(d):
+                                g += W[j, k] * xb[i, k]
+                            if j == 0 or g > bg:
+                                bg = g
+                                bj = j
+                        if bj == y0[i]:
+                            cnt += 1
+                    cached_acc = cnt / n
+                if cached_acc > pocket_acc:
+                    for j in range(r):
+                        for k in range(d):
+                            pocket[j, k] = W[j, k]
+                    pocket_acc = cached_acc
+                    best_run = run
+                    hist_it[n_hist] = it + 1
+                    hist_acc[n_hist] = pocket_acc
+                    n_hist += 1
+        else:
+            for k in range(d):
+                upd = c * xb[idx, k]
+                W[true_j, k] += upd
+                W[best_j, k] -= upd
+            run = 0
+            cached_acc = -1.0
+        it += 1
+
+    return pocket, pocket_acc, it, hist_it[:n_hist].copy(), hist_acc[:n_hist].copy()
+
+
+def extended(X):
+    return np.ascontiguousarray(np.hstack([np.ones((X.shape[0], 1)), X]))
 
 
 def integer_problem(seed, n=60, m=3):
     rng = np.random.default_rng(seed)
     X = rng.integers(-4, 5, size=(n, m)).astype(np.float64)
-    xb = np.ascontiguousarray(np.hstack([np.ones((n, 1)), X]))
+    xb = extended(X)
     targets = rng.choice([-1.0, 1.0], size=n)
     targets[0], targets[1] = 1.0, -1.0
     order = build_visit_order(n, 5000, np.random.default_rng(seed + 1), True)
@@ -37,7 +192,7 @@ def integer_problem(seed, n=60, m=3):
 def integer_lm_problem(seed, n=60, m=3, r=4):
     rng = np.random.default_rng(seed)
     X = rng.integers(-4, 5, size=(n, m)).astype(np.float64)
-    xb = np.ascontiguousarray(np.hstack([np.ones((n, 1)), X]))
+    xb = extended(X)
     y0 = rng.integers(0, r, size=n).astype(np.int64)
     y0[:r] = np.arange(r)
     order = build_visit_order(n, 5000, np.random.default_rng(seed + 1), True)
@@ -61,37 +216,6 @@ class TestVisitOrder:
         np.testing.assert_array_equal(a, b)
 
 
-@needs_numba
-class TestPathEquivalence:
-    def test_pocket_paths_identical(self):
-        for seed in range(5):
-            xb, targets, order = integer_problem(seed)
-            res_nb = _kernels.pocket_loop_numba(xb, targets, order, 1.0, 5000)
-            res_np = pocket_loop_numpy(xb, targets, order, 1.0, 5000)
-            np.testing.assert_array_equal(res_nb[0], res_np[0])  # pocket weights
-            assert res_nb[1] == res_np[1]  # accuracy
-            assert res_nb[2] == res_np[2]  # iterations used
-            np.testing.assert_array_equal(res_nb[3], res_np[3])  # history iters
-            np.testing.assert_array_equal(res_nb[4], res_np[4])  # history accs
-
-    def test_lm_paths_identical(self):
-        for seed in range(5):
-            xb, y0, order = integer_lm_problem(seed)
-            res_nb = _kernels.lm_loop_numba(xb, y0, 4, order, 1.0, 5000)
-            res_np = lm_loop_numpy(xb, y0, 4, order, 1.0, 5000)
-            np.testing.assert_array_equal(res_nb[0], res_np[0])
-            assert res_nb[1] == res_np[1]
-            assert res_nb[2] == res_np[2]
-            np.testing.assert_array_equal(res_nb[3], res_np[3])
-
-    def test_fractional_correction_paths_identical(self):
-        # c = 0.5 keeps all arithmetic exact on the integer grid too
-        xb, targets, order = integer_problem(11)
-        res_nb = _kernels.pocket_loop_numba(xb, targets, order, 0.5, 5000)
-        res_np = pocket_loop_numpy(xb, targets, order, 0.5, 5000)
-        np.testing.assert_array_equal(res_nb[0], res_np[0])
-
-
 def assert_same_result(a, b):
     """All five returned values agree exactly: weights, accuracy, visits
     used, history iterations and history accuracies."""
@@ -109,23 +233,22 @@ def separable_problem(seed, n=40, m=2):
     X = rng.integers(-4, 5, size=(n, m)).astype(np.float64)
     act = 1.0 + X @ np.arange(1.0, m + 1.0) * 2.0
     targets = np.where(act > 0.0, 1.0, -1.0)
-    xb = np.ascontiguousarray(np.hstack([np.ones((n, 1)), X]))
+    xb = extended(X)
     order = build_visit_order(n, 5000, np.random.default_rng(seed + 1), True)
     return xb, targets, order
 
 
 class TestReferenceEquivalence:
-    """The kernel source, run un-jitted as plain Python, is the reference
-    that the numpy variants must match on every returned value. Runs with
-    or without numba."""
+    """The scalar reference loops are the oracle that the training loops
+    must match on every returned value."""
 
     @pytest.mark.parametrize("c", [1.0, 0.5])
     @pytest.mark.parametrize("seed", range(4))
     def test_pocket_matches_reference(self, seed, c):
         xb, targets, order = integer_problem(seed)
         assert_same_result(
-            _kernels._pocket_loop_impl(xb, targets, order, c, 5000),
-            pocket_loop_numpy(xb, targets, order, c, 5000),
+            _pocket_loop_impl(xb, targets, order, c, 5000),
+            pocket_loop(xb, targets, order, c, 5000),
         )
 
     @pytest.mark.parametrize("c", [1.0, 0.5])
@@ -133,38 +256,38 @@ class TestReferenceEquivalence:
     def test_lm_matches_reference(self, seed, c):
         xb, y0, order = integer_lm_problem(seed)
         assert_same_result(
-            _kernels._lm_loop_impl(xb, y0, 4, order, c, 5000),
-            lm_loop_numpy(xb, y0, 4, order, c, 5000),
+            _lm_loop_impl(xb, y0, 4, order, c, 5000),
+            lm_loop(xb, y0, 4, order, c, 5000),
         )
 
     @pytest.mark.parametrize("max_iters", [1, 7, 37])
     def test_budget_shorter_than_an_epoch(self, max_iters):
         xb, targets, order = integer_problem(3)
-        res = pocket_loop_numpy(xb, targets, order, 1.0, max_iters)
+        res = pocket_loop(xb, targets, order, 1.0, max_iters)
         assert res[2] == max_iters < xb.shape[0]
         assert_same_result(
-            _kernels._pocket_loop_impl(xb, targets, order, 1.0, max_iters), res
+            _pocket_loop_impl(xb, targets, order, 1.0, max_iters), res
         )
         xb, y0, order = integer_lm_problem(3)
-        res = lm_loop_numpy(xb, y0, 4, order, 1.0, max_iters)
+        res = lm_loop(xb, y0, 4, order, 1.0, max_iters)
         assert res[2] == max_iters
-        assert_same_result(_kernels._lm_loop_impl(xb, y0, 4, order, 1.0, max_iters), res)
+        assert_same_result(_lm_loop_impl(xb, y0, 4, order, 1.0, max_iters), res)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_separable_stops_at_full_accuracy(self, seed):
         xb, targets, order = separable_problem(seed)
-        res = pocket_loop_numpy(xb, targets, order, 1.0, 5000)
+        res = pocket_loop(xb, targets, order, 1.0, 5000)
         assert res[1] == 1.0 and res[2] < 5000
         assert res[3][-1] == res[2]  # the last visit made the final swap
-        assert_same_result(_kernels._pocket_loop_impl(xb, targets, order, 1.0, 5000), res)
+        assert_same_result(_pocket_loop_impl(xb, targets, order, 1.0, 5000), res)
 
     def test_separable_lm_stops_at_full_accuracy(self):
         xb = np.array([[1.0, -3.0], [1.0, -1.0], [1.0, 2.0], [1.0, 4.0]])
         y0 = np.array([0, 0, 1, 1], dtype=np.int64)
         order = build_visit_order(4, 1000, np.random.default_rng(0), True)
-        res = lm_loop_numpy(xb, y0, 2, order, 1.0, 1000)
+        res = lm_loop(xb, y0, 2, order, 1.0, 1000)
         assert res[1] == 1.0 and res[2] < 1000
-        assert_same_result(_kernels._lm_loop_impl(xb, y0, 2, order, 1.0, 1000), res)
+        assert_same_result(_lm_loop_impl(xb, y0, 2, order, 1.0, 1000), res)
 
     @pytest.mark.parametrize("max_iters", range(1, 9))
     def test_lm_ties_go_to_the_lowest_class(self, max_iters):
@@ -175,44 +298,61 @@ class TestReferenceEquivalence:
         y0 = np.array([1, 0, 2], dtype=np.int64)
         order = np.array([1, 0, 1, 2, 1, 0, 2, 1], dtype=np.int64)
         assert_same_result(
-            _kernels._lm_loop_impl(xb, y0, 3, order, 1.0, max_iters),
-            lm_loop_numpy(xb, y0, 3, order, 1.0, max_iters),
+            _lm_loop_impl(xb, y0, 3, order, 1.0, max_iters),
+            lm_loop(xb, y0, 3, order, 1.0, max_iters),
         )
 
 
-class TestPathSelection:
-    def test_active_path_is_consistent(self):
-        assert _kernels.ACTIVE_PATH in ("numba", "numpy")
-        if _kernels.NUMBA_DISABLED or not _kernels.HAVE_NUMBA:
-            assert _kernels.pocket_loop is pocket_loop_numpy
-        else:
-            assert _kernels.pocket_loop is _kernels.pocket_loop_numba
+def test_active_path_is_numpy():
+    assert _kernels.ACTIVE_PATH == "numpy"
 
-    def test_env_flag_selects_numpy_path(self):
-        code = (
-            "from pairnet import _kernels\n"
-            "assert _kernels.NUMBA_DISABLED\n"
-            "assert _kernels.ACTIVE_PATH == 'numpy', _kernels.ACTIVE_PATH\n"
-            "assert _kernels.pocket_loop is _kernels.pocket_loop_numpy\n"
-        )
-        # The environment stays minimal so that the flag alone selects the
-        # path, but it must still find the pairnet this process imported,
-        # whether that is a source tree or an installed copy.
-        package_root = os.path.dirname(os.path.dirname(_kernels.__file__))
-        pythonpath = os.pathsep.join(
-            p for p in (package_root, os.environ.get("PYTHONPATH")) if p
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", code],
-            env={
-                "PATH": "/usr/bin:/bin",
-                "PYTHONPATH": pythonpath,
-                "PAIRNET_DISABLE_NUMBA": "1",
-            },
-            capture_output=True,
-            text=True,
-        )
-        assert proc.returncode == 0, proc.stderr
 
-    def test_warm_kernels_smoke(self):
-        _kernels.warm_kernels()
+def integer_dataset(seed=0, r=4, n=120, m=3):
+    """Features on the integer grid -4..4 and labels unrelated to them, so
+    no pair is separable and every dot product stays exact at c = 1."""
+    rng = np.random.default_rng(seed)
+    X = rng.integers(-4, 5, size=(n, m)).astype(np.float64)
+    y = np.arange(n) % r + 1
+    return Dataset(
+        X, y, np.arange(1, n + 1),
+        tuple(f"f{k}" for k in range(1, m + 1)),
+        tuple(str(k) for k in range(1, r + 1)),
+    )
+
+
+class TestTrainingWiring:
+    """train_pairwise and lm_train_pocket hand the loops the rows, targets,
+    visit order, correction and budget that the reference is given here."""
+
+    @pytest.mark.parametrize("shuffle", [True, False])
+    def test_pairwise_tests_match_reference(self, shuffle):
+        ds = integer_dataset()
+        cfg = TrainConfig(c=1.0, max_iterations=3000, seed=5, shuffle=shuffle)
+        net = train_pairwise(ds, cfg)
+        assert len(net.tests) == 6
+        for t in net.tests:
+            mask = (ds.y == t.i) | (ds.y == t.j)
+            targets = np.where(ds.y[mask] == t.i, 1.0, -1.0)
+            rng = np.random.default_rng(derive_pair_seed(cfg.seed, t.i, t.j))
+            order = build_visit_order(len(targets), cfg.max_iterations, rng, shuffle)
+            ref = _pocket_loop_impl(
+                extended(ds.X[mask]), targets, order, cfg.c, cfg.max_iterations
+            )
+            assert np.any(ref[0] != 0.0)
+            np.testing.assert_array_equal(t.weights, ref[0])
+
+    def test_linear_machine_matches_reference(self):
+        ds = integer_dataset()
+        cfg = TrainConfig(c=1.0, max_iterations=3000, seed=5)
+        lm, result = lm_train_pocket(ds, cfg)
+        order = build_visit_order(
+            len(ds), cfg.max_iterations, np.random.default_rng(cfg.seed), True
+        )
+        W, acc, used, hist_it, hist_acc = _lm_loop_impl(
+            extended(ds.X), ds.y - 1, ds.r, order, cfg.c, cfg.max_iterations
+        )
+        assert np.any(W != 0.0)
+        np.testing.assert_array_equal(lm.weights, W)
+        assert result.train_accuracy == acc
+        assert result.iterations_used == used
+        assert result.accuracy_history == tuple(zip(hist_it.tolist(), hist_acc.tolist()))

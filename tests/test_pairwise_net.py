@@ -186,18 +186,16 @@ class TestTraining:
         ds = make_dataset(X, y, r=4)
         cfg = TrainConfig(max_iterations=2000, seed=7)
         serial = train_pairwise(ds, cfg, jobs=1)
-        threaded = train_pairwise(ds, cfg, jobs=4)
-        for a, b in zip(serial.tests, threaded.tests):
+        four_jobs = train_pairwise(ds, cfg, jobs=4)
+        for a, b in zip(serial.tests, four_jobs.tests):
             np.testing.assert_array_equal(a.weights, b.weights)
 
     def test_training_time_tracks_pair_count(self):
         # same per-class data and budget: the r=8 run trains 28 tests vs
         # r=4's 6, so it should cost roughly 28/6 the time. Bounds are wide
         # because timers on tiny runs are noisy.
-        from pairnet._kernels import warm_kernels
         import time
 
-        warm_kernels()
         rng = np.random.default_rng(12)
 
         def timed(r):
