@@ -1,26 +1,28 @@
 """Command-line surface: train, evaluate, significance, intervals, extract,
 gen, and bench subcommands with plot-ready TSV outputs.
 
-Every run that writes files also writes a JSON manifest next to its primary
-output (``<out>.manifest.json``) echoing the command, all flag values, the
-seed, input/output paths, wall-clock duration, and the library version.
+Each ``cmd_*`` does its work and returns the paths it read and wrote.
+``main`` is the one runner around them: it times the command, and when the
+command wrote files it writes a JSON manifest next to the first of them
+(``<out>.manifest.json``) echoing the command, all flag values, the seed,
+input/output paths, wall-clock duration, and the library version. A report
+sent to stdout gets no manifest.
 
-Exit codes: 0 success, 2 bad flags or parameter values, 3 data errors
-(missing or malformed input files), 4 training or model errors.
+``main`` is also the one place where errors become exit codes: 0 success,
+2 bad flags or parameter values, 3 data errors (missing, unreadable or
+malformed input files), 4 training or model errors.
 """
 
 import argparse
 import json
 import os
-import re
 import sys
 import time
-import warnings
 
 import numpy as np
 
 from . import __version__
-from .dataset import load_csv, save_csv, split_by_record, standardize
+from .dataset import _split_by_record, load_csv, save_csv, standardize
 from .errors import (
     DimensionError,
     EmptyInputError,
@@ -44,6 +46,9 @@ EXIT_TRAIN_ERROR = 4
 PAIR_MAX_ITERS = 20_000
 LM_MAX_ITERS = 150_000
 
+# What a command returns to main: the paths it read and the paths it wrote.
+_Paths = tuple[list[str], list[str]]
+
 
 def _default_seed() -> int:
     raw = os.environ.get("PAIRNET_SEED", "0")
@@ -53,10 +58,10 @@ def _default_seed() -> int:
         raise ParameterError(f"PAIRNET_SEED must be an integer, got '{raw}'") from None
 
 
-def _write_manifest(out_path: str, command: str, args: argparse.Namespace,
-                    inputs: list[str], outputs: list[str], duration: float) -> None:
+def _write_manifest(args: argparse.Namespace, inputs: list[str],
+                    outputs: list[str], duration: float) -> None:
     manifest = {
-        "command": command,
+        "command": args.command,
         "config": {k: v for k, v in sorted(vars(args).items()) if k != "func"},
         "seed": getattr(args, "seed", None),
         "inputs": inputs,
@@ -64,37 +69,28 @@ def _write_manifest(out_path: str, command: str, args: argparse.Namespace,
         "duration_seconds": round(duration, 3),
         "version": __version__,
     }
-    with open(out_path + ".manifest.json", "w", encoding="utf-8") as fh:
+    with open(outputs[0] + ".manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, default=str)
         fh.write("\n")
 
 
-def _emit(text: str, out: str | None) -> None:
-    """Write a report to --out when given, else to stdout."""
+def _emit(text: str, out: str | None) -> list[str]:
+    """Write a report to --out when given, else to stdout; returns the files
+    written."""
     if out is None:
         sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        return []
+    with open(out, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    return [out]
 
 
-def _split_quietly(ds, test_fraction: float, seed: int):
-    """split_by_record with the per-class single-record warnings folded
-    into one stderr note."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        train, test = split_by_record(ds, test_fraction, seed)
-    singles = sorted(
-        int(m.group(1))
-        for w in caught
-        if (m := re.match(r"class (\d+) has a single record", str(w.message)))
-    )
+def _split(ds, test_fraction: float, seed: int):
+    """Record split, with the single-record classes in one stderr note."""
+    train, test, singles = _split_by_record(ds, test_fraction, seed)
     if singles:
-        print(
-            f"note: class(es) {', '.join(map(str, singles))} have a single "
-            "record each; assigned to training",
-            file=sys.stderr,
-        )
+        print(f"note: class(es) {', '.join(map(str, singles))} have a single "
+              "record each; assigned to training", file=sys.stderr)
     return train, test
 
 
@@ -136,28 +132,26 @@ def _synth_config(args: argparse.Namespace, seed: int) -> SynthConfig:
     return default_config(seed=seed, scale=args.scale, **overrides)
 
 
-def _train_model(ds_train, args, model_kind: str):
+def _train_model(ds_train, args, model_kind: str, seed: int, max_iters: int | None):
     """Shared train-split fitting used by cmd_train and cmd_bench."""
     if args.jobs < 1:
         raise ParameterError(f"jobs must be >= 1, got {args.jobs}")
     st = None
     if not args.no_standardize:
         ds_train, st = standardize(ds_train)
-    max_iters = args.max_iters
     if max_iters is None:
         max_iters = PAIR_MAX_ITERS if model_kind == "pairnet" else LM_MAX_ITERS
-    cfg = TrainConfig(c=args.c, max_iterations=max_iters, seed=args.seed)
+    cfg = TrainConfig(c=args.c, max_iterations=max_iters, seed=seed)
     if model_kind == "pairnet":
         return train_pairwise(ds_train, cfg, jobs=args.jobs, standardization=st)
     model, _ = lm_train_pocket(ds_train, cfg, standardization=st)
     return model
 
 
-def cmd_train(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
+def cmd_train(args: argparse.Namespace) -> _Paths:
     ds = load_csv(args.data)
-    train, test = _split_quietly(ds, args.test_fraction, args.seed)
-    model = _train_model(train, args, args.model)
+    train, test = _split(ds, args.test_fraction, args.seed)
+    model = _train_model(train, args, args.model, args.seed, args.max_iters)
     if args.model == "pairnet":
         print(f"trained {len(model.tests)} pairwise tests")
     else:
@@ -171,9 +165,7 @@ def cmd_train(args: argparse.Namespace) -> int:
               f"record_accuracy={metrics.record_accuracy:.4f}")
     save_model(model, args.out)
     print(f"model written to {args.out}")
-    _write_manifest(args.out, "train", args, [args.data], [args.out],
-                    time.perf_counter() - t0)
-    return 0
+    return [args.data], [args.out]
 
 
 def _format_evaluation(metrics, r: int) -> str:
@@ -195,20 +187,14 @@ def _format_evaluation(metrics, r: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_evaluate(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
+def cmd_evaluate(args: argparse.Namespace) -> _Paths:
     model = load_model(args.model)
     ds = load_csv(args.data)
     metrics = evaluate(model, ds)
-    _emit(_format_evaluation(metrics, model.r), args.out)
-    if args.out:
-        _write_manifest(args.out, "evaluate", args, [args.model, args.data],
-                        [args.out], time.perf_counter() - t0)
-    return 0
+    return [args.model, args.data], _emit(_format_evaluation(metrics, model.r), args.out)
 
 
-def cmd_significance(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
+def cmd_significance(args: argparse.Namespace) -> _Paths:
     ds = load_csv(args.data)
     report = significance(ds)
     lines = ["feature\tv\ts_sum\td\trank"]
@@ -217,15 +203,10 @@ def cmd_significance(args: argparse.Namespace) -> int:
             f"{name}\t{report.v[j]:.12g}\t{report.s_sum[j]:.12g}\t"
             f"{report.d[j]:.12g}\t{report.rank_of(j)}"
         )
-    _emit("\n".join(lines) + "\n", args.out)
-    if args.out:
-        _write_manifest(args.out, "significance", args, [args.data], [args.out],
-                        time.perf_counter() - t0)
-    return 0
+    return [args.data], _emit("\n".join(lines) + "\n", args.out)
 
 
-def cmd_intervals(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
+def cmd_intervals(args: argparse.Namespace) -> _Paths:
     ds = load_csv(args.data)
     if args.feature in ds.feature_names:
         j = ds.feature_names.index(args.feature)
@@ -244,15 +225,10 @@ def cmd_intervals(args: argparse.Namespace) -> int:
         lines.append(
             f"{class_id}\t{ds.class_labels[class_id - 1]}\t{mu:.12g}\t{lo:.12g}\t{hi:.12g}"
         )
-    _emit("\n".join(lines) + "\n", args.out)
-    if args.out:
-        _write_manifest(args.out, "intervals", args, [args.data], [args.out],
-                        time.perf_counter() - t0)
-    return 0
+    return [args.data], _emit("\n".join(lines) + "\n", args.out)
 
 
-def cmd_extract(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
+def cmd_extract(args: argparse.Namespace) -> _Paths:
     labels = [s.strip() for s in args.classes.split(",")]
     if len(labels) != len(args.signals):
         raise ParameterError(
@@ -262,13 +238,10 @@ def cmd_extract(args: argparse.Namespace) -> int:
     save_csv(ds, args.out)
     print(f"extracted {len(ds)} segments x {ds.m} features from "
           f"{len(args.signals)} recording(s) -> {args.out}")
-    _write_manifest(args.out, "extract", args, list(args.signals), [args.out],
-                    time.perf_counter() - t0)
-    return 0
+    return list(args.signals), [args.out]
 
 
-def cmd_gen(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
+def cmd_gen(args: argparse.Namespace) -> _Paths:
     cfg = _synth_config(args, args.seed)
     ds = generate(cfg)
     save_csv(ds, args.out)
@@ -277,48 +250,36 @@ def cmd_gen(args: argparse.Namespace) -> int:
         fh.write(config_summary(cfg))
     print(f"generated {len(ds)} segments, {ds.r} classes, "
           f"{len(ds.record_ids())} records -> {args.out}")
-    _write_manifest(args.out, "gen", args, [], [args.out, config_path],
-                    time.perf_counter() - t0)
-    return 0
+    return [], [args.out, config_path]
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
+def cmd_bench(args: argparse.Namespace) -> _Paths:
     if args.seeds < 1:
         raise ParameterError(f"--seeds must be >= 1, got {args.seeds}")
-    t0 = time.perf_counter()
     rows = []
-    results: dict[str, dict[str, list[float]]] = {
-        kind: {"test_seg": [], "test_rec": []} for kind in ("pairnet", "lm")
-    }
+    test_accs: dict[str, list[tuple[float, float]]] = {"pairnet": [], "lm": []}
     for k in range(args.seeds):
         seed = args.seed + k
         cfg = _synth_config(args, seed)
         ds = generate(cfg)
-        train, test = _split_quietly(ds, args.test_fraction, seed)
+        train, test = _split(ds, args.test_fraction, seed)
         for kind in ("pairnet", "lm"):
-            run_args = argparse.Namespace(**vars(args))
-            run_args.seed = seed
+            max_iters = args.max_iters
             if kind == "lm" and args.lm_max_iters is not None:
-                run_args.max_iters = args.lm_max_iters
+                max_iters = args.lm_max_iters
             t_fit = time.perf_counter()
-            model = _train_model(train, run_args, kind)
+            model = _train_model(train, args, kind, seed, max_iters)
             fit_seconds = time.perf_counter() - t_fit
             m_train = evaluate(model, train)
             m_test = evaluate(model, test)
-            results[kind]["test_seg"].append(m_test.segment_accuracy)
-            results[kind]["test_rec"].append(m_test.record_accuracy)
+            test_accs[kind].append((m_test.segment_accuracy, m_test.record_accuracy))
             rows.append(
                 f"{seed}\t{kind}\t{m_train.segment_accuracy:.4f}\t"
                 f"{m_test.segment_accuracy:.4f}\t{m_train.record_accuracy:.4f}\t"
                 f"{m_test.record_accuracy:.4f}\t{fit_seconds:.2f}"
             )
-    medians = {
-        kind: (
-            float(np.median(results[kind]["test_seg"])),
-            float(np.median(results[kind]["test_rec"])),
-        )
-        for kind in ("pairnet", "lm")
-    }
+    # median test (segment, record) accuracy of each model over the seeds
+    medians = {kind: np.median(accs, axis=0).tolist() for kind, accs in test_accs.items()}
     gap = 100.0 * (medians["pairnet"][0] - medians["lm"][0])
     lines = ["seed\tmodel\ttrain_seg\ttest_seg\ttrain_rec\ttest_rec\tfit_seconds"]
     lines.extend(rows)
@@ -327,15 +288,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
             f"median\t{kind}\t-\t{medians[kind][0]:.4f}\t-\t{medians[kind][1]:.4f}\t-"
         )
     lines.append(f"# test_segment_gap_points\t{gap:.2f}")
-    _emit("\n".join(lines) + "\n", args.out)
+    outputs = _emit("\n".join(lines) + "\n", args.out)
     print(
         f"median test segment accuracy: pairnet {medians['pairnet'][0]:.4f}, "
         f"lm {medians['lm'][0]:.4f}, gap {gap:.2f} points"
     )
-    if args.out:
-        _write_manifest(args.out, "bench", args, [], [args.out],
-                        time.perf_counter() - t0)
-    return 0
+    return [], outputs
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -398,13 +356,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        parser = build_parser()
-        args = parser.parse_args(argv)
-        return args.func(args)
+        args = build_parser().parse_args(argv)
+        t0 = time.perf_counter()
+        inputs, outputs = args.func(args)
+        if outputs:
+            _write_manifest(args, inputs, outputs, time.perf_counter() - t0)
+        return 0
     except ParameterError as exc:
         print(f"pairnet: {exc}", file=sys.stderr)
         return EXIT_BAD_FLAGS
-    except (SchemaError, ParseError, EmptyInputError, FileNotFoundError, OSError) as exc:
+    except (SchemaError, ParseError, EmptyInputError, OSError) as exc:
         print(f"pairnet: {exc}", file=sys.stderr)
         return EXIT_DATA_ERROR
     except (TrainingError, DimensionError) as exc:
@@ -414,3 +375,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -16,7 +16,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import EmptyInputError, ParameterError, ParseError, SchemaError
+from .errors import EmptyInputError, ParameterError, ParseError, SchemaError, utf8_error
 
 RESERVED_COLUMNS = ("class", "record")
 _CSV_CHUNK_ROWS = 64
@@ -155,8 +155,18 @@ def load_csv(path) -> Dataset:
     when all labels are numeric); the original labels are preserved in
     class_labels. Row order is preserved.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        return _load_csv_stream(fh, str(path))
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            return _load_csv_stream(fh, str(path))
+    except UnicodeDecodeError:
+        # The reader decodes a chunk at a time, so the error's offset is
+        # within a chunk; decoding the whole file gives the file offset.
+        with open(path, "rb") as fh:
+            try:
+                fh.read().decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise utf8_error(exc) from None
+        raise
 
 
 def loads_csv(text: str) -> Dataset:
@@ -335,21 +345,33 @@ def split_by_record(
     single record contributes it to training and triggers a warning.
     No record straddles the boundary.
     """
+    train, test, singles = _split_by_record(ds, test_fraction, seed)
+    for class_id in singles:
+        warnings.warn(
+            f"class {class_id} has a single record; assigning it to training",
+            stacklevel=2,
+        )
+    return train, test
+
+
+def _split_by_record(
+    ds: Dataset, test_fraction: float, seed: int
+) -> tuple[Dataset, Dataset, list[int]]:
+    """split_by_record without the warnings: also returns the ids of the
+    single-record classes, in increasing order."""
     if not (0.0 < test_fraction < 1.0):
         raise ParameterError(
             f"test_fraction must be in (0, 1), got {test_fraction}"
         )
     rng = np.random.default_rng([seed, 101])
     test_records: set[int] = set()
+    singles: list[int] = []
     for class_id in range(1, ds.r + 1):
         recs = np.unique(ds.records[ds.y == class_id])
         if recs.size == 0:
             continue
         if recs.size == 1:
-            warnings.warn(
-                f"class {class_id} has a single record; assigning it to training",
-                stacklevel=2,
-            )
+            singles.append(class_id)
             continue
         recs = recs[rng.permutation(recs.size)]
         n_test = int(round(test_fraction * recs.size))
@@ -357,4 +379,4 @@ def split_by_record(
         test_records.update(int(x) for x in recs[:n_test])
 
     in_test = np.isin(ds.records, sorted(test_records))
-    return ds.subset(~in_test), ds.subset(in_test)
+    return ds.subset(~in_test), ds.subset(in_test), singles

@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dataset import Dataset, _parse_labels
-from .errors import DimensionError, EmptyInputError, ParameterError, ParseError
+from .errors import DimensionError, EmptyInputError, ParameterError, ParseError, utf8_error
 
 SEGMENT_SECONDS = 10.0
 MIN_SAMPLING_HZ = 50.0
@@ -215,7 +215,7 @@ def read_signal_file(path) -> tuple[float, np.ndarray, np.ndarray]:
         try:
             text = fh.read()
         except UnicodeDecodeError as exc:
-            raise ParseError(f"not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+            raise utf8_error(exc) from None
         if not text:
             raise ParseError("signal file is empty", line=1)
         if any(ch in text for ch in _EXTRA_LINE_BREAKS):

@@ -19,6 +19,12 @@ class ParseError(PairnetError):
         self.line = line
 
 
+def utf8_error(exc: UnicodeDecodeError) -> ParseError:
+    """The ParseError for a file that is not UTF-8 text. exc must come from
+    decoding the file from its start, so that exc.start is a file offset."""
+    return ParseError(f"not UTF-8 text: {exc.reason} at byte {exc.start}")
+
+
 class EmptyInputError(PairnetError):
     """An operation received no data to work on."""
 

@@ -18,7 +18,7 @@ import itertools
 import numpy as np
 
 from .dataset import Standardization
-from .errors import ParseError
+from .errors import ParseError, utf8_error
 from .linear_machine import LinearMachine
 from .pairwise_net import PairwiseNetwork, PairwiseTest
 
@@ -96,7 +96,10 @@ def _parse_floats(line: str, count: int, what: str, lineno: int) -> np.ndarray:
 def load_model(path):
     """Read a model file back; returns a PairwiseNetwork or LinearMachine."""
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise utf8_error(exc) from None
     rd = _LineReader(text)
 
     magic = rd.next("magic line")

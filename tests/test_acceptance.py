@@ -5,6 +5,7 @@ PASS line with the measured values (run with ``pytest -s`` to see them).
 import time
 
 import numpy as np
+import pytest
 
 from pairnet import (
     Dataset,
@@ -47,7 +48,8 @@ def test_c01_benchmark_ordering_and_runtime():
     net_accs, lm_accs = [], []
     for seed in range(5):
         ds = generate(default_config(seed=seed, scale=0.1))
-        train, test = split_by_record(ds, 0.33, seed)
+        with pytest.warns(UserWarning, match="single record"):
+            train, test = split_by_record(ds, 0.33, seed)
         tr_std, st = standardize(train)
         net = train_pairwise(
             tr_std, TrainConfig(max_iterations=20_000, seed=seed), standardization=st

@@ -2,12 +2,13 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import pairnet
-from pairnet.cli import main
+from pairnet.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -16,7 +17,7 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_child(*argv):
+def run_child(*argv, boot=("-c", "from pairnet.cli import entry; entry()"), cwd=None):
     """The CLI in its own interpreter, so an uncaught exception shows as a
     traceback on stderr and exit code 1."""
     pythonpath = os.pathsep.join(
@@ -24,9 +25,9 @@ def run_child(*argv):
                     os.environ.get("PYTHONPATH")) if p
     )
     proc = subprocess.run(
-        [sys.executable, "-c", "from pairnet.cli import entry; entry()", *map(str, argv)],
+        [sys.executable, *boot, *map(str, argv)],
         env={**os.environ, "PYTHONPATH": pythonpath},
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, text=True, timeout=120, cwd=cwd,
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -366,3 +367,134 @@ class TestBench:
         assert manifest["config"]["seeds"] == 2
         assert manifest["config"]["max_iters"] == 1500
         assert manifest["config"]["scale"] == 0.02
+
+
+SINGLE_RECORD_NOTE = (
+    "note: class(es) 1, 2, 13, 16 have a single record each; assigned to training\n"
+)
+MANIFEST_KEYS = {"command", "config", "seed", "inputs", "outputs",
+                 "duration_seconds", "version"}
+
+# argv, inputs and outputs of each command that writes files; "{out}" is a
+# fresh path stem, the other fields come from the `workspace` fixture.
+WRITING_COMMANDS = {
+    "gen": (["gen", "--out", "{out}.csv", "--scale", "0.02", "--seed", "2"],
+            [], ["{out}.csv", "{out}.csv.config.txt"]),
+    "train-pairnet": (["train", "{data}", "--out", "{out}.txt", "--max-iters", "200"],
+                      ["{data}"], ["{out}.txt"]),
+    "train-lm": (["train", "{data}", "--model", "lm", "--out", "{out}.txt",
+                  "--max-iters", "500"], ["{data}"], ["{out}.txt"]),
+    "extract": (["extract", "{sig}", "{sig}", "--classes", "1,2", "--out", "{out}.csv"],
+                ["{sig}", "{sig}"], ["{out}.csv"]),
+    "evaluate": (["evaluate", "{model}", "{data}", "--out", "{out}.tsv"],
+                 ["{model}", "{data}"], ["{out}.tsv"]),
+    "significance": (["significance", "{data}", "--out", "{out}.tsv"],
+                     ["{data}"], ["{out}.tsv"]),
+    "intervals": (["intervals", "{data}", "--feature", "f3", "--out", "{out}.tsv"],
+                  ["{data}"], ["{out}.tsv"]),
+    "bench": (["bench", "--seeds", "1", "--scale", "0.02", "--max-iters", "200",
+               "--lm-max-iters", "500", "--out", "{out}.tsv"], [], ["{out}.tsv"]),
+}
+
+STDOUT_COMMANDS = {
+    "evaluate": ["evaluate", "{model}", "{data}"],
+    "significance": ["significance", "{data}"],
+    "intervals": ["intervals", "{data}", "--feature", "2"],
+    "bench": ["bench", "--seeds", "1", "--scale", "0.02", "--max-iters", "200",
+              "--lm-max-iters", "500"],
+}
+
+
+@pytest.fixture(scope="module")
+def workspace(tmp_path_factory):
+    """A dataset, a model trained on it and one signal recording."""
+    base = tmp_path_factory.mktemp("workspace")
+    data, model, sig = base / "data.csv", base / "model.txt", base / "sig.txt"
+    assert main(["gen", "--out", str(data), "--scale", "0.02", "--seed", "5"]) == 0
+    assert main(["train", str(data), "--out", str(model), "--max-iters", "200"]) == 0
+    t = np.arange(1000)
+    sig.write_text("fs=100\n" + "".join(
+        f"{a!r} {b!r}\n" for a, b in zip(np.sin(0.3 * t).tolist(), np.cos(0.7 * t).tolist())
+    ))
+    return {"data": str(data), "model": str(model), "sig": str(sig)}
+
+
+class TestRunner:
+    """main times each command and writes <first output>.manifest.json when
+    the command wrote files; a report sent to stdout gets no manifest."""
+
+    @pytest.mark.parametrize("case", sorted(WRITING_COMMANDS))
+    def test_manifest_lists_inputs_outputs_and_config(self, tmp_path, capsys,
+                                                      workspace, case):
+        argv, inputs, outputs = WRITING_COMMANDS[case]
+        fields = {**workspace, "out": str(tmp_path / case)}
+        argv, inputs, outputs = ([a.format(**fields) for a in lst]
+                                 for lst in (argv, inputs, outputs))
+        code, _, err = run(capsys, *argv)
+        assert code == 0, err
+        manifest = json.loads((tmp_path / (outputs[0] + ".manifest.json")).read_text())
+        assert set(manifest) == MANIFEST_KEYS
+        assert manifest["command"] == argv[0]
+        assert manifest["inputs"] == inputs
+        assert manifest["outputs"] == outputs
+        parsed = vars(build_parser().parse_args(argv))
+        assert set(manifest["config"]) == set(parsed) - {"func"}
+        assert manifest["seed"] == parsed.get("seed")
+        assert manifest["version"] == pairnet.__version__
+        assert sorted(p.name for p in tmp_path.glob("*.manifest.json")) == [
+            os.path.basename(outputs[0]) + ".manifest.json"
+        ]
+
+    @pytest.mark.parametrize("case", sorted(STDOUT_COMMANDS))
+    def test_stdout_report_writes_no_manifest(self, tmp_path, capsys, monkeypatch,
+                                              workspace, case):
+        monkeypatch.chdir(tmp_path)
+        before = sorted(os.listdir(os.path.dirname(workspace["data"])))
+        code, out, err = run(capsys, *(a.format(**workspace) for a in STDOUT_COMMANDS[case]))
+        assert code == 0, err
+        assert out
+        assert os.listdir(tmp_path) == []
+        assert sorted(os.listdir(os.path.dirname(workspace["data"]))) == before
+
+    def test_train_notes_single_record_classes(self, tmp_path, capsys, workspace):
+        code, _, err = run(capsys, "train", workspace["data"], "--max-iters", "200",
+                           "--out", str(tmp_path / "m.txt"))
+        assert code == 0
+        assert err == SINGLE_RECORD_NOTE
+
+    def test_bench_notes_once_per_seed(self, capsys):
+        code, _, err = run(capsys, "bench", "--seeds", "2", "--scale", "0.02",
+                           "--max-iters", "200", "--lm-max-iters", "500")
+        assert code == 0
+        assert err == SINGLE_RECORD_NOTE * 2
+
+    def test_python_m_runs_the_cli(self, tmp_path):
+        code, out, err = run_child("gen", "--out", "x.csv", "--scale", "0.02",
+                                   boot=("-m", "pairnet.cli"), cwd=tmp_path)
+        assert code == 0, err
+        assert "-> x.csv" in out
+        assert (tmp_path / "x.csv").exists()
+        assert (tmp_path / "x.csv.manifest.json").exists()
+
+
+class TestNonUtf8Input:
+    @pytest.mark.parametrize("rows_before", [1, 2000])
+    def test_csv_exits_3_naming_the_byte(self, tmp_path, rows_before):
+        # 2000 rows put the bad cell past the reader's first decoded chunk.
+        head = ("a,b,class,record\n" + "1.0,2.0,1,1\n2.0,1.0,2,2\n" * rows_before).encode()
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(head + b"\xff\xfe,1.0,1,1\n")
+        code, out, err = run_child("significance", bad)
+        assert code == 3, err
+        assert f"not UTF-8 text: invalid start byte at byte {len(head)}" in err
+        assert "Traceback" not in err and out == ""
+
+    def test_model_file_exits_3(self, tmp_path, workspace):
+        text = Path(workspace["model"]).read_bytes()
+        k = text.index(b"PAIR 1 2")
+        bad = tmp_path / "badm.txt"
+        bad.write_bytes(text[:k] + b"\xff" + text[k:])
+        code, out, err = run_child("evaluate", bad, workspace["data"])
+        assert code == 3, err
+        assert f"not UTF-8 text: invalid start byte at byte {k}" in err
+        assert "Traceback" not in err and out == ""
