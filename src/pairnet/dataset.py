@@ -20,6 +20,10 @@ from .errors import EmptyInputError, ParameterError, ParseError, SchemaError, ut
 
 RESERVED_COLUMNS = ("class", "record")
 _CSV_CHUNK_ROWS = 64
+# The fast CSV path reads class and record cells into this many bytes; a
+# cell that fills them may have been cut short and goes to the csv path.
+_TEXT_CELL_WIDTH = 32
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 class Example(NamedTuple):
@@ -153,29 +157,43 @@ def load_csv(path) -> Dataset:
 
     Class labels are remapped to contiguous ids 1..r (sorted numerically
     when all labels are numeric); the original labels are preserved in
-    class_labels. Row order is preserved.
+    class_labels. Row order is preserved. The file is UTF-8, with an
+    optional byte-order mark. The body is parsed in one ``np.loadtxt``
+    call; when the fast path does not take a file or fails on it, the csv
+    module parses the file again and returns the same Dataset or names the
+    bad line.
     """
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             return _load_csv_stream(fh, str(path))
-    except UnicodeDecodeError:
-        # The reader decodes a chunk at a time, so the error's offset is
-        # within a chunk; decoding the whole file gives the file offset.
-        with open(path, "rb") as fh:
-            try:
-                fh.read().decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise utf8_error(exc) from None
-        raise
+    except UnicodeDecodeError as exc:
+        raise utf8_error(path, exc) from None
 
 
 def loads_csv(text: str) -> Dataset:
     """load_csv over an in-memory string (used by tests)."""
-    return _load_csv_stream(io.StringIO(text), "<string>")
+    return _load_csv_stream(io.StringIO(text, newline=""), "<string>")
 
 
 def _load_csv_stream(fh, name: str) -> Dataset:
-    reader = csv.reader(fh)
+    # The csv path reads the text again from the start, which a pipe cannot.
+    if fh.seekable():
+        ds = _load_csv_fast(fh, name)
+        if ds is not None:
+            return ds
+        fh.seek(0)
+    return _load_csv_rows(fh, name)
+
+
+class _Header(NamedTuple):
+    width: int
+    class_idx: int
+    record_idx: int
+    feature_idx: list[int]
+    feature_names: list[str]
+
+
+def _read_header(reader, name: str) -> _Header:
     try:
         header = next(reader)
     except StopIteration:
@@ -194,23 +212,103 @@ def _load_csv_stream(fh, name: str) -> Dataset:
         raise SchemaError(f"{name}: no feature columns found")
     if len(set(feature_names)) != len(feature_names):
         raise SchemaError(f"{name}: duplicate feature column names")
+    return _Header(len(header), class_idx, record_idx, feature_idx, feature_names)
 
+
+def _load_csv_fast(fh, name: str) -> Dataset | None:
+    """The body in one np.loadtxt call, or None when the csv module must decide.
+
+    Feature cells are read straight into float64 and class and record cells
+    into fixed-width bytes, so no line is split into Python strings (only
+    the record ids pass through Python ints on their way to int64). Only lines
+    that _plain_lines passes reach np.loadtxt: on those it splits rows and
+    cells, skips blank lines and parses numbers as the csv path does. Every
+    other doubt (a cell that may have been cut to the width, a non-finite
+    value, a record id that is 0 or not 1 to 18 digits, fewer than two classes)
+    returns None, so that the csv path raises its own error.
+    """
+    hd = _read_header(csv.reader(fh), name)
+    width = _TEXT_CELL_WIDTH
+    row = np.dtype([
+        ("X", np.float64, (len(hd.feature_idx),)),
+        ("class", f"S{width}"),
+        ("record", f"S{width}"),
+    ])
+    # The same bytes described column by column, in the file's order.
+    offsets = [0] * hd.width
+    formats = [np.float64] * hd.width
+    for k, i in enumerate(hd.feature_idx):
+        offsets[i] = 8 * k
+    for col, i in (("class", hd.class_idx), ("record", hd.record_idx)):
+        formats[i], offsets[i] = row.fields[col]
+    columns = np.dtype({
+        "names": [f"c{i}" for i in range(hd.width)],
+        "formats": formats, "offsets": offsets, "itemsize": row.itemsize,
+    })
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+            table = np.loadtxt(
+                _plain_lines(fh), dtype=columns, delimiter=",", comments=None, ndmin=1
+            ).view(row)
+    except ValueError:
+        return None
+    X = table["X"]
+    if len(X) == 0 or not np.isfinite(X).all():
+        return None
+    if max(np.char.str_len(table[col]).max() for col in ("class", "record")) >= width:
+        return None
+    records = np.char.strip(table["record"])
+    if not (np.char.isdigit(records).all() and np.char.str_len(records).max() <= 18):
+        return None
+    records = records.astype(np.int64)
+    if records.min() < 1:
+        return None
+    distinct, y = np.unique(np.char.strip(table["class"]), return_inverse=True)
+    raw = [c.decode("ascii") for c in distinct]
+    labels = _parse_labels(raw)
+    if len(labels) < 2:
+        return None
+    rank = {lab: k + 1 for k, lab in enumerate(labels)}
+    y = np.array([rank[c] for c in raw], dtype=np.int64)[y]
+    return Dataset(X, y, records, tuple(hd.feature_names), tuple(labels))
+
+
+def _plain_lines(fh):
+    """The lines of fh, with a ValueError at the first one the fast path must
+    leave to the csv module: non-ASCII text, a quote, NUL (a bytes cell
+    drops it) or one of the ASCII separators \\x1c-\\x1f (np.loadtxt and
+    str.strip read them as blanks, float() does not). Both parsers end a
+    line at '\\n', '\\r\\n' or a lone '\\r'."""
+    for line in fh:
+        if (not line.isascii() or '"' in line or "\x00" in line
+                or "\x1c" in line or "\x1d" in line or "\x1e" in line or "\x1f" in line):
+            raise ValueError("line left to the csv module")
+        yield line
+
+
+def _load_csv_rows(fh, name: str) -> Dataset:
+    """The csv-module parser: one Python string per cell, and an error that
+    names the line and column of the first bad cell."""
+    reader = csv.reader(fh)
+    hd = _read_header(reader, name)
     rows: list[list[str]] = []
     class_raw: list[str] = []
     record_raw: list[str] = []
     for lineno, row in enumerate(reader, start=2):
         if not row:
             continue
-        if len(row) != len(header):
+        if len(row) != hd.width:
             raise ParseError(
-                f"expected {len(header)} cells, found {len(row)}", line=lineno
+                f"expected {hd.width} cells, found {len(row)}", line=lineno
             )
-        rows.append([row[i] for i in feature_idx])
-        class_raw.append(row[class_idx].strip())
-        record_raw.append(row[record_idx].strip())
+        rows.append([row[i] for i in hd.feature_idx])
+        class_raw.append(row[hd.class_idx].strip())
+        record_raw.append(row[hd.record_idx].strip())
     if not rows:
         raise EmptyInputError(f"{name}: no data rows")
 
+    feature_names = hd.feature_names
     try:
         X = np.asarray(rows, dtype=np.float64)
     except ValueError:
@@ -231,11 +329,14 @@ def _load_csv_stream(fh, name: str) -> Dataset:
     records = np.empty(len(record_raw), dtype=np.int64)
     for i, rec in enumerate(record_raw):
         try:
-            records[i] = int(rec)
+            value = int(rec)
         except ValueError:
             raise ParseError(f"record id '{rec}' is not an integer", line=i + 2) from None
-        if records[i] < 1:
+        if value < 1:
             raise ParseError(f"record id must be >= 1, got {rec}", line=i + 2)
+        if value > _INT64_MAX:
+            raise ParseError(f"record id {rec} exceeds the limit {_INT64_MAX}", line=i + 2)
+        records[i] = value
 
     return Dataset(X, y, records, tuple(feature_names), tuple(labels))
 

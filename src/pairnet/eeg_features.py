@@ -202,7 +202,7 @@ _EXTRA_LINE_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
 
 def read_signal_file(path) -> tuple[float, np.ndarray, np.ndarray]:
-    """Parse a two-channel signal file.
+    """Parse a two-channel signal file (UTF-8, with an optional byte-order mark).
 
     Line 1 holds the sampling rate (``fs=<value>`` or a bare number, finite
     and > 0); every following non-empty line holds two finite samples (first
@@ -211,11 +211,11 @@ def read_signal_file(path) -> tuple[float, np.ndarray, np.ndarray]:
     that fails or its result is not a finite (n, 2) array, the line parser
     runs instead and either returns the same arrays or names the bad line.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             text = fh.read()
         except UnicodeDecodeError as exc:
-            raise utf8_error(exc) from None
+            raise utf8_error(path, exc) from None
         if not text:
             raise ParseError("signal file is empty", line=1)
         if any(ch in text for ch in _EXTRA_LINE_BREAKS):

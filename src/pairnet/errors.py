@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import os
+
 
 class PairnetError(Exception):
     """Base class for all errors raised by this package."""
@@ -19,9 +21,20 @@ class ParseError(PairnetError):
         self.line = line
 
 
-def utf8_error(exc: UnicodeDecodeError) -> ParseError:
-    """The ParseError for a file that is not UTF-8 text. exc must come from
-    decoding the file from its start, so that exc.start is a file offset."""
+def utf8_error(path, exc: UnicodeDecodeError) -> ParseError:
+    """The ParseError for a file at path that is not UTF-8 text.
+
+    A decoder that reads in chunks, or strips a byte-order mark first,
+    reports exc.start from its own input; a regular file is decoded again
+    whole here, so the message names the offset from the file's start. A
+    pipe cannot be read again and keeps exc's offset.
+    """
+    if os.path.isfile(path):
+        with open(path, "rb") as fh:
+            try:
+                fh.read().decode("utf-8")
+            except UnicodeDecodeError as whole:
+                exc = whole
     return ParseError(f"not UTF-8 text: {exc.reason} at byte {exc.start}")
 
 

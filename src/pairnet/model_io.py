@@ -13,11 +13,9 @@ Floats are written with shortest round-trip precision, so save followed by
 load reproduces the model bit for bit.
 """
 
-import itertools
-
 import numpy as np
 
-from .dataset import Standardization
+from .dataset import _INT64_MAX, Standardization
 from .errors import ParseError, utf8_error
 from .linear_machine import LinearMachine
 from .pairwise_net import PairwiseNetwork, PairwiseTest
@@ -99,7 +97,7 @@ def load_model(path):
         try:
             text = fh.read()
         except UnicodeDecodeError as exc:
-            raise utf8_error(exc) from None
+            raise utf8_error(path, exc) from None
     rd = _LineReader(text)
 
     magic = rd.next("magic line")
@@ -120,6 +118,12 @@ def load_model(path):
         raise ParseError(
             f"{magic}: malformed dimension line '{dims}'", line=rd.lineno
         ) from None
+    if not (2 <= r <= _INT64_MAX and 1 <= m <= _INT64_MAX):
+        raise ParseError(
+            f"{magic}: dimension line '{dims}' needs r in 2..{_INT64_MAX} "
+            f"and m in 1..{_INT64_MAX}",
+            line=rd.lineno,
+        )
 
     std_line = rd.next("standardization line")
     if std_line == "standardization=none":
@@ -142,10 +146,11 @@ def load_model(path):
 
     if magic == MAGIC_PAIRNET:
         tests = []
-        # combinations() is lazy, so each pair must find its section in the
+        # Pairs are made one at a time, so each must find its section in the
         # file before the next is made: a bogus r ends at the first missing
-        # section instead of sizing r(r-1)/2 pairs up front.
-        for i, j in itertools.combinations(range(1, r + 1), 2):
+        # section instead of sizing r(r-1)/2 pairs, or even r ids, up front.
+        pairs = ((i, j) for i in range(1, r + 1) for j in range(i + 1, r + 1))
+        for i, j in pairs:
             header = rd.next(f"section 'PAIR {i} {j}'")
             if header != f"PAIR {i} {j}":
                 raise ParseError(

@@ -477,6 +477,28 @@ class TestRunner:
         assert (tmp_path / "x.csv.manifest.json").exists()
 
 
+class TestBadHeaderValues:
+    def test_record_id_beyond_int64_exits_3(self, tmp_path):
+        bad = tmp_path / "huge.csv"
+        bad.write_text("f1,class,record\n1.0,1,1\n2.0,2,99999999999999999999\n")
+        code, out, err = run_child("significance", bad)
+        assert code == 3, err
+        assert "line 3: record id 99999999999999999999 exceeds the limit" in err
+        assert "Traceback" not in err and out == ""
+
+    @pytest.mark.parametrize("dims", ["r=99999999999999999999 m=72", "r=1 m=72",
+                                      "r=16 m=0", "r=16 m=-1"])
+    def test_model_dimension_out_of_range_exits_3(self, tmp_path, workspace, dims):
+        lines = Path(workspace["model"]).read_text().splitlines()
+        lines[1] = dims
+        bad = tmp_path / "badm.txt"
+        bad.write_text("\n".join(lines) + "\n")
+        code, out, err = run_child("evaluate", bad, workspace["data"])
+        assert code == 3, err
+        assert f"line 2: PAIRNET v1: dimension line '{dims}' needs r in 2" in err
+        assert "Traceback" not in err and out == ""
+
+
 class TestNonUtf8Input:
     @pytest.mark.parametrize("rows_before", [1, 2000])
     def test_csv_exits_3_naming_the_byte(self, tmp_path, rows_before):

@@ -1,7 +1,11 @@
 import csv
+import os
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from pairnet import (
     Dataset,
@@ -15,6 +19,7 @@ from pairnet import (
     split_by_record,
     standardize,
 )
+from pairnet import dataset
 from pairnet.dataset import loads_csv
 from pairnet.synthgen import default_config, generate
 
@@ -130,6 +135,37 @@ class TestLoadCsv:
         back = load_csv(new)
         np.testing.assert_array_equal(back.X, ds.X)
 
+    def test_bom_is_not_part_of_the_first_column(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbfclass,f1,record\r\n35,1.0,1\r\n37,2.0,2\r\n")
+        ds = load_csv(path)
+        assert ds.feature_names == ("f1",)
+        assert ds.class_labels == ("35", "37")
+        path.write_bytes(b"\xef\xbb\xbff1,class,record\n1.0,35,1\n2.0,37,2\n")
+        assert load_csv(path).feature_names == ("f1",)
+
+    def test_non_utf8_offset_counts_the_bom(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        head = b"\xef\xbb\xbfa,class,record\n1.0,35,1\n"
+        path.write_bytes(head + b"\xff,37,2\n")
+        with pytest.raises(ParseError, match=f"invalid start byte at byte {len(head)}$"):
+            load_csv(path)
+
+    @pytest.mark.parametrize("rec", ["99999999999999999999", "9223372036854775808"])
+    def test_record_id_beyond_int64(self, tmp_path, rec):
+        path = tmp_path / "huge.csv"
+        path.write_text(f"f1,class,record\n1.0,35,1\n2.0,37,{rec}\n")
+        message = f"line 3: record id {rec} exceeds the limit 9223372036854775807"
+        with pytest.raises(ParseError, match=message):
+            load_csv(path)
+        with pytest.raises(ParseError, match=message):
+            with open(path, encoding="utf-8-sig", newline="") as fh:
+                dataset._load_csv_rows(fh, str(path))
+
+    def test_largest_record_id_loads(self):
+        ds = loads_csv("f1,class,record\n1.0,35,1\n2.0,37,9223372036854775807\n")
+        assert ds.records.tolist() == [1, 9223372036854775807]
+
     def test_default_synthetic_shape(self, tmp_path):
         ds = generate(default_config(seed=5))
         path = tmp_path / "big.csv"
@@ -138,6 +174,179 @@ class TestLoadCsv:
         assert back.m == 72
         assert back.r == 16
         assert abs(len(back) - 59069) / 59069 < 0.10
+
+
+def csv_outcome(load):
+    """A Dataset's arrays and metadata (X as bits), or the error raised."""
+    try:
+        ds = load()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return (ds.X.view(np.int64).tolist(), ds.X.shape, ds.y.tolist(),
+            ds.records.tolist(), ds.feature_names, ds.class_labels)
+
+
+def assert_paths_agree(path, text):
+    """load_csv and the csv-module path give the same result for text."""
+    path.write_bytes(text.encode("utf-8"))
+
+    def csv_module_path():
+        with open(path, encoding="utf-8-sig", newline="") as fh:
+            return dataset._load_csv_rows(fh, str(path))
+
+    assert csv_outcome(lambda: load_csv(path)) == csv_outcome(csv_module_path)
+
+
+CLEAN_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(allow_nan=False, allow_infinity=False, width=32).map(str),
+    st.integers(-10**20, 10**20).map(str),
+    st.sampled_from(["-0.0", "5e-324", "1e308", "-1.7976931348623157e308",
+                     "1E5", "2.5e-10", "1.e3", ".5", "+7", " 1.5", "2.5 "]),
+)
+ROUGH_FLOATS = st.sampled_from([
+    "1e309", "1_0", "nan", "-inf", "Infinity", "NaN", "", " ", "abc", "0x10",
+    '"1.0"', '"1,5"', "\t4", "4\t", "\x0b6", "\x1c1", "1\x1f", "1\x00",
+    "\xa01", "١", "1e", "--1",
+])
+CLEAN_CLASSES = st.sampled_from(
+    ["1", "2", "3.0", "10", "35", "37", "a", "b", " a ", "sp ace", "\xe9", "x" * 31]
+)
+ROUGH_CLASSES = st.one_of(
+    st.sampled_from([
+        "", '"c,d"', '"e"', 'e"', "\x1cx", "x\x1d", "x\x00", "\tt", "x" * 32, "y" * 40,
+    ]),
+    st.text(alphabet=st.characters(codec="utf-8", exclude_characters="\r\n"), max_size=4),
+)
+ROUGH_RECORDS = st.sampled_from([
+    "0", "-1", "+3", " 4 ", "1_0", "", "x", '"5"', "٣", "1.5", "1e3", "007",
+    "99999999999999999999", "9223372036854775807", "9223372036854775808",
+    "1234567890123456789", " " * 30 + "8", "9\x00", "\x1e9",
+])
+
+
+@st.composite
+def csv_texts(draw):
+    """CSV text near the schema. A clean text has only valid rows, though
+    with any line ending, a BOM, blank lines and spaces around cells; a rough
+    one also has bad cells and rows of the wrong length."""
+    rough = draw(st.integers(0, 2)) == 0
+
+    def cell(clean, bad):
+        return draw(bad if rough and draw(st.integers(0, 7)) == 0 else clean)
+
+    m = draw(st.integers(1, 3))
+    order = draw(st.permutations([f"f{k}" for k in range(m)] + ["class", "record"]))
+    labels = [cell(CLEAN_CLASSES, ROUGH_CLASSES) for _ in range(draw(st.integers(2, 3)))]
+    lines = [",".join(order)]
+    for _ in range(draw(st.integers(0, 8))):
+        k = draw(st.integers(0, len(labels) - 1))
+        cells = {f"f{j}": cell(CLEAN_FLOATS, ROUGH_FLOATS) for j in range(m)}
+        cells["class"] = labels[k]
+        # Ids that keep each record in one class: 1 + k modulo 10.
+        tens = draw(st.one_of(st.integers(0, 2), st.integers(0, 10**17 - 1)))
+        cells["record"] = cell(st.just(str(10 * tens + k + 1)), ROUGH_RECORDS)
+        row = [cells[c] for c in order]
+        shapes = ["row"] * 6 + ["blank"] + (["short", "long", "spaces"] if rough else [])
+        shape = draw(st.sampled_from(shapes))
+        if shape == "short":
+            row = row[:-1]
+        elif shape == "long":
+            row = row + ["1"]
+        elif shape == "blank":
+            lines.append("")
+        elif shape == "spaces":
+            lines.append("  ")
+        lines.append(",".join(row))
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r\n", "\r"]))
+    text = eol.join(lines) + draw(st.sampled_from([eol, ""]))
+    return draw(st.sampled_from(["", "\ufeff"])) + text
+
+
+class TestCsvPaths:
+    """load_csv parses the body with np.loadtxt and hands anything it does not
+    take to the csv-module parser; both must give the same result."""
+
+    @settings(max_examples=600, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=csv_texts())
+    def test_fast_path_matches_csv_module(self, tmp_path, text):
+        assert_paths_agree(tmp_path / "gen.csv", text)
+
+    @pytest.mark.parametrize("body", [
+        "1.0,35,1\r\n2.0,37,2\r\n",
+        "1.0,35,1\r2.0,37,2\r",
+        "1.0,35,1\n\n\n2.0,37,2\n",
+        "1.0,35,1\n  \n2.0,37,2\n",
+        "1.0, 35 ,1\n2.0,37, 2\n",
+        "\x1c1.0,35,1\n2.0,37,2\n",
+        "1.0,35\x1c,1\n2.0,37,2\n",
+        "1.0,35\x00,1\n2.0,37,2\n",
+        "1.0,35,1\x00\n2.0,37,2\n",
+        '1.0,"35",1\n2.0,37,2\n',
+        '1.0,"3,5",1\n2.0,37,2\n',
+        "1.0,\xe9,1\n2.0,37,2\n",
+        "1.0," + "c" * 32 + ",1\n2.0," + "c" * 33 + ",2\n",
+        "1.0," + "c" * 40 + ",1\n2.0,37,2\n",
+        "1.0,35,1234567890123456789\n2.0,37,2\n",
+        "1.0,35,99999999999999999999\n2.0,37,2\n",
+        "1.0,35,-1\n2.0,37,2\n",
+        "1.0,35,000\n2.0,37,2\n",
+        "1_0,35,1\n2.0,37,2\n",
+        "nan,35,1\n2.0,37,2\n",
+        "1.0,35,1\n2.0,35,2\n",
+        "1.0,35,1\n2.0,37,1\n",
+        "1.0,35,1,\n2.0,37,2\n",
+        "1.0,35\n2.0,37,2\n",
+    ])
+    def test_edge_cases_match_csv_module(self, tmp_path, body):
+        assert_paths_agree(tmp_path / "edge.csv", "f1,class,record\n" + body)
+
+    def test_pipe_is_read_by_the_csv_module(self, tmp_path):
+        fifo = tmp_path / "data.fifo"
+        os.mkfifo(fifo)
+        text = 'f1,class,record\r\n1.0,"3,5",1\r\n2.0,37,2\r\n'
+        writer = threading.Thread(target=fifo.write_text, args=(text,))
+        writer.start()
+        try:
+            ds = load_csv(fifo)
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert ds.class_labels == ("3,5", "37")
+        assert ds.X[:, 0].tolist() == [1.0, 2.0]
+
+    def test_save_csv_output_takes_the_fast_path(self, tmp_path, monkeypatch):
+        ds = generate(default_config(seed=3, scale=0.02))
+        path = tmp_path / "data.csv"
+        save_csv(ds, path)
+
+        def no_csv_module(fh, name):
+            raise AssertionError(f"{name} took the csv-module path")
+
+        monkeypatch.setattr(dataset, "_load_csv_rows", no_csv_module)
+        back = load_csv(path)
+        assert back.X.shape == ds.X.shape and back.class_labels == ds.class_labels
+
+    def test_save_load_round_trip_is_bit_exact(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(11)
+        n = 300
+        X = rng.normal(size=(n, 5)) * 10.0 ** rng.integers(-300, 300, size=(n, 5))
+        X[0] = [-0.0, 5e-324, 1e308, -1.7976931348623157e308, 2.2250738585072014e-308]
+        X[1] = [0.1, 1e16, 123456789.0, 2.0**-1074, -5e-324]
+        y = rng.integers(1, 4, size=n)
+        y[:3] = [1, 2, 3]
+        records = y + 3 * rng.integers(0, 10**17 // 3, size=n)
+        ds = Dataset(X, y, records, ("a", "b", "c", "d", "e"), ("1.5", "2", "wake"))
+        path = tmp_path / "exact.csv"
+        save_csv(ds, path)
+        monkeypatch.setattr(dataset, "_load_csv_rows", None)  # fast path only
+        back = load_csv(path)
+        assert back.X.view(np.int64).tolist() == ds.X.view(np.int64).tolist()
+        assert back.y.tolist() == ds.y.tolist()
+        assert back.records.tolist() == ds.records.tolist()
+        assert back.feature_names == ds.feature_names
+        assert back.class_labels == ds.class_labels
 
 
 class TestScreenOutliers:

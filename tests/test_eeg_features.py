@@ -469,6 +469,19 @@ class TestSignalReaderEdges:
         np.testing.assert_array_equal(c3, [1.0, 3.0])
         np.testing.assert_array_equal(c4, [2.0, 4.0])
 
+    @pytest.mark.parametrize("head", ["fs=100", "100"])
+    def test_bom_before_the_rate(self, tmp_path, head):
+        fs, c3, c4 = read_signal_file(self.read(tmp_path, f"\ufeff{head}\r\n1 2\r\n3 4\r\n"))
+        assert fs == 100.0
+        np.testing.assert_array_equal(c3, [1.0, 3.0])
+        np.testing.assert_array_equal(c4, [2.0, 4.0])
+
+    def test_not_utf8_offset_counts_the_bom(self, tmp_path):
+        path = tmp_path / "sig.txt"
+        path.write_bytes(b"\xef\xbb\xbffs=100\n1 2\n\xff 3\n")
+        with pytest.raises(ParseError, match="invalid start byte at byte 14$"):
+            read_signal_file(path)
+
     def test_not_utf8_is_a_parse_error(self, tmp_path):
         path = tmp_path / "sig.txt"
         path.write_bytes(b"fs=100\n1 2\n\xff\xfe 3\n")

@@ -112,6 +112,16 @@ class TestMalformedFiles:
         with pytest.raises(ParseError, match="dimension"):
             load_model(path)
 
+    @pytest.mark.parametrize("magic", ["PAIRNET v1", "LM v1"])
+    @pytest.mark.parametrize("dims", [
+        "r=99999999999999999999 m=1", "r=9223372036854775808 m=1", "r=1 m=1",
+        "r=0 m=1", "r=-3 m=1", "r=2 m=0", "r=2 m=-1", "r=2 m=99999999999999999999",
+    ])
+    def test_dimension_out_of_range_rejected_on_line_2(self, tmp_path, magic, dims):
+        path = self.write(tmp_path, f"{magic}\n{dims}\nstandardization=none\n")
+        with pytest.raises(ParseError, match=f"line 2: {magic}: dimension line '{dims}' needs r in 2"):
+            load_model(path)
+
     def test_bad_standardization_line(self, tmp_path):
         path = self.write(tmp_path, "PAIRNET v1\nr=2 m=1\nstandardization=maybe\n")
         with pytest.raises(ParseError, match="standardization"):
@@ -204,7 +214,9 @@ class TestDimensionBound:
     """Nothing is sized by a header's r before the file shows its sections:
     r=100000 once made load_model build ~5e9 pair tuples."""
 
-    @pytest.mark.parametrize("magic,r", [("PAIRNET v1", 100_000), ("LM v1", 10**12)])
+    @pytest.mark.parametrize("magic,r", [
+        ("PAIRNET v1", 100_000), ("LM v1", 10**12), ("PAIRNET v1", 10**9),
+    ])
     def test_huge_r_fails_fast_under_a_memory_cap(self, tmp_path, magic, r):
         path = tmp_path / "model.txt"
         path.write_text(f"{magic}\nr={r} m=1\nstandardization=none\n")
