@@ -16,7 +16,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import EmptyInputError, ParameterError, ParseError, SchemaError, utf8_error
+from .errors import EmptyInputError, ParameterError, ParseError, SchemaError, open_utf8
 
 RESERVED_COLUMNS = ("class", "record")
 _CSV_CHUNK_ROWS = 64
@@ -142,14 +142,27 @@ class Standardization:
         return np.asarray(X, dtype=np.float64) * self.stds + self.means
 
 
-def _parse_labels(raw: list[str]) -> list[str]:
-    """Distinct class labels in deterministic order: numeric when possible."""
+def _class_ids(raw) -> tuple[list[str], np.ndarray]:
+    """The distinct class labels in deterministic order (numeric when every
+    label is a number) and the class id in 1..r of each label in raw."""
     distinct = sorted(set(raw))
     try:
         distinct.sort(key=float)
     except ValueError:
         pass
-    return distinct
+    rank = {lab: k + 1 for k, lab in enumerate(distinct)}
+    return distinct, np.array([rank[lab] for lab in raw], dtype=np.int64)
+
+
+def _loadtxt(lines, **kw) -> np.ndarray | None:
+    """np.loadtxt over lines, or None where it raises ValueError, which
+    leaves the input to the caller's line-by-line parser."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+            return np.loadtxt(lines, comments=None, **kw)
+    except ValueError:
+        return None
 
 
 def load_csv(path) -> Dataset:
@@ -163,11 +176,8 @@ def load_csv(path) -> Dataset:
     module parses the file again and returns the same Dataset or names the
     bad line.
     """
-    try:
-        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            return _load_csv_stream(fh, str(path))
-    except UnicodeDecodeError as exc:
-        raise utf8_error(path, exc) from None
+    with open_utf8(path, newline="") as fh:
+        return _load_csv_stream(fh, str(path))
 
 
 def loads_csv(text: str) -> Dataset:
@@ -193,9 +203,18 @@ class _Header(NamedTuple):
     feature_names: list[str]
 
 
-def _read_header(reader, name: str) -> _Header:
+def _csv_rows(reader) -> Iterator[list[str]]:
+    """The rows of a csv.reader; its errors (such as a cell over the csv
+    module's field size limit) become a ParseError that names the line."""
     try:
-        header = next(reader)
+        yield from reader
+    except csv.Error as exc:
+        raise ParseError(str(exc), line=reader.line_num) from None
+
+
+def _read_header(rows: Iterator[list[str]], name: str) -> _Header:
+    try:
+        header = next(rows)
     except StopIteration:
         raise EmptyInputError(f"{name}: file is empty") from None
     header = [h.strip() for h in header]
@@ -227,7 +246,7 @@ def _load_csv_fast(fh, name: str) -> Dataset | None:
     value, a record id that is 0 or not 1 to 18 digits, fewer than two classes)
     returns None, so that the csv path raises its own error.
     """
-    hd = _read_header(csv.reader(fh), name)
+    hd = _read_header(_csv_rows(csv.reader(fh)), name)
     width = _TEXT_CELL_WIDTH
     row = np.dtype([
         ("X", np.float64, (len(hd.feature_idx),)),
@@ -245,14 +264,10 @@ def _load_csv_fast(fh, name: str) -> Dataset | None:
         "names": [f"c{i}" for i in range(hd.width)],
         "formats": formats, "offsets": offsets, "itemsize": row.itemsize,
     })
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
-            table = np.loadtxt(
-                _plain_lines(fh), dtype=columns, delimiter=",", comments=None, ndmin=1
-            ).view(row)
-    except ValueError:
+    table = _loadtxt(_plain_lines(fh), dtype=columns, delimiter=",", ndmin=1)
+    if table is None:
         return None
+    table = table.view(row)
     X = table["X"]
     if len(X) == 0 or not np.isfinite(X).all():
         return None
@@ -264,14 +279,11 @@ def _load_csv_fast(fh, name: str) -> Dataset | None:
     records = records.astype(np.int64)
     if records.min() < 1:
         return None
-    distinct, y = np.unique(np.char.strip(table["class"]), return_inverse=True)
-    raw = [c.decode("ascii") for c in distinct]
-    labels = _parse_labels(raw)
+    distinct, inverse = np.unique(np.char.strip(table["class"]), return_inverse=True)
+    labels, ids = _class_ids([c.decode("ascii") for c in distinct])
     if len(labels) < 2:
         return None
-    rank = {lab: k + 1 for k, lab in enumerate(labels)}
-    y = np.array([rank[c] for c in raw], dtype=np.int64)[y]
-    return Dataset(X, y, records, tuple(hd.feature_names), tuple(labels))
+    return Dataset(X, ids[inverse], records, tuple(hd.feature_names), tuple(labels))
 
 
 def _plain_lines(fh):
@@ -289,22 +301,27 @@ def _plain_lines(fh):
 
 def _load_csv_rows(fh, name: str) -> Dataset:
     """The csv-module parser: one Python string per cell, and an error that
-    names the line and column of the first bad cell."""
+    names the file line and the column of the first bad cell."""
     reader = csv.reader(fh)
-    hd = _read_header(reader, name)
+    rows_in = _csv_rows(reader)
+    hd = _read_header(rows_in, name)
     rows: list[list[str]] = []
     class_raw: list[str] = []
     record_raw: list[str] = []
-    for lineno, row in enumerate(reader, start=2):
+    # The file line of each kept row: blank rows and cells that span lines
+    # make it differ from the row's index.
+    line_nums: list[int] = []
+    for row in rows_in:
         if not row:
             continue
         if len(row) != hd.width:
             raise ParseError(
-                f"expected {hd.width} cells, found {len(row)}", line=lineno
+                f"expected {hd.width} cells, found {len(row)}", line=reader.line_num
             )
         rows.append([row[i] for i in hd.feature_idx])
         class_raw.append(row[hd.class_idx].strip())
         record_raw.append(row[hd.record_idx].strip())
+        line_nums.append(reader.line_num)
     if not rows:
         raise EmptyInputError(f"{name}: no data rows")
 
@@ -312,46 +329,46 @@ def _load_csv_rows(fh, name: str) -> Dataset:
     try:
         X = np.asarray(rows, dtype=np.float64)
     except ValueError:
-        X = _parse_cells_slow(rows, feature_names)
+        X = _parse_cells_slow(rows, feature_names, line_nums)
     if not np.all(np.isfinite(X)):
         bad = np.argwhere(~np.isfinite(X))[0]
         raise ParseError(
             f"non-finite value in column '{feature_names[bad[1]]}'",
-            line=int(bad[0]) + 2,
+            line=line_nums[bad[0]],
         )
 
-    labels = _parse_labels(class_raw)
+    labels, y = _class_ids(class_raw)
     if len(labels) < 2:
         raise SchemaError(f"{name}: r >= 2 required, found {len(labels)} class(es)")
-    label_to_id = {lab: k + 1 for k, lab in enumerate(labels)}
-    y = np.asarray([label_to_id[c] for c in class_raw], dtype=np.int64)
 
     records = np.empty(len(record_raw), dtype=np.int64)
-    for i, rec in enumerate(record_raw):
+    for i, (rec, line) in enumerate(zip(record_raw, line_nums)):
         try:
             value = int(rec)
         except ValueError:
-            raise ParseError(f"record id '{rec}' is not an integer", line=i + 2) from None
+            raise ParseError(f"record id '{rec}' is not an integer", line=line) from None
         if value < 1:
-            raise ParseError(f"record id must be >= 1, got {rec}", line=i + 2)
+            raise ParseError(f"record id must be >= 1, got {rec}", line=line)
         if value > _INT64_MAX:
-            raise ParseError(f"record id {rec} exceeds the limit {_INT64_MAX}", line=i + 2)
+            raise ParseError(f"record id {rec} exceeds the limit {_INT64_MAX}", line=line)
         records[i] = value
 
     return Dataset(X, y, records, tuple(feature_names), tuple(labels))
 
 
-def _parse_cells_slow(rows: list[list[str]], feature_names: list[str]) -> np.ndarray:
-    """Per-cell fallback that pins a parse failure to its row and column."""
+def _parse_cells_slow(
+    rows: list[list[str]], feature_names: list[str], line_nums: list[int]
+) -> np.ndarray:
+    """Per-cell fallback that pins a parse failure to its line and column."""
     X = np.empty((len(rows), len(feature_names)))
-    for i, row in enumerate(rows):
+    for i, (row, line) in enumerate(zip(rows, line_nums)):
         for j, cell in enumerate(row):
             try:
                 X[i, j] = float(cell)
             except ValueError:
                 raise ParseError(
                     f"non-numeric value '{cell}' in column '{feature_names[j]}'",
-                    line=i + 2,
+                    line=line,
                 ) from None
     return X
 

@@ -23,15 +23,14 @@ of the same kernel.
 """
 
 import math
-import warnings
 from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .dataset import Dataset, _parse_labels
-from .errors import DimensionError, EmptyInputError, ParameterError, ParseError, utf8_error
+from .dataset import Dataset, _class_ids, _loadtxt
+from .errors import DimensionError, EmptyInputError, ParameterError, ParseError, open_utf8
 
 SEGMENT_SECONDS = 10.0
 MIN_SAMPLING_HZ = 50.0
@@ -90,10 +89,11 @@ class SegmentSignal:
         if c3.ndim != 1 or c4.ndim != 1 or c3.shape != c4.shape:
             raise DimensionError("channels must be 1-D and equally long")
         _check_rate(self.fs)
-        expected = round(self.fs * SEGMENT_SECONDS)
-        if c3.shape[0] != expected:
+        # A segment is exactly one whole window.
+        window, _ = _windows(self.fs, c3, c4)
+        if window.shape != (1, c3.shape[0]):
             raise DimensionError(
-                f"segment length {c3.shape[0]} != fs * 10s = {expected} samples"
+                f"segment length {c3.shape[0]} != fs * 10s = {window.shape[1]} samples"
             )
 
 
@@ -211,11 +211,8 @@ def read_signal_file(path) -> tuple[float, np.ndarray, np.ndarray]:
     that fails or its result is not a finite (n, 2) array, the line parser
     runs instead and either returns the same arrays or names the bad line.
     """
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise utf8_error(path, exc) from None
+    with open_utf8(path) as fh:
+        text = fh.read()
         if not text:
             raise ParseError("signal file is empty", line=1)
         if any(ch in text for ch in _EXTRA_LINE_BREAKS):
@@ -249,13 +246,8 @@ def _parse_rate(head: str) -> float:
 
 def _load_samples_fast(lines) -> tuple[np.ndarray, np.ndarray] | None:
     """Both channels via np.loadtxt, or None when the line parser must decide."""
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
-            data = np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2)
-    except ValueError:
-        return None
-    if data.shape[1] != 2 or not np.isfinite(data).all():
+    data = _loadtxt(lines, dtype=np.float64, ndmin=2)
+    if data is None or data.shape[1] != 2 or not np.isfinite(data).all():
         return None
     c3, c4 = data.T.copy()
     return c3, c4
@@ -285,32 +277,36 @@ def _parse_sample_lines(lines: list[str]) -> tuple[np.ndarray, np.ndarray]:
 def segment_signal(fs: float, c3: np.ndarray, c4: np.ndarray) -> list[SegmentSignal]:
     """Chop a recording into consecutive 10-second segments; the trailing
     partial window is dropped."""
-    n_per = round(fs * SEGMENT_SECONDS)
-    n_full = len(c3) // n_per
-    return [
-        SegmentSignal(c3=c3[k * n_per : (k + 1) * n_per], c4=c4[k * n_per : (k + 1) * n_per], fs=fs)
-        for k in range(n_full)
-    ]
+    _check_rate(fs)
+    c3 = np.asarray(c3, dtype=np.float64)
+    c4 = np.asarray(c4, dtype=np.float64)
+    if c3.ndim != 1 or c3.shape != c4.shape:
+        raise DimensionError("channels must be 1-D and equally long")
+    return [SegmentSignal(c3=a, c4=b, fs=fs) for a, b in zip(*_windows(fs, c3, c4))]
+
+
+def _windows(fs: float, c3: np.ndarray, c4: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both channels, at a rate _check_rate accepts, cut into whole 10-second
+    windows: the rows of a (k, n) array per channel. The trailing partial
+    window is dropped."""
+    n = round(fs * SEGMENT_SECONDS)
+    k = len(c3) // n
+    return c3[: k * n].reshape(k, n), c4[: k * n].reshape(k, n)
 
 
 def _segment_rows(
     rec_id: int, fs: float, c3: np.ndarray, c4: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """A recording's whole 10-second segments as (k, n) arrays per channel."""
-    if not (math.isfinite(fs) and fs > 0):
-        raise ParameterError(
-            f"recording {rec_id}: sampling rate must be finite and > 0, got {fs}"
-        )
+    _check_rate(fs)
     c3 = np.asarray(c3, dtype=np.float64)
     c4 = np.asarray(c4, dtype=np.float64)
     if c3.ndim != 1 or c3.shape != c4.shape:
         raise DimensionError(f"recording {rec_id}: channels must be 1-D and equally long")
-    n_per = round(fs * SEGMENT_SECONDS)
-    k = len(c3) // n_per
-    if k == 0:
+    rows3, rows4 = _windows(fs, c3, c4)
+    if len(rows3) == 0:
         raise EmptyInputError(f"recording {rec_id} is shorter than one 10-second segment")
-    _check_rate(fs)
-    return c3[: k * n_per].reshape(k, n_per), c4[: k * n_per].reshape(k, n_per)
+    return rows3, rows4
 
 
 def signals_to_dataset(
@@ -340,9 +336,7 @@ def signals_to_dataset(
     if len(feats) != len(labels):
         raise ParameterError(f"{len(feats)} recordings but {len(labels)} class labels")
 
-    distinct = _parse_labels(labels)
-    label_to_id = {lab: k + 1 for k, lab in enumerate(distinct)}
-    ids = np.asarray([label_to_id[lab] for lab in labels], dtype=np.int64)
+    distinct, ids = _class_ids(labels)
     counts = [len(f) for f in feats]
     return Dataset(
         X=np.vstack(feats),

@@ -1,6 +1,7 @@
 """Exception types shared across the package."""
 
 import os
+from contextlib import contextmanager
 
 
 class PairnetError(Exception):
@@ -21,21 +22,26 @@ class ParseError(PairnetError):
         self.line = line
 
 
-def utf8_error(path, exc: UnicodeDecodeError) -> ParseError:
-    """The ParseError for a file at path that is not UTF-8 text.
+@contextmanager
+def open_utf8(path, newline=None):
+    """path opened for reading as UTF-8 text, with an optional byte-order mark.
 
-    A decoder that reads in chunks, or strips a byte-order mark first,
-    reports exc.start from its own input; a regular file is decoded again
-    whole here, so the message names the offset from the file's start. A
-    pipe cannot be read again and keeps exc's offset.
+    A byte that is not UTF-8 raises a ParseError naming its offset from the
+    file's start: a decoder that reads in chunks, or strips the mark first,
+    counts from its own input, so a regular file is decoded again whole. A
+    pipe cannot be read again and keeps the decoder's offset.
     """
-    if os.path.isfile(path):
-        with open(path, "rb") as fh:
-            try:
-                fh.read().decode("utf-8")
-            except UnicodeDecodeError as whole:
-                exc = whole
-    return ParseError(f"not UTF-8 text: {exc.reason} at byte {exc.start}")
+    try:
+        with open(path, "r", encoding="utf-8-sig", newline=newline) as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        if os.path.isfile(path):
+            with open(path, "rb") as raw:
+                try:
+                    raw.read().decode("utf-8")
+                except UnicodeDecodeError as whole:
+                    exc = whole
+        raise ParseError(f"not UTF-8 text: {exc.reason} at byte {exc.start}") from None
 
 
 class EmptyInputError(PairnetError):

@@ -1,13 +1,14 @@
 """Line-oriented text serialization for trained models.
 
-Format (UTF-8):
+Format (UTF-8, with an optional byte-order mark):
 
     line 1: ``PAIRNET v1`` or ``LM v1``
     line 2: ``r=<int> m=<int>``
     line 3: ``standardization=<none|present>``; when present, the next two
             lines hold m decimals each (means, then stds)
     then one section per test or class: a ``PAIR <i> <j>`` or ``CLASS <j>``
-    header followed by one line of m+1 decimals (bias first).
+    header followed by one line of m+1 decimals (bias first). Nothing but
+    blank lines may follow the last section.
 
 Floats are written with shortest round-trip precision, so save followed by
 load reproduces the model bit for bit.
@@ -16,7 +17,7 @@ load reproduces the model bit for bit.
 import numpy as np
 
 from .dataset import _INT64_MAX, Standardization
-from .errors import ParseError, utf8_error
+from .errors import ParseError, open_utf8
 from .linear_machine import LinearMachine
 from .pairwise_net import PairwiseNetwork, PairwiseTest
 
@@ -28,50 +29,57 @@ def _fmt_floats(values: np.ndarray) -> str:
     return " ".join(repr(float(v)) for v in values)
 
 
+def _sections(magic: str, r: int):
+    """(header, class ids) of each section of an r-class model, in file
+    order. Sections are made one at a time, so that a reader matches each in
+    the file before the next is made: a bogus r ends at the first missing
+    section instead of sizing r(r-1)/2 pairs, or even r ids, up front."""
+    if magic == MAGIC_PAIRNET:
+        for i in range(1, r + 1):
+            for j in range(i + 1, r + 1):
+                yield f"PAIR {i} {j}", (i, j)
+    else:
+        for j in range(1, r + 1):
+            yield f"CLASS {j}", j
+
+
 def save_model(model, path) -> None:
     """Write a PairwiseNetwork or LinearMachine to a text file."""
-    lines = []
     if isinstance(model, PairwiseNetwork):
-        lines.append(MAGIC_PAIRNET)
+        magic, weights = MAGIC_PAIRNET, [t.weights for t in model.tests]
     elif isinstance(model, LinearMachine):
-        lines.append(MAGIC_LM)
+        magic, weights = MAGIC_LM, model.weights
     else:
         raise TypeError(f"cannot serialize {type(model).__name__}")
-    lines.append(f"r={model.r} m={model.m}")
+    lines = [magic, f"r={model.r} m={model.m}"]
     if model.standardization is None:
         lines.append("standardization=none")
     else:
         lines.append("standardization=present")
         lines.append(_fmt_floats(model.standardization.means))
         lines.append(_fmt_floats(model.standardization.stds))
-    if isinstance(model, PairwiseNetwork):
-        for t in model.tests:
-            lines.append(f"PAIR {t.i} {t.j}")
-            lines.append(_fmt_floats(t.weights))
-    else:
-        for j in range(model.r):
-            lines.append(f"CLASS {j + 1}")
-            lines.append(_fmt_floats(model.weights[j]))
+    for (header, _), w in zip(_sections(magic, model.r), weights):
+        lines.append(header)
+        lines.append(_fmt_floats(w))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 class _LineReader:
+    """The stripped non-blank lines of a text, one at a time; lineno is the
+    file line of the last one returned."""
+
     def __init__(self, text: str):
-        self.lines = text.splitlines()
-        self.pos = 0
+        lines = text.splitlines()
+        self.end = len(lines) + 1
+        self.rest = ((k, s) for k, s in enumerate(map(str.strip, lines), start=1) if s)
+        self.lineno = 0
 
     def next(self, what: str) -> str:
-        while self.pos < len(self.lines):
-            line = self.lines[self.pos].strip()
-            self.pos += 1
-            if line:
-                return line
-        raise ParseError(f"file truncated: missing {what}", line=self.pos + 1)
-
-    @property
-    def lineno(self) -> int:
-        return self.pos
+        self.lineno, line = next(self.rest, (self.end, ""))
+        if not line:
+            raise ParseError(f"file truncated: missing {what}", line=self.end)
+        return line
 
 
 def _parse_floats(line: str, count: int, what: str, lineno: int) -> np.ndarray:
@@ -93,12 +101,8 @@ def _parse_floats(line: str, count: int, what: str, lineno: int) -> np.ndarray:
 
 def load_model(path):
     """Read a model file back; returns a PairwiseNetwork or LinearMachine."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise utf8_error(path, exc) from None
-    rd = _LineReader(text)
+    with open_utf8(path) as fh:
+        rd = _LineReader(fh.read())
 
     magic = rd.next("magic line")
     if magic not in (MAGIC_PAIRNET, MAGIC_LM):
@@ -144,34 +148,20 @@ def load_model(path):
             line=rd.lineno,
         )
 
-    if magic == MAGIC_PAIRNET:
-        tests = []
-        # Pairs are made one at a time, so each must find its section in the
-        # file before the next is made: a bogus r ends at the first missing
-        # section instead of sizing r(r-1)/2 pairs, or even r ids, up front.
-        pairs = ((i, j) for i in range(1, r + 1) for j in range(i + 1, r + 1))
-        for i, j in pairs:
-            header = rd.next(f"section 'PAIR {i} {j}'")
-            if header != f"PAIR {i} {j}":
-                raise ParseError(
-                    f"expected section 'PAIR {i} {j}', got '{header}'", line=rd.lineno
-                )
-            w = _parse_floats(
-                rd.next(f"weights of PAIR {i} {j}"), m + 1, f"PAIR {i} {j}", rd.lineno
-            )
-            tests.append(PairwiseTest(i=i, j=j, weights=w))
-        return PairwiseNetwork(r=r, m=m, tests=tuple(tests), standardization=standardization)
-
-    rows = []
-    for j in range(1, r + 1):
-        header = rd.next(f"section 'CLASS {j}'")
-        if header != f"CLASS {j}":
-            raise ParseError(
-                f"expected section 'CLASS {j}', got '{header}'", line=rd.lineno
-            )
-        rows.append(
-            _parse_floats(rd.next(f"weights of CLASS {j}"), m + 1, f"CLASS {j}", rd.lineno)
+    weights = []
+    for header, ids in _sections(magic, r):
+        got = rd.next(f"section '{header}'")
+        if got != header:
+            raise ParseError(f"expected section '{header}', got '{got}'", line=rd.lineno)
+        w = _parse_floats(rd.next(f"weights of {header}"), m + 1, header, rd.lineno)
+        weights.append((ids, w))
+    for lineno, _ in rd.rest:
+        raise ParseError(
+            f"{magic}: unexpected line after the last section '{header}'", line=lineno
         )
+    if magic == MAGIC_PAIRNET:
+        tests = tuple(PairwiseTest(i=i, j=j, weights=w) for (i, j), w in weights)
+        return PairwiseNetwork(r=r, m=m, tests=tests, standardization=standardization)
     return LinearMachine(
-        r=r, m=m, weights=np.vstack(rows), standardization=standardization
+        r=r, m=m, weights=np.vstack([w for _, w in weights]), standardization=standardization
     )

@@ -8,7 +8,7 @@ Classification takes the argmax of the integer sums, breaking ties by the
 corresponding sum of raw activations and then by the lowest class id.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -137,12 +137,7 @@ def _train_one_pair(ds: Dataset, cfg: TrainConfig, i: int, j: int) -> PairwiseTe
         missing = i if not np.any(ds.y == i) else j
         raise TrainingError(f"class {missing} has no examples; cannot train pair ({i},{j})")
     targets = np.where(ds.y[mask] == i, 1.0, -1.0)
-    pair_cfg = TrainConfig(
-        c=cfg.c,
-        max_iterations=cfg.max_iterations,
-        seed=derive_pair_seed(cfg.seed, i, j),
-        shuffle=cfg.shuffle,
-    )
+    pair_cfg = replace(cfg, seed=derive_pair_seed(cfg.seed, i, j))
     result = train_pocket(ds.X[mask], targets, pair_cfg)
     return PairwiseTest(i=i, j=j, weights=result.weights)
 
@@ -190,8 +185,12 @@ def classify_record(net, segments: np.ndarray) -> RecordClassification:
     segments = np.atleast_2d(np.asarray(segments, dtype=np.float64))
     if segments.shape[0] == 0:
         raise EmptyInputError("classify_record needs at least one segment")
-    preds = net.classify_batch(segments)
-    hist = np.bincount(preds, minlength=net.r + 1)[1:]
+    return _vote(net.classify_batch(segments), net.r)
+
+
+def _vote(preds: np.ndarray, r: int) -> RecordClassification:
+    """One record's decision from its segments' predicted class ids."""
+    hist = np.bincount(preds, minlength=r + 1)[1:]
     dist = hist / hist.sum()
     modal = int(np.argmax(hist)) + 1
     return RecordClassification(
@@ -221,26 +220,19 @@ def evaluate(model, ds: Dataset) -> EvalMetrics:
 
     rows = []
     dists: dict[int, np.ndarray] = {}
-    correct_records = 0
-    record_ids = ds.record_ids()
-    for rec in record_ids:
+    for rec in ds.record_ids():
         mask = ds.records == rec
         true_class = int(ds.y[mask][0])
-        rec_preds = preds[mask]
-        hist = np.bincount(rec_preds, minlength=ds.r + 1)[1:]
-        dist = hist / hist.sum()
-        modal = int(np.argmax(hist)) + 1
-        n_correct = int(np.count_nonzero(rec_preds == true_class))
-        if modal == true_class:
-            correct_records += 1
-        rows.append(
-            (int(rec), int(mask.sum()), n_correct, modal, true_class, float(dist[modal - 1]))
-        )
-        dists[int(rec)] = dist
+        vote = _vote(preds[mask], ds.r)
+        rows.append((
+            int(rec), int(mask.sum()), int(vote.histogram[true_class - 1]),
+            vote.modal_class, true_class, vote.confidence,
+        ))
+        dists[int(rec)] = vote.distribution
 
     return EvalMetrics(
         segment_accuracy=segment_accuracy,
-        record_accuracy=correct_records / len(record_ids),
+        record_accuracy=sum(modal == true for _, _, _, modal, true, _ in rows) / len(rows),
         per_record=tuple(rows),
         confusion=confusion,
         per_record_distributions=dists,

@@ -314,6 +314,15 @@ class TestExtract:
         assert code == 3, err
         assert "line 1: sampling rate" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("head,rows", [("fs=0.04", 1000), ("fs=40", 10)])
+    def test_unusable_rate_exits_2_whatever_the_length(self, tmp_path, head, rows):
+        (tmp_path / "sig.txt").write_text(f"{head}\n" + "0.5 1.5\n" * rows)
+        code, _, err = run_child(
+            "extract", tmp_path / "sig.txt", "--classes", "1", "--out", tmp_path / "x.csv"
+        )
+        assert code == 2, err
+        assert "Hz unusable" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("slow_first,code,message", [
         (True, 2, "sampling rate 40.0 Hz unusable"),
         (False, 3, "No such file"),
@@ -484,6 +493,14 @@ class TestBadHeaderValues:
         code, out, err = run_child("significance", bad)
         assert code == 3, err
         assert "line 3: record id 99999999999999999999 exceeds the limit" in err
+        assert "Traceback" not in err and out == ""
+
+    def test_cell_over_the_field_limit_exits_3(self, tmp_path):
+        bad = tmp_path / "long.csv"
+        bad.write_text("f1,class,record\n1.0,1,1\n2.0," + "c" * 140_000 + ",2\n")
+        code, out, err = run_child("significance", bad)
+        assert code == 3, err
+        assert "line 3: field larger than field limit" in err
         assert "Traceback" not in err and out == ""
 
     @pytest.mark.parametrize("dims", ["r=99999999999999999999 m=72", "r=1 m=72",

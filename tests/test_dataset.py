@@ -162,6 +162,27 @@ class TestLoadCsv:
             with open(path, encoding="utf-8-sig", newline="") as fh:
                 dataset._load_csv_rows(fh, str(path))
 
+    @pytest.mark.parametrize("text,line", [
+        ("a,class,record\n\n1.0,35,1\nnan,37,2\n", 4),
+        ('a,class,record\n\n1.0,"3\n5",1\n2.0,37,2\nnan,37,2\n', 6),
+        ('a,class,record\n\n1.0,"3\n5",1\n\n2.0,37,x\n', 6),
+        ('a,class,record\n\n1.0,"3\n5",1\n\nx,37,2\n', 6),
+        ('a,class,record\n\n1.0,"3\n5",1\n\n2.0,37\n', 6),
+    ], ids=["non-finite", "non-finite-after-quoted", "record", "non-numeric", "cell-count"])
+    def test_errors_name_the_file_line(self, text, line):
+        with pytest.raises(ParseError, match=f"^line {line}: ") as exc:
+            loads_csv(text)
+        assert exc.value.line == line
+
+    @pytest.mark.parametrize("text,line", [
+        ("a" * 140_000 + ",class,record\n1.0,35,1\n2.0,37,2\n", 1),
+        ("a,class,record\n1.0,35,1\n\n2.0," + "c" * 140_000 + ",2\n", 4),
+        ('a,class,record\n1.0,35,1\n2.0,"x\n' + "c" * 140_000 + '",2\n', 4),
+    ], ids=["header", "body", "quoted"])
+    def test_cell_over_the_field_limit(self, text, line):
+        with pytest.raises(ParseError, match=f"^line {line}: field larger than field limit"):
+            loads_csv(text)
+
     def test_largest_record_id_loads(self):
         ds = loads_csv("f1,class,record\n1.0,35,1\n2.0,37,9223372036854775807\n")
         assert ds.records.tolist() == [1, 9223372036854775807]

@@ -86,6 +86,16 @@ class TestSegmentSignal:
         with pytest.raises(DimensionError, match="fs \\* 10"):
             SegmentSignal(c3=np.zeros(500), c4=np.zeros(500), fs=100.0)
 
+    @pytest.mark.parametrize("fs,n", [(0.0, 1000), (0.04, 1000), (math.nan, 1000),
+                                      (40.0, 100), (40.0, 1000)])
+    def test_segment_signal_checks_the_rate_first(self, fs, n):
+        with pytest.raises(ParameterError, match="sampling rate"):
+            segment_signal(fs, np.zeros(n), np.zeros(n))
+
+    def test_segment_signal_rejects_unequal_channels(self):
+        with pytest.raises(DimensionError, match="equally long"):
+            segment_signal(100.0, np.zeros(2000), np.zeros(1500))
+
 
 class TestPeriodogram:
     def test_zero_signal(self):
@@ -308,9 +318,11 @@ class TestBatchedKernel:
 
     def test_rejects_low_or_non_finite_rate(self):
         x = np.zeros(5000)
-        for fs in (40.0, math.nan, math.inf, 0.0, -100.0):
+        for fs in (40.0, math.nan, math.inf, 0.0, -100.0, 0.04):
             with pytest.raises(ParameterError, match="sampling rate"):
                 signals_to_dataset([(fs, x, x)], ["1"])
+            with pytest.raises(ParameterError, match="sampling rate"):
+                signals_to_dataset([(fs, x[:100], x[:100])], ["1"])
 
     def test_rejects_unequal_channels(self):
         with pytest.raises(DimensionError):

@@ -152,6 +152,46 @@ class TestMalformedFiles:
         with pytest.raises(ParseError, match="PAIR 1 2"):
             load_model(path)
 
+    def test_lines_after_the_last_section_rejected(self, tmp_path):
+        path = tmp_path / "net.txt"
+        save_model(random_net(r=3, m=2, seed=5), path)
+        text = path.read_text()
+        path.write_text(text + "\n  \njunk\n")
+        with pytest.raises(ParseError, match="line 12: PAIRNET v1: unexpected line "
+                                             "after the last section 'PAIR 2 3'"):
+            load_model(path)
+        path.write_text(text + "\n  \n")  # trailing blank lines are fine
+        assert load_model(path).r == 3
+
+    def test_lm_with_a_lowered_r_rejected(self, tmp_path):
+        path = tmp_path / "lm.txt"
+        save_model(random_lm(r=4, m=2), path)
+        lines = path.read_text().splitlines()
+        assert lines[1] == "r=4 m=2"
+        lines[1] = "r=3 m=2"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match="line 10: LM v1: unexpected line "
+                                             "after the last section 'CLASS 3'"):
+            load_model(path)
+
+    def test_byte_order_mark_loads_bit_identically(self, tmp_path):
+        net = random_net(with_std=True)
+        path = tmp_path / "net.txt"
+        save_model(net, path)
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        back = load_model(path)
+        assert [t.weights.tobytes() for t in back.tests] == [t.weights.tobytes() for t in net.tests]
+        assert back.standardization.stds.tobytes() == net.standardization.stds.tobytes()
+
+    def test_non_utf8_offset_counts_the_bom(self, tmp_path):
+        path = tmp_path / "net.txt"
+        save_model(random_net(), path)
+        text = b"\xef\xbb\xbf" + path.read_bytes()
+        k = text.index(b"PAIR 1 2")
+        path.write_bytes(text[:k] + b"\xff" + text[k:])
+        with pytest.raises(ParseError, match=f"invalid start byte at byte {k}$"):
+            load_model(path)
+
     def test_reported_line_numbers(self, tmp_path):
         path = self.write(
             tmp_path,
