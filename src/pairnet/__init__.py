@@ -10,7 +10,6 @@ band featurizer, and a seeded synthetic benchmark generator.
 
 from .dataset import (
     Dataset,
-    Example,
     ScreeningReport,
     Standardization,
     load_csv,
@@ -65,7 +64,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Dataset",
-    "Example",
     "ScreeningReport",
     "Standardization",
     "load_csv",

@@ -11,6 +11,11 @@ Python lists, and each visit makes a single BLAS call (``x.dot(pi)`` or
 comparison. Full-set accuracy evaluations and weight updates stay
 whole-array operations.
 
+Each loop visits every entry of ``order`` until the pocket reaches accuracy
+1.0, and returns the four fields of a ``tlu.PocketResult`` in field order:
+the pocket weights, its accuracy (a Python float), the visits used (a
+Python int) and the history, a tuple of (visit, accuracy) pairs.
+
 The decision sequence is that of the per-visit ``ddot`` signs (and of the
 whole-set products in the accuracy evaluations), so it depends on how
 BLAS rounds each dot product. ``tests/test_kernels.py`` checks both loops
@@ -25,7 +30,7 @@ import numpy as np
 ACTIVE_PATH = "numpy"
 
 
-def pocket_loop(xb, targets, order, c, max_iters):
+def pocket_loop(xb, targets, order, c):
     """Pocket algorithm with ratchet over a fixed visit order.
 
     xb is the (n, m+1) extended example matrix (column 0 all ones), targets
@@ -37,21 +42,18 @@ def pocket_loop(xb, targets, order, c, max_iters):
     full pass runs at most once per error-free run, and training stops
     once the pocket reaches accuracy 1.0.
 
-    Returns (pocket_weights, pocket_accuracy, iterations_used,
-    history_iterations, history_accuracies).
+    Returns (pocket_weights, pocket_accuracy, iterations_used, history).
     """
     n, d = xb.shape
     pi = np.zeros(d)
     pocket = np.zeros(d)
     pos = targets > 0.0
-    pocket_acc = float(np.count_nonzero(targets < 0.0)) / n
-
-    hist_it = [0]
-    hist_acc = [pocket_acc]
+    pocket_acc = int(np.count_nonzero(targets < 0.0)) / n
+    history = [(0, pocket_acc)]
 
     rows = list(xb)
     wanted = targets.tolist()
-    visits = order[:max_iters].tolist()
+    visits = order.tolist()
     best_run = 0
     run = 0
     cached_acc = -1.0
@@ -66,13 +68,12 @@ def pocket_loop(xb, targets, order, c, max_iters):
             run += 1
             if run > best_run:
                 if cached_acc < 0.0:
-                    cached_acc = np.count_nonzero((xb @ pi > 0.0) == pos) / n
+                    cached_acc = int(np.count_nonzero((xb @ pi > 0.0) == pos)) / n
                 if cached_acc > pocket_acc:
                     pocket = pi.copy()
                     pocket_acc = cached_acc
                     best_run = run
-                    hist_it.append(it)
-                    hist_acc.append(pocket_acc)
+                    history.append((it, pocket_acc))
                     if pocket_acc >= 1.0:
                         break
         else:
@@ -80,16 +81,10 @@ def pocket_loop(xb, targets, order, c, max_iters):
             run = 0
             cached_acc = -1.0
 
-    return (
-        pocket,
-        pocket_acc,
-        it,
-        np.asarray(hist_it, dtype=np.int64),
-        np.asarray(hist_acc, dtype=np.float64),
-    )
+    return pocket, pocket_acc, it, tuple(history)
 
 
-def lm_loop(xb, y0, r, order, c, max_iters):
+def lm_loop(xb, y0, r, order, c):
     """Jointly trained linear machine with a whole-machine pocket ratchet.
 
     y0 holds 0-based class indices. Each visit classifies one example by
@@ -100,15 +95,13 @@ def lm_loop(xb, y0, r, order, c, max_iters):
     accuracy cache as the single-unit pocket.
 
     Returns (pocket_weights (r, m+1), pocket_accuracy, iterations_used,
-    history_iterations, history_accuracies).
+    history).
     """
     n, d = xb.shape
     W = np.zeros((r, d))
     pocket = np.zeros((r, d))
-    pocket_acc = float(np.count_nonzero(y0 == 0)) / n
-
-    hist_it = [0]
-    hist_acc = [pocket_acc]
+    pocket_acc = int(np.count_nonzero(y0 == 0)) / n
+    history = [(0, pocket_acc)]
 
     rows = list(xb)
     labels = y0.tolist()
@@ -117,7 +110,7 @@ def lm_loop(xb, y0, r, order, c, max_iters):
     # that W[j] += upd makes.
     scores = W.dot
     w_rows = list(W)
-    visits = order[:max_iters].tolist()
+    visits = order.tolist()
     best_run = 0
     run = 0
     cached_acc = -1.0
@@ -131,13 +124,12 @@ def lm_loop(xb, y0, r, order, c, max_iters):
             if run > best_run:
                 if cached_acc < 0.0:
                     preds = np.argmax(xb @ W.T, axis=1)
-                    cached_acc = np.count_nonzero(preds == y0) / n
+                    cached_acc = int(np.count_nonzero(preds == y0)) / n
                 if cached_acc > pocket_acc:
                     pocket = W.copy()
                     pocket_acc = cached_acc
                     best_run = run
-                    hist_it.append(it)
-                    hist_acc.append(pocket_acc)
+                    history.append((it, pocket_acc))
                     if pocket_acc >= 1.0:
                         break
         else:
@@ -147,13 +139,7 @@ def lm_loop(xb, y0, r, order, c, max_iters):
             run = 0
             cached_acc = -1.0
 
-    return (
-        pocket,
-        pocket_acc,
-        it,
-        np.asarray(hist_it, dtype=np.int64),
-        np.asarray(hist_acc, dtype=np.float64),
-    )
+    return pocket, pocket_acc, it, tuple(history)
 
 
 def build_visit_order(n: int, max_iters: int, rng: np.random.Generator, shuffle: bool) -> np.ndarray:

@@ -26,12 +26,6 @@ _TEXT_CELL_WIDTH = 32
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
-class Example(NamedTuple):
-    features: np.ndarray
-    class_id: int
-    record_id: int
-
-
 @dataclass(frozen=True)
 class Dataset:
     """Immutable table of labeled segments.
@@ -99,12 +93,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return self.X.shape[0]
-
-    def example(self, i: int) -> Example:
-        return Example(self.X[i], int(self.y[i]), int(self.records[i]))
-
-    def __iter__(self) -> Iterator[Example]:
-        return (self.example(i) for i in range(len(self)))
 
     def record_ids(self) -> np.ndarray:
         return np.unique(self.records)
@@ -289,11 +277,14 @@ def _load_csv_fast(fh, name: str) -> Dataset | None:
 def _plain_lines(fh):
     """The lines of fh, with a ValueError at the first one the fast path must
     leave to the csv module: non-ASCII text, a quote, NUL (a bytes cell
-    drops it) or one of the ASCII separators \\x1c-\\x1f (np.loadtxt and
-    str.strip read them as blanks, float() does not). Both parsers end a
-    line at '\\n', '\\r\\n' or a lone '\\r'."""
+    drops it), one of the ASCII separators \\x1c-\\x1f (np.loadtxt and
+    str.strip read them as blanks, float() does not), or a line longer than
+    the csv module's field limit (it may hold a cell that the csv module
+    rejects). Both parsers end a line at '\\n', '\\r\\n' or a lone '\\r'."""
+    # Read, never set: the limit is process-wide.
+    limit = csv.field_size_limit()
     for line in fh:
-        if (not line.isascii() or '"' in line or "\x00" in line
+        if (not line.isascii() or '"' in line or "\x00" in line or len(line) > limit
                 or "\x1c" in line or "\x1d" in line or "\x1e" in line or "\x1f" in line):
             raise ValueError("line left to the csv module")
         yield line
@@ -440,12 +431,22 @@ def standardize(ds: Dataset) -> tuple[Dataset, Standardization]:
     """Shift each feature to mean 0 and scale to std 1 over the dataset.
 
     Features with std below 1e-12 are only shifted; their std is recorded
-    as 1 so the transform stays invertible.
+    as 1 so the transform stays invertible. A feature whose mean or std
+    overflows float64 raises SchemaError: a model standardized with it
+    could not be saved and loaded again.
     """
     if len(ds) == 0:
         raise EmptyInputError("cannot standardize an empty dataset")
-    means = ds.X.mean(axis=0)
-    stds = ds.X.std(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = ds.X.mean(axis=0)
+        stds = ds.X.std(axis=0)
+    bad = np.flatnonzero(~(np.isfinite(means) & np.isfinite(stds)))
+    if bad.size:
+        k = bad[0]
+        raise SchemaError(
+            f"feature '{ds.feature_names[k]}' is too large to standardize: "
+            f"mean {means[k]}, std {stds[k]}"
+        )
     stds = np.where(stds < 1e-12, 1.0, stds)
     st = Standardization(means=means, stds=stds)
     out = Dataset(st.apply(ds.X), ds.y, ds.records, ds.feature_names, ds.class_labels)

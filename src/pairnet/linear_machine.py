@@ -72,19 +72,8 @@ def lm_train_pocket(
             f"{(missing + 1).tolist()} are empty"
         )
 
-    xb = extend(ds.X)
-    y0 = np.ascontiguousarray(ds.y - 1)
     rng = np.random.default_rng(cfg.seed)
     order = _kernels.build_visit_order(len(ds), cfg.max_iterations, rng, cfg.shuffle)
-    W, acc, used, hist_it, hist_acc = _kernels.lm_loop(
-        xb, y0, ds.r, order, float(cfg.c), cfg.max_iterations
-    )
-    history = tuple(zip((int(i) for i in hist_it), (float(a) for a in hist_acc)))
+    W, acc, used, history = _kernels.lm_loop(extend(ds.X), ds.y - 1, ds.r, order, float(cfg.c))
     lm = LinearMachine(r=ds.r, m=ds.m, weights=W, standardization=standardization)
-    result = PocketResult(
-        weights=W.ravel(),
-        train_accuracy=float(acc),
-        iterations_used=int(used),
-        accuracy_history=history,
-    )
-    return lm, result
+    return lm, PocketResult(W.ravel(), acc, used, history)

@@ -135,16 +135,6 @@ def train_pocket(X: np.ndarray, targets: np.ndarray, cfg: TrainConfig) -> Pocket
     if not (np.any(targets > 0) and np.any(targets < 0)):
         raise TrainingError("need at least one example of each target sign")
 
-    xb = extend(X)
     rng = np.random.default_rng(cfg.seed)
     order = _kernels.build_visit_order(X.shape[0], cfg.max_iterations, rng, cfg.shuffle)
-    weights, acc, used, hist_it, hist_acc = _kernels.pocket_loop(
-        xb, np.ascontiguousarray(targets), order, float(cfg.c), cfg.max_iterations
-    )
-    history = tuple(zip((int(i) for i in hist_it), (float(a) for a in hist_acc)))
-    return PocketResult(
-        weights=weights,
-        train_accuracy=float(acc),
-        iterations_used=int(used),
-        accuracy_history=history,
-    )
+    return PocketResult(*_kernels.pocket_loop(extend(X), targets, order, float(cfg.c)))

@@ -503,6 +503,23 @@ class TestBadHeaderValues:
         assert "line 3: field larger than field limit" in err
         assert "Traceback" not in err and out == ""
 
+    @pytest.mark.parametrize("model", ["pairnet", "lm"])
+    def test_feature_too_large_to_standardize_exits_3(self, tmp_path, model):
+        rng = np.random.default_rng(0)
+        data = tmp_path / "huge.csv"
+        lines = ["a,b,class,record"]
+        for k in range(160):
+            rec = k % 8 + 1
+            a, b = (rng.uniform(1.0, 2.0, size=2) * 1e200).tolist()
+            lines.append(f"{a!r},{b!r},{rec % 2 + 1},{rec}")
+        data.write_text("\n".join(lines) + "\n")
+        out_path = tmp_path / "model.txt"
+        code, out, err = run_child("train", data, "--model", model, "--out", out_path)
+        assert code == 3, err
+        assert "feature 'a' is too large to standardize" in err
+        assert "Traceback" not in err and out == ""
+        assert not out_path.exists()
+
     @pytest.mark.parametrize("dims", ["r=99999999999999999999 m=72", "r=1 m=72",
                                       "r=16 m=0", "r=16 m=-1"])
     def test_model_dimension_out_of_range_exits_3(self, tmp_path, workspace, dims):

@@ -178,7 +178,8 @@ class TestLoadCsv:
         ("a" * 140_000 + ",class,record\n1.0,35,1\n2.0,37,2\n", 1),
         ("a,class,record\n1.0,35,1\n\n2.0," + "c" * 140_000 + ",2\n", 4),
         ('a,class,record\n1.0,35,1\n2.0,"x\n' + "c" * 140_000 + '",2\n', 4),
-    ], ids=["header", "body", "quoted"])
+        ("a,class,record\n0." + "0" * 139_998 + "1,35,1\n2.0,37,2\n", 2),
+    ], ids=["header", "body", "quoted", "number"])
     def test_cell_over_the_field_limit(self, text, line):
         with pytest.raises(ParseError, match=f"^line {line}: field larger than field limit"):
             loads_csv(text)
@@ -319,9 +320,22 @@ class TestCsvPaths:
         "1.0,35,1\n2.0,37,1\n",
         "1.0,35,1,\n2.0,37,2\n",
         "1.0,35\n2.0,37,2\n",
+        pytest.param("0." + "0" * 139_998 + "1,35,1\n2.0,37,2\n", id="long-cell"),
     ])
     def test_edge_cases_match_csv_module(self, tmp_path, body):
         assert_paths_agree(tmp_path / "edge.csv", "f1,class,record\n" + body)
+
+    def test_row_longer_than_the_field_limit_matches_csv_module(self, tmp_path):
+        # 40,000 short cells make lines longer than the csv module's field
+        # limit, though no cell is.
+        m = 40_000
+        rng = np.random.default_rng(4)
+        header = ",".join(f"f{k}" for k in range(m)) + ",class,record\n"
+        rows = [",".join(map(repr, rng.normal(size=m).tolist())) + f",{c},{c}\n"
+                for c in (35, 37)]
+        path = tmp_path / "wide.csv"
+        assert_paths_agree(path, header + "".join(rows))
+        assert load_csv(path).X.shape == (2, m)
 
     def test_pipe_is_read_by_the_csv_module(self, tmp_path):
         fifo = tmp_path / "data.fifo"
@@ -481,6 +495,13 @@ class TestStandardize:
         ds = make_dataset(rng.normal(-3, 10, (25, 3)), np.repeat([1, 2], [12, 13]), np.repeat([1, 2], [12, 13]))
         out, st = standardize(ds)
         np.testing.assert_allclose(st.invert(out.X), ds.X, rtol=1e-12, atol=1e-12)
+
+    def test_overflowing_feature_is_a_schema_error(self):
+        # Finite values whose squares overflow: the std would be inf.
+        X = [[1.0, 1e200], [2.0, -1e200], [3.0, 3e200], [4.0, 2e200]]
+        ds = make_dataset(X, [1, 1, 2, 2], [1, 2, 3, 4])
+        with pytest.raises(SchemaError, match="^feature 'f2' is too large to standardize"):
+            standardize(ds)
 
 
 class TestSplitByRecord:

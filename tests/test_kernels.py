@@ -10,16 +10,18 @@ divergence is then a real decision-sequence difference, not rounding
 noise.
 """
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from pairnet import Dataset, TrainConfig, derive_pair_seed, train_pairwise
+from pairnet import Dataset, TrainConfig, derive_pair_seed, train_pairwise, train_pocket
 from pairnet import _kernels
 from pairnet._kernels import build_visit_order, lm_loop, pocket_loop
 from pairnet.linear_machine import lm_train_pocket
 
 
-def _pocket_loop_impl(xb, targets, order, c, max_iters):
+def _pocket_loop_impl(xb, targets, order, c):
     """Pocket algorithm with ratchet over a fixed visit order.
 
     xb is the (n, m+1) extended example matrix (column 0 all ones), targets
@@ -30,8 +32,7 @@ def _pocket_loop_impl(xb, targets, order, c, max_iters):
     The accuracy of the current perceptron is cached between errors so the
     expensive full pass runs at most once per error-free run.
 
-    Returns (pocket_weights, pocket_accuracy, iterations_used,
-    history_iterations, history_accuracies).
+    Returns (pocket_weights, pocket_accuracy, iterations_used, history).
     """
     n, d = xb.shape
     pi = np.zeros(d, dtype=np.float64)
@@ -42,18 +43,13 @@ def _pocket_loop_impl(xb, targets, order, c, max_iters):
         if targets[i] < 0.0:
             correct0 += 1
     pocket_acc = correct0 / n
-
-    hist_cap = n + 2
-    hist_it = np.zeros(hist_cap, dtype=np.int64)
-    hist_acc = np.zeros(hist_cap, dtype=np.float64)
-    hist_acc[0] = pocket_acc
-    n_hist = 1
+    history = [(0, pocket_acc)]
 
     best_run = 0
     run = 0
     cached_acc = -1.0
     it = 0
-    while it < max_iters and pocket_acc < 1.0:
+    while it < len(order) and pocket_acc < 1.0:
         idx = order[it]
         act = 0.0
         for k in range(d):
@@ -77,9 +73,7 @@ def _pocket_loop_impl(xb, targets, order, c, max_iters):
                         pocket[k] = pi[k]
                     pocket_acc = cached_acc
                     best_run = run
-                    hist_it[n_hist] = it + 1
-                    hist_acc[n_hist] = pocket_acc
-                    n_hist += 1
+                    history.append((it + 1, pocket_acc))
         else:
             t = c * targets[idx]
             for k in range(d):
@@ -88,10 +82,10 @@ def _pocket_loop_impl(xb, targets, order, c, max_iters):
             cached_acc = -1.0
         it += 1
 
-    return pocket, pocket_acc, it, hist_it[:n_hist].copy(), hist_acc[:n_hist].copy()
+    return pocket, pocket_acc, it, tuple(history)
 
 
-def _lm_loop_impl(xb, y0, r, order, c, max_iters):
+def _lm_loop_impl(xb, y0, r, order, c):
     """Jointly trained linear machine with a whole-machine pocket ratchet.
 
     y0 holds 0-based class indices. Each visit classifies one example by
@@ -102,7 +96,7 @@ def _lm_loop_impl(xb, y0, r, order, c, max_iters):
     accuracy cache as the single-unit pocket.
 
     Returns (pocket_weights (r, m+1), pocket_accuracy, iterations_used,
-    history_iterations, history_accuracies).
+    history).
     """
     n, d = xb.shape
     W = np.zeros((r, d), dtype=np.float64)
@@ -113,18 +107,13 @@ def _lm_loop_impl(xb, y0, r, order, c, max_iters):
         if y0[i] == 0:
             correct0 += 1
     pocket_acc = correct0 / n
-
-    hist_cap = n + 2
-    hist_it = np.zeros(hist_cap, dtype=np.int64)
-    hist_acc = np.zeros(hist_cap, dtype=np.float64)
-    hist_acc[0] = pocket_acc
-    n_hist = 1
+    history = [(0, pocket_acc)]
 
     best_run = 0
     run = 0
     cached_acc = -1.0
     it = 0
-    while it < max_iters and pocket_acc < 1.0:
+    while it < len(order) and pocket_acc < 1.0:
         idx = order[it]
         best_j = 0
         best_g = 0.0
@@ -160,9 +149,7 @@ def _lm_loop_impl(xb, y0, r, order, c, max_iters):
                             pocket[j, k] = W[j, k]
                     pocket_acc = cached_acc
                     best_run = run
-                    hist_it[n_hist] = it + 1
-                    hist_acc[n_hist] = pocket_acc
-                    n_hist += 1
+                    history.append((it + 1, pocket_acc))
         else:
             for k in range(d):
                 upd = c * xb[idx, k]
@@ -172,7 +159,7 @@ def _lm_loop_impl(xb, y0, r, order, c, max_iters):
             cached_acc = -1.0
         it += 1
 
-    return pocket, pocket_acc, it, hist_it[:n_hist].copy(), hist_acc[:n_hist].copy()
+    return pocket, pocket_acc, it, tuple(history)
 
 
 def extended(X):
@@ -217,13 +204,13 @@ class TestVisitOrder:
 
 
 def assert_same_result(a, b):
-    """All five returned values agree exactly: weights, accuracy, visits
-    used, history iterations and history accuracies."""
+    """All four returned values agree exactly: weights, accuracy, visits
+    used and the (visit, accuracy) history."""
+    assert len(a) == len(b) == 4
     np.testing.assert_array_equal(a[0], b[0])
     assert a[1] == b[1]
     assert a[2] == b[2]
-    np.testing.assert_array_equal(a[3], b[3])
-    np.testing.assert_array_equal(a[4], b[4])
+    assert a[3] == b[3]
 
 
 def separable_problem(seed, n=40, m=2):
@@ -247,8 +234,8 @@ class TestReferenceEquivalence:
     def test_pocket_matches_reference(self, seed, c):
         xb, targets, order = integer_problem(seed)
         assert_same_result(
-            _pocket_loop_impl(xb, targets, order, c, 5000),
-            pocket_loop(xb, targets, order, c, 5000),
+            _pocket_loop_impl(xb, targets, order, c),
+            pocket_loop(xb, targets, order, c),
         )
 
     @pytest.mark.parametrize("c", [1.0, 0.5])
@@ -256,38 +243,38 @@ class TestReferenceEquivalence:
     def test_lm_matches_reference(self, seed, c):
         xb, y0, order = integer_lm_problem(seed)
         assert_same_result(
-            _lm_loop_impl(xb, y0, 4, order, c, 5000),
-            lm_loop(xb, y0, 4, order, c, 5000),
+            _lm_loop_impl(xb, y0, 4, order, c),
+            lm_loop(xb, y0, 4, order, c),
         )
 
     @pytest.mark.parametrize("max_iters", [1, 7, 37])
     def test_budget_shorter_than_an_epoch(self, max_iters):
         xb, targets, order = integer_problem(3)
-        res = pocket_loop(xb, targets, order, 1.0, max_iters)
+        order = order[:max_iters]
+        res = pocket_loop(xb, targets, order, 1.0)
         assert res[2] == max_iters < xb.shape[0]
-        assert_same_result(
-            _pocket_loop_impl(xb, targets, order, 1.0, max_iters), res
-        )
+        assert_same_result(_pocket_loop_impl(xb, targets, order, 1.0), res)
         xb, y0, order = integer_lm_problem(3)
-        res = lm_loop(xb, y0, 4, order, 1.0, max_iters)
+        order = order[:max_iters]
+        res = lm_loop(xb, y0, 4, order, 1.0)
         assert res[2] == max_iters
-        assert_same_result(_lm_loop_impl(xb, y0, 4, order, 1.0, max_iters), res)
+        assert_same_result(_lm_loop_impl(xb, y0, 4, order, 1.0), res)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_separable_stops_at_full_accuracy(self, seed):
         xb, targets, order = separable_problem(seed)
-        res = pocket_loop(xb, targets, order, 1.0, 5000)
+        res = pocket_loop(xb, targets, order, 1.0)
         assert res[1] == 1.0 and res[2] < 5000
-        assert res[3][-1] == res[2]  # the last visit made the final swap
-        assert_same_result(_pocket_loop_impl(xb, targets, order, 1.0, 5000), res)
+        assert res[3][-1][0] == res[2]  # the last visit made the final swap
+        assert_same_result(_pocket_loop_impl(xb, targets, order, 1.0), res)
 
     def test_separable_lm_stops_at_full_accuracy(self):
         xb = np.array([[1.0, -3.0], [1.0, -1.0], [1.0, 2.0], [1.0, 4.0]])
         y0 = np.array([0, 0, 1, 1], dtype=np.int64)
         order = build_visit_order(4, 1000, np.random.default_rng(0), True)
-        res = lm_loop(xb, y0, 2, order, 1.0, 1000)
+        res = lm_loop(xb, y0, 2, order, 1.0)
         assert res[1] == 1.0 and res[2] < 1000
-        assert_same_result(_lm_loop_impl(xb, y0, 2, order, 1.0, 1000), res)
+        assert_same_result(_lm_loop_impl(xb, y0, 2, order, 1.0), res)
 
     @pytest.mark.parametrize("max_iters", range(1, 9))
     def test_lm_ties_go_to_the_lowest_class(self, max_iters):
@@ -298,8 +285,8 @@ class TestReferenceEquivalence:
         y0 = np.array([1, 0, 2], dtype=np.int64)
         order = np.array([1, 0, 1, 2, 1, 0, 2, 1], dtype=np.int64)
         assert_same_result(
-            _lm_loop_impl(xb, y0, 3, order, 1.0, max_iters),
-            lm_loop(xb, y0, 3, order, 1.0, max_iters),
+            _lm_loop_impl(xb, y0, 3, order[:max_iters], 1.0),
+            lm_loop(xb, y0, 3, order[:max_iters], 1.0),
         )
 
 
@@ -322,7 +309,8 @@ def integer_dataset(seed=0, r=4, n=120, m=3):
 
 class TestTrainingWiring:
     """train_pairwise and lm_train_pocket hand the loops the rows, targets,
-    visit order, correction and budget that the reference is given here."""
+    visit order (its length is the budget) and correction that the reference
+    is given here."""
 
     @pytest.mark.parametrize("shuffle", [True, False])
     def test_pairwise_tests_match_reference(self, shuffle):
@@ -335,9 +323,7 @@ class TestTrainingWiring:
             targets = np.where(ds.y[mask] == t.i, 1.0, -1.0)
             rng = np.random.default_rng(derive_pair_seed(cfg.seed, t.i, t.j))
             order = build_visit_order(len(targets), cfg.max_iterations, rng, shuffle)
-            ref = _pocket_loop_impl(
-                extended(ds.X[mask]), targets, order, cfg.c, cfg.max_iterations
-            )
+            ref = _pocket_loop_impl(extended(ds.X[mask]), targets, order, cfg.c)
             assert np.any(ref[0] != 0.0)
             np.testing.assert_array_equal(t.weights, ref[0])
 
@@ -348,11 +334,41 @@ class TestTrainingWiring:
         order = build_visit_order(
             len(ds), cfg.max_iterations, np.random.default_rng(cfg.seed), True
         )
-        W, acc, used, hist_it, hist_acc = _lm_loop_impl(
-            extended(ds.X), ds.y - 1, ds.r, order, cfg.c, cfg.max_iterations
+        W, acc, used, history = _lm_loop_impl(
+            extended(ds.X), ds.y - 1, ds.r, order, cfg.c
         )
         assert np.any(W != 0.0)
         np.testing.assert_array_equal(lm.weights, W)
         assert result.train_accuracy == acc
         assert result.iterations_used == used
-        assert result.accuracy_history == tuple(zip(hist_it.tolist(), hist_acc.tolist()))
+        assert result.accuracy_history == history
+
+    @pytest.mark.parametrize("c, c_float", [(Fraction(1, 2), 0.5), (1, 1.0)])
+    def test_any_real_c_trains_as_its_float(self, c, c_float):
+        # TrainConfig accepts any numbers.Real; a Fraction times a float
+        # array would make an object array, so training must use float(c).
+        ds = integer_dataset()
+        got, want = train_both(ds, c), train_both(ds, c_float)
+        for g, w in zip(got, want):
+            assert g.weights.tobytes() == w.weights.tobytes()
+            assert_same_result(fields(g), fields(w))
+        for result in got + want:
+            assert type(result.train_accuracy) is float
+            assert type(result.iterations_used) is int
+            assert type(result.accuracy_history) is tuple
+            for entry in result.accuracy_history:
+                assert type(entry) is tuple and len(entry) == 2
+                assert type(entry[0]) is int and type(entry[1]) is float
+
+
+def fields(result):
+    return (result.weights, result.train_accuracy, result.iterations_used,
+            result.accuracy_history)
+
+
+def train_both(ds, c):
+    """train_pocket on classes 1 vs 2, and lm_train_pocket on all of ds."""
+    cfg = TrainConfig(c=c, max_iterations=2000, seed=3)
+    mask = (ds.y == 1) | (ds.y == 2)
+    targets = np.where(ds.y[mask] == 1, 1.0, -1.0)
+    return train_pocket(ds.X[mask], targets, cfg), lm_train_pocket(ds, cfg)[1]
