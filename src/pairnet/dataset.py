@@ -364,23 +364,32 @@ def _parse_cells_slow(
     return X
 
 
+def _csv_cell(text: str) -> str:
+    """text as csv.writer writes it in a row of several cells."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow([text, ""])
+    return buf.getvalue()[: -len(",\r\n")]
+
+
 def save_csv(ds: Dataset, path) -> None:
     """Write a dataset back out in the standard schema (full float precision)."""
-    # csv formats a float cell with repr, the shortest round-trip form.
-    # tolist() hands it Python floats a few rows at a time: larger chunks
-    # were no faster and raised peak memory by the chunk's Python objects.
-    labels = ds.class_labels
+    # The rows are the bytes csv.writer would write: it formats a float cell
+    # with repr, the shortest round-trip form, an int with str, and ends a
+    # row with "\r\n"; only the class labels can need quoting, so each is
+    # quoted once. tolist() hands over Python floats a few rows at a time:
+    # larger chunks were no faster and raised peak memory by the chunk's
+    # Python objects.
+    labels = [_csv_cell(label) for label in ds.class_labels]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(ds.feature_names) + ["class", "record"])
+        csv.writer(fh).writerow(list(ds.feature_names) + ["class", "record"])
         for s in range(0, len(ds), _CSV_CHUNK_ROWS):
             rows = ds.X[s : s + _CSV_CHUNK_ROWS].tolist()
             ys = ds.y[s : s + _CSV_CHUNK_ROWS].tolist()
             recs = ds.records[s : s + _CSV_CHUNK_ROWS].tolist()
-            for row, y, rec in zip(rows, ys, recs):
-                row.append(labels[y - 1])
-                row.append(rec)
-            writer.writerows(rows)
+            fh.write("".join(
+                f"{','.join(map(repr, row))},{labels[y - 1]},{rec}\r\n"
+                for row, y, rec in zip(rows, ys, recs)
+            ))
 
 
 def screen_outliers(ds: Dataset, k: float = 3.0) -> tuple[Dataset, ScreeningReport]:

@@ -23,6 +23,7 @@ of the same kernel.
 """
 
 import math
+import os
 from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -199,6 +200,10 @@ def extract_features(
 # reads them as whitespace instead. Text read in universal-newline mode holds
 # no "\r", but the set stays complete.
 _EXTRA_LINE_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+# np.loadtxt opens a path through numpy's DataSource, which decompresses a
+# file by these suffixes and fetches a name holding "://" as a URL; a file
+# so named goes to the line parser.
+_DATASOURCE_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 
 
 def read_signal_file(path) -> tuple[float, np.ndarray, np.ndarray]:
@@ -213,19 +218,20 @@ def read_signal_file(path) -> tuple[float, np.ndarray, np.ndarray]:
     """
     with open_utf8(path) as fh:
         text = fh.read()
-        if not text:
-            raise ParseError("signal file is empty", line=1)
-        if any(ch in text for ch in _EXTRA_LINE_BREAKS):
-            head, *body_lines = text.splitlines()
-            return (_parse_rate(head), *_parse_sample_lines(body_lines))
-        fs = _parse_rate(text.partition("\n")[0])
-        samples = None
-        if fh.seekable():
-            # np.loadtxt iterates the file's own lines faster, and in less
-            # memory, than those of an in-memory copy of the text.
-            fh.seek(0)
-            fh.readline()
-            samples = _load_samples_fast(fh)
+        seekable = fh.seekable()
+    if not text:
+        raise ParseError("signal file is empty", line=1)
+    if any(ch in text for ch in _EXTRA_LINE_BREAKS):
+        head, *body_lines = text.splitlines()
+        return (_parse_rate(head), *_parse_sample_lines(body_lines))
+    fs = _parse_rate(text.partition("\n")[0])
+    samples = None
+    name = os.fsdecode(path)
+    if seekable and not (name.endswith(_DATASOURCE_SUFFIXES) or "://" in name):
+        # Given the path, np.loadtxt reads the file again in chunks and
+        # splits its lines in C: faster than iterating the lines of the
+        # open file, or of the text, in Python. A pipe cannot be read again.
+        samples = _load_samples_fast(name)
     if samples is None:
         samples = _parse_sample_lines(text.split("\n")[1:])
     return (fs, *samples)
@@ -244,9 +250,10 @@ def _parse_rate(head: str) -> float:
     return fs
 
 
-def _load_samples_fast(lines) -> tuple[np.ndarray, np.ndarray] | None:
-    """Both channels via np.loadtxt, or None when the line parser must decide."""
-    data = _loadtxt(lines, dtype=np.float64, ndmin=2)
+def _load_samples_fast(path) -> tuple[np.ndarray, np.ndarray] | None:
+    """Both channels of the file at path, read past its header line by
+    np.loadtxt, or None when the line parser must decide."""
+    data = _loadtxt(path, dtype=np.float64, ndmin=2, skiprows=1, encoding="utf-8-sig")
     if data is None or data.shape[1] != 2 or not np.isfinite(data).all():
         return None
     c3, c4 = data.T.copy()

@@ -57,4 +57,5 @@ class DimensionError(PairnetError):
 
 
 class TrainingError(PairnetError):
-    """Training preconditions are not met (missing class, one-sided targets)."""
+    """Training preconditions are not met (missing class, one-sided targets,
+    inputs large enough to overflow), or a model cannot be saved."""

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset
-from .errors import EmptyInputError, ParameterError
+from .errors import EmptyInputError, ParameterError, SchemaError
 
 ZERO_EPS = 1e-12
 
@@ -70,18 +70,29 @@ def group_variance(ds: Dataset, i: int, j: int) -> float:
 
 
 def significance(ds: Dataset) -> SignificanceReport:
-    """Score every feature and rank them by descending significance."""
-    class_means = np.vstack([block.mean(axis=0) for _, block in _class_blocks(ds)])
-    v = np.var(class_means, axis=0)
-    s_sum = np.zeros(ds.m)
-    for _, block in _class_blocks(ds):
-        s_sum += np.var(block, axis=0)
+    """Score every feature and rank them by descending significance.
 
-    d = np.where(
-        s_sum > ZERO_EPS,
-        100.0 * v / np.where(s_sum > ZERO_EPS, s_sum, 1.0),
-        np.where(v > ZERO_EPS, np.inf, 0.0),
-    )
+    A feature whose v or s_sum overflows float64 raises SchemaError; a
+    finite ratio too large for float64 scores +inf.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        class_means = np.vstack([block.mean(axis=0) for _, block in _class_blocks(ds)])
+        v = np.var(class_means, axis=0)
+        s_sum = np.zeros(ds.m)
+        for _, block in _class_blocks(ds):
+            s_sum += np.var(block, axis=0)
+        d = np.where(
+            s_sum > ZERO_EPS,
+            100.0 * v / np.where(s_sum > ZERO_EPS, s_sum, 1.0),
+            np.where(v > ZERO_EPS, np.inf, 0.0),
+        )
+    bad = np.flatnonzero(~(np.isfinite(v) & np.isfinite(s_sum)))
+    if bad.size:
+        k = bad[0]
+        raise SchemaError(
+            f"feature '{ds.feature_names[k]}' is too large for significance: "
+            f"v {v[k]}, s_sum {s_sum[k]}"
+        )
     ranking = np.argsort(-d, kind="stable")
     return SignificanceReport(v=v, s_sum=s_sum, d=d, ranking=ranking)
 
@@ -91,6 +102,8 @@ def sigma_intervals(ds: Dataset, j: int, k: float = 3.0) -> np.ndarray:
 
     sigma is the within-class population std; single-example or constant
     classes get zero-width bands. Rows are in class-id order, shape (r, 3).
+    A class whose mean, std or band ends overflow float64 raises
+    SchemaError.
     """
     if not (isinstance(k, numbers.Real) and math.isfinite(k) and k >= 0):
         raise ParameterError(f"k must be a finite number >= 0, got {k}")
@@ -99,8 +112,15 @@ def sigma_intervals(ds: Dataset, j: int, k: float = 3.0) -> np.ndarray:
             f"feature index j must be an integer in 0..{ds.m - 1}, got {j}"
         )
     rows = []
-    for _, block in _class_blocks(ds):
-        mu = block[:, j].mean()
-        sd = block[:, j].std()
-        rows.append((mu, mu - k * sd, mu + k * sd))
+    for class_id, block in _class_blocks(ds):
+        with np.errstate(over="ignore", invalid="ignore"):
+            mu = block[:, j].mean()
+            sd = block[:, j].std()
+            row = (mu, mu - k * sd, mu + k * sd)
+        if not np.isfinite(row).all():
+            raise SchemaError(
+                f"feature '{ds.feature_names[j]}' is too large for intervals: "
+                f"class {class_id} mean {mu}, std {sd}"
+            )
+        rows.append(row)
     return np.asarray(rows)

@@ -7,7 +7,7 @@ import numpy as np
 from . import _kernels
 from .dataset import Dataset, Standardization
 from .errors import DimensionError, TrainingError
-from .tlu import PocketResult, TrainConfig, extend, prepare
+from .tlu import PocketResult, TrainConfig, check_range, extend, prepare
 
 
 @dataclass(frozen=True)
@@ -72,8 +72,10 @@ def lm_train_pocket(
             f"{(missing + 1).tolist()} are empty"
         )
 
+    xb = extend(ds.X)
+    check_range(xb, cfg)
     rng = np.random.default_rng(cfg.seed)
     order = _kernels.build_visit_order(len(ds), cfg.max_iterations, rng, cfg.shuffle)
-    W, acc, used, history = _kernels.lm_loop(extend(ds.X), ds.y - 1, ds.r, order, float(cfg.c))
+    W, acc, used, history = _kernels.lm_loop(xb, ds.y - 1, ds.r, order, float(cfg.c))
     lm = LinearMachine(r=ds.r, m=ds.m, weights=W, standardization=standardization)
     return lm, PocketResult(W.ravel(), acc, used, history)

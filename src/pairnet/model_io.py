@@ -17,7 +17,7 @@ load reproduces the model bit for bit.
 import numpy as np
 
 from .dataset import _INT64_MAX, Standardization
-from .errors import ParseError, open_utf8
+from .errors import ParseError, TrainingError, open_utf8
 from .linear_machine import LinearMachine
 from .pairwise_net import PairwiseNetwork, PairwiseTest
 
@@ -25,7 +25,15 @@ MAGIC_PAIRNET = "PAIRNET v1"
 MAGIC_LM = "LM v1"
 
 
-def _fmt_floats(values: np.ndarray) -> str:
+def _fmt_floats(values: np.ndarray, what: str) -> str:
+    """values as one line, or a TrainingError where load_model would reject
+    them as not finite."""
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        k = int(bad[0])
+        raise TrainingError(
+            f"cannot save the model: {what}: value {k + 1} is not finite ({values[k]})"
+        )
     return " ".join(repr(float(v)) for v in values)
 
 
@@ -44,7 +52,12 @@ def _sections(magic: str, r: int):
 
 
 def save_model(model, path) -> None:
-    """Write a PairwiseNetwork or LinearMachine to a text file."""
+    """Write a PairwiseNetwork or LinearMachine to a text file.
+
+    A model that load_model could not read back (a value that is not
+    finite, a std that is not > 0) raises TrainingError before the file is
+    opened.
+    """
     if isinstance(model, PairwiseNetwork):
         magic, weights = MAGIC_PAIRNET, [t.weights for t in model.tests]
     elif isinstance(model, LinearMachine):
@@ -55,12 +68,19 @@ def save_model(model, path) -> None:
     if model.standardization is None:
         lines.append("standardization=none")
     else:
+        stds = model.standardization.stds
+        bad = np.flatnonzero(stds <= 0.0)
+        if bad.size:
+            k = int(bad[0])
+            raise TrainingError(
+                f"cannot save the model: stds: value {k + 1} must be > 0, got {float(stds[k])!r}"
+            )
         lines.append("standardization=present")
-        lines.append(_fmt_floats(model.standardization.means))
-        lines.append(_fmt_floats(model.standardization.stds))
+        lines.append(_fmt_floats(model.standardization.means, "means"))
+        lines.append(_fmt_floats(stds, "stds"))
     for (header, _), w in zip(_sections(magic, model.r), weights):
         lines.append(header)
-        lines.append(_fmt_floats(w))
+        lines.append(_fmt_floats(w, header))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -13,6 +13,10 @@ from .errors import DimensionError, EmptyInputError, ParameterError, TrainingErr
 # where w[0] is the bias multiplying the implicit constant input 1.
 TluWeights = np.ndarray
 
+# Training stops before it starts unless its weights, activations and their
+# partial sums all stay below this, far from float64's largest value.
+_RANGE_LIMIT = 2.0**1000
+
 
 def _check_c(c) -> None:
     if not (isinstance(c, numbers.Real) and math.isfinite(c) and c > 0):
@@ -112,6 +116,27 @@ def error_correct(w: TluWeights, x: np.ndarray, target: int, c: float = 1.0) -> 
     return w + c * target * xt
 
 
+def check_range(xb: np.ndarray, cfg: TrainConfig) -> None:
+    """TrainingError unless training on the extended rows xb stays within
+    float64's range.
+
+    Each error-correction step adds at most c * max|x| to a weight, so after
+    any number of visits up to max_iterations no weight exceeds
+    c * max_iterations * max|x|, and no activation, or partial sum of one,
+    exceeds that times the largest row's L1 norm. Training runs only when
+    that bound lies below 2**1000.
+    """
+    with np.errstate(over="ignore"):
+        ax = np.abs(xb)
+        bound = float(cfg.c) * cfg.max_iterations * float(ax.max()) * float(ax.sum(axis=1).max())
+    if not bound < _RANGE_LIMIT:
+        raise TrainingError(
+            f"training could overflow float64: c * max_iterations * max|x| * "
+            f"max row L1 norm = {bound:.3g} is not below 2**1000; scale the "
+            "features down or lower c or max_iterations"
+        )
+
+
 def train_pocket(X: np.ndarray, targets: np.ndarray, cfg: TrainConfig) -> PocketResult:
     """Train one TLU with the pocket algorithm.
 
@@ -135,6 +160,8 @@ def train_pocket(X: np.ndarray, targets: np.ndarray, cfg: TrainConfig) -> Pocket
     if not (np.any(targets > 0) and np.any(targets < 0)):
         raise TrainingError("need at least one example of each target sign")
 
+    xb = extend(X)
+    check_range(xb, cfg)
     rng = np.random.default_rng(cfg.seed)
     order = _kernels.build_visit_order(X.shape[0], cfg.max_iterations, rng, cfg.shuffle)
-    return PocketResult(*_kernels.pocket_loop(extend(X), targets, order, float(cfg.c)))
+    return PocketResult(*_kernels.pocket_loop(xb, targets, order, float(cfg.c)))

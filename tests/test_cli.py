@@ -503,8 +503,10 @@ class TestBadHeaderValues:
         assert "line 3: field larger than field limit" in err
         assert "Traceback" not in err and out == ""
 
-    @pytest.mark.parametrize("model", ["pairnet", "lm"])
-    def test_feature_too_large_to_standardize_exits_3(self, tmp_path, model):
+    @staticmethod
+    def huge_csv(tmp_path):
+        """Two classes of 8 records whose finite features near 1e200 square
+        past float64's range."""
         rng = np.random.default_rng(0)
         data = tmp_path / "huge.csv"
         lines = ["a,b,class,record"]
@@ -513,11 +515,46 @@ class TestBadHeaderValues:
             a, b = (rng.uniform(1.0, 2.0, size=2) * 1e200).tolist()
             lines.append(f"{a!r},{b!r},{rec % 2 + 1},{rec}")
         data.write_text("\n".join(lines) + "\n")
+        return data
+
+    @pytest.mark.parametrize("model", ["pairnet", "lm"])
+    def test_feature_too_large_to_standardize_exits_3(self, tmp_path, model):
         out_path = tmp_path / "model.txt"
-        code, out, err = run_child("train", data, "--model", model, "--out", out_path)
+        code, out, err = run_child("train", self.huge_csv(tmp_path), "--model", model,
+                                   "--out", out_path)
         assert code == 3, err
         assert "feature 'a' is too large to standardize" in err
         assert "Traceback" not in err and out == ""
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("argv,message", [
+        (("significance",), "feature 'a' is too large for significance: v inf, s_sum inf"),
+        (("intervals", "--feature", "a"), "feature 'a' is too large for intervals: class 1"),
+    ])
+    def test_feature_too_large_for_the_report_exits_3(self, tmp_path, argv, message):
+        code, out, err = run_child(argv[0], self.huge_csv(tmp_path), *argv[1:])
+        assert code == 3, err
+        assert message in err
+        assert "Traceback" not in err and "RuntimeWarning" not in err and out == ""
+
+    @pytest.mark.parametrize("model", ["pairnet", "lm"])
+    def test_raw_training_that_could_overflow_exits_4(self, tmp_path, model):
+        out_path = tmp_path / "model.txt"
+        code, out, err = run_child("train", self.huge_csv(tmp_path), "--model", model,
+                                   "--no-standardize", "--out", out_path)
+        assert code == 4, err
+        assert "training could overflow float64" in err and "2**1000" in err
+        assert "Traceback" not in err and "RuntimeWarning" not in err and out == ""
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("model", ["pairnet", "lm"])
+    def test_huge_correction_exits_4(self, tmp_path, small_csv, model):
+        out_path = tmp_path / "model.txt"
+        code, out, err = run_child("train", small_csv, "--model", model, "--c", "1e300",
+                                   "--out", out_path)
+        assert code == 4, err
+        assert "training could overflow float64" in err
+        assert "Traceback" not in err and "RuntimeWarning" not in err and out == ""
         assert not out_path.exists()
 
     @pytest.mark.parametrize("dims", ["r=99999999999999999999 m=72", "r=1 m=72",

@@ -384,6 +384,63 @@ class TestCsvPaths:
         assert back.class_labels == ds.class_labels
 
 
+def reference_save_csv(ds, path):
+    """save_csv as csv.writer wrote it, a 64-row chunk at a time: the bytes
+    save_csv's joined rows must reproduce."""
+    labels = ds.class_labels
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(list(ds.feature_names) + ["class", "record"])
+        for s in range(0, len(ds), 64):
+            rows = ds.X[s : s + 64].tolist()
+            ys = ds.y[s : s + 64].tolist()
+            recs = ds.records[s : s + 64].tolist()
+            for row, y, rec in zip(rows, ys, recs):
+                row.append(labels[y - 1])
+                row.append(rec)
+            writer.writerows(rows)
+
+
+_labels = st.text(alphabet=st.sampled_from(list('ab7 ,"\t\r\n.é中ß-')), max_size=6)
+_features = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-2**60, 2**60).map(float),
+    st.sampled_from([-0.0, 5e-324, 1e308, -1.7976931348623157e308]),
+)
+
+
+@st.composite
+def saved_datasets(draw):
+    """Datasets whose rows use at least two classes, with labels distinct
+    after the strip that load_csv applies."""
+    labels = draw(st.lists(_labels, min_size=2, max_size=4, unique_by=str.strip))
+    recs = draw(st.lists(st.integers(1, 2**63 - 1), min_size=2, max_size=6, unique=True))
+    rec_class = [1, 2] + [draw(st.integers(1, len(labels))) for _ in recs[2:]]
+    which = [0, 1] + draw(st.lists(st.integers(0, len(recs) - 1), max_size=150))
+    m = draw(st.integers(1, 3))
+    X = draw(st.lists(st.lists(_features, min_size=m, max_size=m),
+                      min_size=len(which), max_size=len(which)))
+    return Dataset(X, [rec_class[k] for k in which], [recs[k] for k in which],
+                   ("a", "b c", 'q"x,é')[:m], labels)
+
+
+class TestSaveCsv:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(ds=saved_datasets())
+    def test_bytes_match_csv_writer_and_load_round_trips(self, tmp_path, ds):
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        save_csv(ds, new)
+        reference_save_csv(ds, old)
+        assert new.read_bytes() == old.read_bytes()
+        back = load_csv(new)
+        assert back.X.view(np.int64).tolist() == ds.X.view(np.int64).tolist()
+        assert back.records.tolist() == ds.records.tolist()
+        assert back.feature_names == ds.feature_names
+        assert [back.class_labels[c - 1] for c in back.y] == [
+            ds.class_labels[c - 1].strip() for c in ds.y]
+
+
 class TestScreenOutliers:
     def test_identical_segments_nothing_removed(self):
         X = np.tile([1.0, 2.0], (10, 1))

@@ -2,13 +2,16 @@ import gc
 import math
 import os
 import threading
+import urllib.request
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from pairnet import eeg_features
 from pairnet.eeg_features import (
     DEFAULT_BANDS,
     BandSpec,
@@ -487,6 +490,44 @@ class TestSignalReaderEdges:
         assert fs == 100.0
         np.testing.assert_array_equal(c3, [1.0, 3.0])
         np.testing.assert_array_equal(c4, [2.0, 4.0])
+
+    @pytest.mark.parametrize("text,fast", [
+        ("\ufefffs=100\n1 2\n3 4\n", True),
+        ("fs=100\n\n1 2\n\n  \n3 4\n\n", True),
+        ("fs=100\n1\t2\n\t3\t4\t\n", True),
+        ("fs=100\n+1.5 -2e3\n+.5E-2 1e+2\n-0.0 +0\n", True),
+        ("fs=100\n1 2   \n3 4 \n", True),
+        ("fs=100\r\n1 2\r\n3 4", True),
+        ("fs=100\n1e308 -1e308\n1.7976931348623157e308 5e-324\n", True),
+        ("fs=100\n", False),
+        ("fs=100", False),
+    ])
+    def test_fast_path_matches_the_line_parser_bitwise(self, tmp_path, monkeypatch, text, fast):
+        path = self.read(tmp_path, text)
+        c3, c4 = eeg_features._parse_sample_lines(text.splitlines()[1:])
+        if fast:
+            monkeypatch.setattr(eeg_features, "_parse_sample_lines", None)
+        fs, r3, r4 = read_signal_file(path)
+        assert fs == 100.0
+        assert (r3.dtype, r3.tobytes(), r4.dtype, r4.tobytes()) == (
+            c3.dtype, c3.tobytes(), c4.dtype, c4.tobytes())
+
+    # Given the name, numpy's loader would decompress the .gz to .lzma files
+    # and fetch the last one over the network.
+    @pytest.mark.parametrize("name", ["sig.txt", "sig.gz", "sig.bz2", "sig.xz", "sig.lzma",
+                                      "http://host/sig.txt"])
+    def test_every_path_form_is_read_as_text(self, tmp_path, monkeypatch, name):
+        def no_network(*args, **kwargs):
+            raise AssertionError("network access")
+
+        monkeypatch.setattr(urllib.request, "urlopen", no_network)
+        monkeypatch.chdir(tmp_path)
+        path = Path(name)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text("fs=100\n1 2\n3 4\n")
+        for given in (path, name, os.fsencode(name)):
+            fs, c3, c4 = read_signal_file(given)
+            assert fs == 100.0 and c3.tolist() == [1.0, 3.0] and c4.tolist() == [2.0, 4.0]
 
     def test_not_utf8_offset_counts_the_bom(self, tmp_path):
         path = tmp_path / "sig.txt"

@@ -8,7 +8,7 @@ from pairnet import (
     sigma_intervals,
     significance,
 )
-from pairnet.errors import ParameterError
+from pairnet.errors import ParameterError, SchemaError
 
 
 def make_dataset(X, y, r=None):
@@ -93,6 +93,19 @@ class TestSignificance:
         assert np.isinf(rep.d[0])
         assert rep.rank_of(0) == 1
 
+    def test_ratio_beyond_float64_scores_inf(self):
+        # v = 2.5e305 over s_sum = 2.5e-11: both finite, the score is not
+        ds = make_dataset([[0.0], [1e-5], [1e153], [1e153]], [1, 1, 2, 2])
+        rep = significance(ds)
+        assert np.isfinite(rep.v[0]) and rep.s_sum[0] > 1e-12
+        assert np.isinf(rep.d[0])
+
+    def test_feature_too_large_is_a_schema_error(self):
+        X = np.column_stack([np.arange(1.0, 7.0), np.arange(6.0) * 1e200])
+        ds = make_dataset(X, np.repeat([1, 2], 3))
+        with pytest.raises(SchemaError, match="feature 'f2' is too large for significance"):
+            significance(ds)
+
     def test_spread_ordering(self):
         # feature A: class means 10x more spread than B at equal within-variance
         rng = np.random.default_rng(1)
@@ -157,6 +170,14 @@ class TestSigmaIntervals:
         ds = make_dataset([[4.0], [4.0], [1.0]], [1, 1, 2])
         bands = sigma_intervals(ds, 0, k=3.0)
         np.testing.assert_allclose(bands[0], [4.0, 4.0, 4.0])
+
+    # The std overflows in the first case, the class mean in the second.
+    @pytest.mark.parametrize("X", [[[1e200], [2e200], [0.0], [1.0]],
+                                   [[1e308], [1e308], [0.0], [2e307]]])
+    def test_feature_too_large_is_a_schema_error(self, X):
+        ds = make_dataset(X, [1, 1, 2, 2])
+        with pytest.raises(SchemaError, match="feature 'f1' is too large for intervals: class 1"):
+            sigma_intervals(ds, 0)
 
     def test_k_zero_collapses_to_mean(self):
         ds = make_dataset([[0.0], [2.0], [5.0]], [1, 1, 2])

@@ -94,6 +94,11 @@ class TestTraining:
         with pytest.raises(TrainingError, match="class"):
             lm_train_pocket(ds, TrainConfig())
 
+    def test_training_that_could_overflow_is_refused(self):
+        ds = make_dataset([[-2e150], [-1e150], [1e150], [2e150]], [1, 1, 2, 3])
+        with pytest.raises(TrainingError, match=r"could overflow .* not below 2\*\*1000"):
+            lm_train_pocket(ds, TrainConfig(max_iterations=1000))
+
     def test_deterministic_per_seed(self):
         rng = np.random.default_rng(9)
         X = rng.normal(size=(60, 3))

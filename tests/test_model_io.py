@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from pairnet import (
     PairwiseTest,
     ParseError,
     Standardization,
+    TrainingError,
     enumerate_pairs,
     load_model,
     save_model,
@@ -242,6 +244,26 @@ class TestNonFiniteValues:
         with pytest.raises(ParseError, match="stds: value 3 must be > 0") as exc:
             load_model(path)
         assert exc.value.line == 5
+
+    @pytest.mark.parametrize("field,value,match", [
+        ("means", np.nan, "means: value 2 is not finite"),
+        ("stds", np.inf, "stds: value 2 is not finite"),
+        ("stds", 0.0, "stds: value 2 must be > 0"),
+        ("weights", -np.inf, "PAIR 1 2: value 2 is not finite"),
+    ])
+    def test_save_refuses_what_load_rejects(self, tmp_path, field, value, match):
+        net = random_net(with_std=True)
+        st, first = net.standardization, net.tests[0]
+        bad = getattr(first if field == "weights" else st, field).copy()
+        bad[1] = value
+        if field == "weights":
+            net = replace(net, tests=(replace(first, weights=bad), *net.tests[1:]))
+        else:
+            net = replace(net, standardization=replace(st, **{field: bad}))
+        path = tmp_path / "model.txt"
+        with pytest.raises(TrainingError, match=f"cannot save the model: {match}"):
+            save_model(net, path)
+        assert not path.exists()
 
     def test_tiny_positive_std_loads(self, tmp_path):
         path, lines = self.lines(tmp_path, random_lm(with_std=True))

@@ -154,6 +154,21 @@ class TestTrainPocket:
         res = train_pocket(X, t, TrainConfig(max_iterations=100, seed=0, shuffle=False))
         assert res.train_accuracy == 1.0
 
+    def test_training_at_half_the_range_limit_stays_finite(self):
+        # Extended rows: max|x| = 2 and the largest row L1 norm is 3.
+        X = np.array([[-2.0], [-1.0], [1.0], [2.0], [1.5]])
+        t = np.array([-1, -1, 1, 1, -1])
+        c = 2.0**1000 / (1000 * 2 * 3) / 2
+        res = train_pocket(X, t, TrainConfig(c=c, max_iterations=1000, seed=0))
+        assert np.isfinite(res.weights).all()
+
+    @pytest.mark.parametrize("c,scale", [(2.0**1000 / 6000, 1.0), (1.0, 1e150)])
+    def test_training_that_could_overflow_is_refused(self, c, scale):
+        X = np.array([[-2.0], [-1.0], [1.0], [2.0]]) * scale
+        t = np.array([-1, -1, 1, 1])
+        with pytest.raises(TrainingError, match=r"could overflow .* not below 2\*\*1000"):
+            train_pocket(X, t, TrainConfig(c=c, max_iterations=1000, seed=0))
+
     def test_bad_config(self):
         with pytest.raises(ParameterError):
             TrainConfig(c=-1.0)
