@@ -1,20 +1,21 @@
-"""Hot training loops: one pocket loop and one linear-machine loop.
+"""Hot training loops, one per model, and the seeded order they visit.
 
 The pocket and linear-machine training loops are inherently sequential
 (every weight update depends on the previous one). A visit costs a Python
 loop iteration, and most of that cost is numpy call overhead rather than
 arithmetic (one 73-long dot product, or a 16x73 product, per visit). So
 the loops keep each visit on Python scalars: the example rows are taken
-once as a list of row views, the targets or labels and the visit order as
-Python lists, and each visit makes a single BLAS call (``x.dot(pi)`` or
-``W.dot(x)``) whose result is turned into a Python float or int before any
-comparison. Full-set accuracy evaluations and weight updates stay
-whole-array operations.
+once as a list of row views, the targets or labels as Python lists, the
+visit order yields Python ints, and each visit makes a single BLAS call
+(``x.dot(pi)`` or ``W.dot(x)``) whose result is turned into a Python float
+or int before any comparison. Full-set accuracy evaluations and weight
+updates stay whole-array operations.
 
-Each loop visits every entry of ``order`` until the pocket reaches accuracy
-1.0, and returns the four fields of a ``tlu.PocketResult`` in field order:
-the pocket weights, its accuracy (a Python float), the visits used (a
-Python int) and the history, a tuple of (visit, accuracy) pairs.
+Each loop visits every index ``order`` yields (its length is the budget)
+until the pocket reaches accuracy 1.0, and returns the four fields of a
+``tlu.PocketResult`` in field order: the pocket weights, its accuracy (a
+Python float), the visits used (a Python int) and the history, a tuple of
+(visit, accuracy) pairs.
 
 The decision sequence is that of the per-visit ``ddot`` signs (and of the
 whole-set products in the accuracy evaluations), so it depends on how
@@ -24,6 +25,8 @@ proven equal only where every dot product is exact, as on the
 integer-grid problems there.
 """
 
+import itertools
+
 import numpy as np
 
 # perfbench stamps each run with the loop implementation that ran.
@@ -31,13 +34,14 @@ ACTIVE_PATH = "numpy"
 
 
 def pocket_loop(xb, targets, order, c):
-    """Pocket algorithm with ratchet over a fixed visit order.
+    """Pocket algorithm with ratchet over a visit order.
 
     xb is the (n, m+1) extended example matrix (column 0 all ones), targets
-    holds +/-1 per row, and order lists the example index visited at each
-    iteration. The pocket starts as the zero vector and is replaced only
-    when the current perceptron's run of correct classifications exceeds
-    the pocket's best run AND its full-set accuracy is strictly better.
+    holds +/-1 per row, and order yields the example index visited at each
+    iteration; its length is the visit budget. The pocket starts as the
+    zero vector and is replaced only when the current perceptron's run of
+    correct classifications exceeds the pocket's best run AND its full-set
+    accuracy is strictly better.
     The accuracy of the current perceptron is cached between errors so the
     full pass runs at most once per error-free run, and training stops
     once the pocket reaches accuracy 1.0.
@@ -53,12 +57,11 @@ def pocket_loop(xb, targets, order, c):
 
     rows = list(xb)
     wanted = targets.tolist()
-    visits = order.tolist()
     best_run = 0
     run = 0
     cached_acc = -1.0
     it = 0
-    for it, idx in enumerate(visits, 1):
+    for it, idx in enumerate(order, 1):
         x = rows[idx]
         t = wanted[idx]
         # The conditional turns the numpy bool into a Python float before
@@ -87,9 +90,10 @@ def pocket_loop(xb, targets, order, c):
 def lm_loop(xb, y0, r, order, c):
     """Jointly trained linear machine with a whole-machine pocket ratchet.
 
-    y0 holds 0-based class indices. Each visit classifies one example by
-    winner-take-all over the r discriminants (ties to the lowest index);
-    a misclassification adds c*x to the true class's weight row and
+    y0 holds 0-based class indices, and order yields the visited example
+    indices (its length is the visit budget). Each visit classifies one
+    example by winner-take-all over the r discriminants (ties to the lowest
+    index); a misclassification adds c*x to the true class's weight row and
     subtracts it from the winner's. The pocket stores the best whole-machine
     training accuracy seen, guarded by the same run-length ratchet and
     accuracy cache as the single-unit pocket.
@@ -110,12 +114,11 @@ def lm_loop(xb, y0, r, order, c):
     # that W[j] += upd makes.
     scores = W.dot
     w_rows = list(W)
-    visits = order.tolist()
     best_run = 0
     run = 0
     cached_acc = -1.0
     it = 0
-    for it, idx in enumerate(visits, 1):
+    for it, idx in enumerate(order, 1):
         x = rows[idx]
         best_j = int(scores(x).argmax())
         true_j = labels[idx]
@@ -142,16 +145,12 @@ def lm_loop(xb, y0, r, order, c):
     return pocket, pocket_acc, it, tuple(history)
 
 
-def build_visit_order(n: int, max_iters: int, rng: np.random.Generator, shuffle: bool) -> np.ndarray:
-    """Precompute the example index visited at each iteration.
-
-    With shuffle on, the order is a concatenation of fresh permutations of
-    0..n-1 (one per epoch); otherwise it cycles through the examples in
-    storage order. Precomputing keeps all randomness outside the training
-    loops, so that a seed fully determines the training trajectory.
+def visit_order(n: int, max_iters: int, seed: int):
+    """The example index visited at each of max_iters iterations: fresh
+    permutations of 0..n-1, one per epoch, from the generator seeded with
+    seed. Each is drawn only when training reaches its epoch, so memory
+    does not grow with max_iters; a bad seed fails here, before any visit.
     """
-    if not shuffle:
-        return (np.arange(max_iters, dtype=np.int64) % n).astype(np.int64)
-    epochs = -(-max_iters // n)
-    parts = [rng.permutation(n) for _ in range(epochs)]
-    return np.concatenate(parts)[:max_iters].astype(np.int64)
+    rng = np.random.default_rng(seed)
+    epochs = (rng.permutation(n).tolist() for _ in itertools.repeat(None))
+    return itertools.islice(itertools.chain.from_iterable(epochs), max_iters)

@@ -16,7 +16,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import EmptyInputError, ParameterError, ParseError, SchemaError, open_utf8
+from .errors import EmptyInputError, ParameterError, ParseError, SchemaError, check_seed, open_utf8
 
 RESERVED_COLUMNS = ("class", "record")
 _CSV_CHUNK_ROWS = 64
@@ -491,6 +491,7 @@ def _split_by_record(
         raise ParameterError(
             f"test_fraction must be in (0, 1), got {test_fraction}"
         )
+    check_seed(seed)
     rng = np.random.default_rng([seed, 101])
     test_records: set[int] = set()
     singles: list[int] = []

@@ -1,5 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the checks that raise
+them from more than one module."""
 
+import numbers
 import os
 from contextlib import contextmanager
 
@@ -50,6 +52,13 @@ class EmptyInputError(PairnetError):
 
 class ParameterError(PairnetError):
     """An argument value is outside its valid range."""
+
+
+def check_seed(seed) -> None:
+    """ParameterError unless seed is an integer >= 0, as numpy's seeding
+    requires."""
+    if not isinstance(seed, numbers.Integral) or isinstance(seed, bool) or seed < 0:
+        raise ParameterError(f"seed must be an integer >= 0, got {seed}")
 
 
 class DimensionError(PairnetError):

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import Dataset
-from .errors import ParameterError
+from .errors import ParameterError, check_seed
 
 # Per-class record counts for the default 16-class, 65-record shape.
 DEFAULT_RECORDS_PER_CLASS = (1, 1, 8, 7, 7, 5, 2, 2, 8, 7, 2, 5, 1, 6, 2, 1)
@@ -42,6 +42,7 @@ class SynthConfig:
     def __post_init__(self):
         object.__setattr__(self, "records_per_class", tuple(self.records_per_class))
         object.__setattr__(self, "segments_per_record", tuple(self.segments_per_record))
+        check_seed(self.seed)
         if self.r < 2:
             raise ParameterError(f"r >= 2 required, got {self.r}")
         if self.m < 1:
@@ -78,6 +79,8 @@ def default_config(seed: int = 0, scale: float = 1.0, **overrides) -> SynthConfi
     """
     if not (math.isfinite(scale) and scale > 0):
         raise ParameterError(f"scale must be finite and > 0, got {scale}")
+    if not math.isfinite(1300 * scale):
+        raise ParameterError(f"scale {scale} makes the per-record segment counts infinite")
     lo = max(2, round(500 * scale))
     hi = max(lo, round(1300 * scale))
     params = dict(

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .errors import DimensionError, EmptyInputError, ParameterError, TrainingError
+from .errors import DimensionError, EmptyInputError, ParameterError, TrainingError, check_seed
 
 # A TLU is parameterized by one extended weight vector of length m+1,
 # where w[0] is the bias multiplying the implicit constant input 1.
@@ -28,25 +28,25 @@ class TrainConfig:
     """Knobs for pocket training.
 
     c is the correction amount added per error, max_iterations counts
-    example visits (not epochs), and shuffle controls whether the visit
-    order is a seeded random permutation per epoch or plain cyclic order.
+    example visits (not epochs), and seed fixes the visit order: a fresh
+    permutation of the examples per epoch.
     """
 
     c: float = 1.0
     max_iterations: int = 20_000
     seed: int = 0
-    shuffle: bool = True
 
     def __post_init__(self):
         _check_c(self.c)
         if (
             not isinstance(self.max_iterations, numbers.Integral)
             or isinstance(self.max_iterations, bool)
-            or self.max_iterations < 1
+            or not 1 <= self.max_iterations < 2**63  # the most itertools.islice takes
         ):
             raise ParameterError(
-                f"max_iterations must be an integer >= 1, got {self.max_iterations}"
+                f"max_iterations must be an integer >= 1 and < 2**63, got {self.max_iterations}"
             )
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -162,6 +162,5 @@ def train_pocket(X: np.ndarray, targets: np.ndarray, cfg: TrainConfig) -> Pocket
 
     xb = extend(X)
     check_range(xb, cfg)
-    rng = np.random.default_rng(cfg.seed)
-    order = _kernels.build_visit_order(X.shape[0], cfg.max_iterations, rng, cfg.shuffle)
+    order = _kernels.visit_order(X.shape[0], cfg.max_iterations, cfg.seed)
     return PocketResult(*_kernels.pocket_loop(xb, targets, order, float(cfg.c)))

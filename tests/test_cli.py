@@ -68,6 +68,12 @@ class TestGen:
         assert code == 2, err
         assert "scale must be finite" in err and "Traceback" not in err
 
+    def test_scale_with_infinite_segment_counts_exits_2(self, tmp_path):
+        code, _, err = run_child("gen", "--out", tmp_path / "x.csv", "--scale", "1e308")
+        assert code == 2, err
+        assert "segment counts infinite" in err and "Traceback" not in err
+        assert not (tmp_path / "x.csv").exists()
+
 
 class TestTrain:
     def test_pairnet_prints_120_tests(self, tmp_path, capsys, small_csv):
@@ -143,6 +149,15 @@ class TestTrain:
         assert "jobs must be >= 1, got 0" in err and "Traceback" not in err
         assert not model.exists()
         assert not (tmp_path / "m.txt.manifest.json").exists()
+
+    @pytest.mark.parametrize("model_kind", ["pairnet", "lm"])
+    def test_budget_beyond_islice_exits_2(self, tmp_path, small_csv, model_kind):
+        model = tmp_path / "m.txt"
+        code, _, err = run_child("train", small_csv, "--model", model_kind,
+                                 "--out", model, "--max-iters", 10**400)
+        assert code == 2, err
+        assert "< 2**63, got 1000" in err and "Traceback" not in err
+        assert not model.exists()
 
     def test_malformed_env_seed_exits_2(self, capsys, small_csv, monkeypatch):
         monkeypatch.setenv("PAIRNET_SEED", "not-a-number")
@@ -484,6 +499,22 @@ class TestRunner:
         assert "-> x.csv" in out
         assert (tmp_path / "x.csv").exists()
         assert (tmp_path / "x.csv.manifest.json").exists()
+
+    @pytest.mark.parametrize("from_env", [False, True])
+    @pytest.mark.parametrize("command", ["gen", "train", "bench"])
+    def test_negative_seed_exits_2(self, tmp_path, small_csv, monkeypatch, command, from_env):
+        argv = {"gen": ["gen", "--out", tmp_path / "x.csv", "--scale", "0.02"],
+                "train": ["train", small_csv, "--out", tmp_path / "m.txt"],
+                "bench": ["bench", "--seeds", "1", "--scale", "0.02"]}[command]
+        if from_env:
+            monkeypatch.setenv("PAIRNET_SEED", "-1")
+        else:
+            argv += ["--seed", "-1"]
+        code, out, err = run_child(*argv)
+        assert code == 2, err
+        assert "seed must be an integer >= 0, got -1" in err and "Traceback" not in err
+        assert not (tmp_path / "x.csv").exists() and not (tmp_path / "m.txt").exists()
+        assert out == ""
 
 
 class TestBadHeaderValues:

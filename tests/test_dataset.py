@@ -589,6 +589,10 @@ class TestSplitByRecord:
         assert len(train) + len(test) == len(ds)
         assert not set(train.records.tolist()) & set(test.records.tolist())
 
+    def test_negative_seed_is_a_parameter_error(self):
+        with pytest.raises(ParameterError, match="seed must be an integer >= 0"):
+            split_by_record(self.two_records_per_class(), 0.5, seed=-1)
+
     def test_single_record_class_warns(self):
         X = np.random.default_rng(0).normal(size=(30, 2))
         y = np.repeat([1, 2], [10, 20])

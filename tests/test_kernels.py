@@ -1,15 +1,19 @@
-"""The training loops against a scalar reference, and the training
-wiring against the same reference.
+"""The lazy visit order and the training loops against eager and scalar
+references, and the training wiring against the same references.
 
-``_pocket_loop_impl`` and ``_lm_loop_impl`` below are plain scalar loops
-that sum every dot product left to right; they are the oracle for
-``pocket_loop`` and ``lm_loop``, which decide by BLAS dot products. Probe
+``build_visit_order`` below draws every epoch's permutation up front; it is
+the oracle for ``visit_order``, which draws each only when the loop reaches
+its epoch. ``_pocket_loop_impl`` and ``_lm_loop_impl`` are plain scalar
+loops that sum every dot product left to right, indexing a list of the
+order; they are the oracle for ``pocket_loop`` and ``lm_loop``, which take
+any iterable order and decide by BLAS dot products. Probe
 problems use small-integer features (and corrections of 1 or 0.5) so every
 dot product is exact in float64 regardless of summation order; any
 divergence is then a real decision-sequence difference, not rounding
 noise.
 """
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -17,8 +21,17 @@ import pytest
 
 from pairnet import Dataset, TrainConfig, derive_pair_seed, train_pairwise, train_pocket
 from pairnet import _kernels
-from pairnet._kernels import build_visit_order, lm_loop, pocket_loop
+from pairnet._kernels import lm_loop, pocket_loop, visit_order
 from pairnet.linear_machine import lm_train_pocket
+
+
+def build_visit_order(n, max_iters, seed):
+    """The eager visit order: every epoch's permutation of 0..n-1, drawn up
+    front from the generator seeded with seed and cut to max_iters."""
+    rng = np.random.default_rng(seed)
+    epochs = -(-max_iters // n)
+    parts = [rng.permutation(n) for _ in range(epochs)]
+    return np.concatenate(parts)[:max_iters].tolist()
 
 
 def _pocket_loop_impl(xb, targets, order, c):
@@ -172,7 +185,7 @@ def integer_problem(seed, n=60, m=3):
     xb = extended(X)
     targets = rng.choice([-1.0, 1.0], size=n)
     targets[0], targets[1] = 1.0, -1.0
-    order = build_visit_order(n, 5000, np.random.default_rng(seed + 1), True)
+    order = list(visit_order(n, 5000, seed + 1))
     return xb, targets, order
 
 
@@ -182,25 +195,35 @@ def integer_lm_problem(seed, n=60, m=3, r=4):
     xb = extended(X)
     y0 = rng.integers(0, r, size=n).astype(np.int64)
     y0[:r] = np.arange(r)
-    order = build_visit_order(n, 5000, np.random.default_rng(seed + 1), True)
+    order = list(visit_order(n, 5000, seed + 1))
     return xb, y0, order
 
 
 class TestVisitOrder:
-    def test_cyclic_without_shuffle(self):
-        order = build_visit_order(3, 8, np.random.default_rng(0), shuffle=False)
-        np.testing.assert_array_equal(order, [0, 1, 2, 0, 1, 2, 0, 1])
-
     def test_shuffled_epochs_are_permutations(self):
-        order = build_visit_order(5, 12, np.random.default_rng(0), shuffle=True)
+        order = list(visit_order(5, 12, 0))
         assert sorted(order[:5]) == [0, 1, 2, 3, 4]
         assert sorted(order[5:10]) == [0, 1, 2, 3, 4]
         assert len(order) == 12
 
     def test_deterministic(self):
-        a = build_visit_order(7, 40, np.random.default_rng(5), True)
-        b = build_visit_order(7, 40, np.random.default_rng(5), True)
-        np.testing.assert_array_equal(a, b)
+        assert list(visit_order(7, 40, 5)) == list(visit_order(7, 40, 5))
+
+    @pytest.mark.parametrize("max_iters", [1, 6, 7, 8, 14, 40, 701])
+    @pytest.mark.parametrize("seed", [0, 5, 2**40])
+    def test_matches_the_eager_order(self, seed, max_iters):
+        # Below one epoch, exactly one (7), just past it, and many.
+        got = list(visit_order(7, max_iters, seed))
+        assert got == build_visit_order(7, max_iters, seed)
+        assert all(type(i) is int for i in got)
+
+    def test_draws_each_epoch_when_reached(self):
+        order = visit_order(4, 2**63 - 1, 3)
+        assert list(itertools.islice(order, 10)) == build_visit_order(4, 10, 3)
+
+    def test_bad_seed_fails_before_any_visit(self):
+        with pytest.raises(ValueError):
+            visit_order(4, 10, -1)
 
 
 def assert_same_result(a, b):
@@ -221,7 +244,7 @@ def separable_problem(seed, n=40, m=2):
     act = 1.0 + X @ np.arange(1.0, m + 1.0) * 2.0
     targets = np.where(act > 0.0, 1.0, -1.0)
     xb = extended(X)
-    order = build_visit_order(n, 5000, np.random.default_rng(seed + 1), True)
+    order = list(visit_order(n, 5000, seed + 1))
     return xb, targets, order
 
 
@@ -271,7 +294,7 @@ class TestReferenceEquivalence:
     def test_separable_lm_stops_at_full_accuracy(self):
         xb = np.array([[1.0, -3.0], [1.0, -1.0], [1.0, 2.0], [1.0, 4.0]])
         y0 = np.array([0, 0, 1, 1], dtype=np.int64)
-        order = build_visit_order(4, 1000, np.random.default_rng(0), True)
+        order = list(visit_order(4, 1000, 0))
         res = lm_loop(xb, y0, 2, order, 1.0)
         assert res[1] == 1.0 and res[2] < 1000
         assert_same_result(_lm_loop_impl(xb, y0, 2, order, 1.0), res)
@@ -283,7 +306,7 @@ class TestReferenceEquivalence:
         # the whole-set evaluation.
         xb = np.array([[1.0, 2.0]] * 3)
         y0 = np.array([1, 0, 2], dtype=np.int64)
-        order = np.array([1, 0, 1, 2, 1, 0, 2, 1], dtype=np.int64)
+        order = [1, 0, 1, 2, 1, 0, 2, 1]
         assert_same_result(
             _lm_loop_impl(xb, y0, 3, order[:max_iters], 1.0),
             lm_loop(xb, y0, 3, order[:max_iters], 1.0),
@@ -312,17 +335,16 @@ class TestTrainingWiring:
     visit order (its length is the budget) and correction that the reference
     is given here."""
 
-    @pytest.mark.parametrize("shuffle", [True, False])
-    def test_pairwise_tests_match_reference(self, shuffle):
+    def test_pairwise_tests_match_reference(self):
         ds = integer_dataset()
-        cfg = TrainConfig(c=1.0, max_iterations=3000, seed=5, shuffle=shuffle)
+        cfg = TrainConfig(c=1.0, max_iterations=3000, seed=5)
         net = train_pairwise(ds, cfg)
         assert len(net.tests) == 6
         for t in net.tests:
             mask = (ds.y == t.i) | (ds.y == t.j)
             targets = np.where(ds.y[mask] == t.i, 1.0, -1.0)
-            rng = np.random.default_rng(derive_pair_seed(cfg.seed, t.i, t.j))
-            order = build_visit_order(len(targets), cfg.max_iterations, rng, shuffle)
+            pair_seed = derive_pair_seed(cfg.seed, t.i, t.j)
+            order = build_visit_order(len(targets), cfg.max_iterations, pair_seed)
             ref = _pocket_loop_impl(extended(ds.X[mask]), targets, order, cfg.c)
             assert np.any(ref[0] != 0.0)
             np.testing.assert_array_equal(t.weights, ref[0])
@@ -331,9 +353,7 @@ class TestTrainingWiring:
         ds = integer_dataset()
         cfg = TrainConfig(c=1.0, max_iterations=3000, seed=5)
         lm, result = lm_train_pocket(ds, cfg)
-        order = build_visit_order(
-            len(ds), cfg.max_iterations, np.random.default_rng(cfg.seed), True
-        )
+        order = build_visit_order(len(ds), cfg.max_iterations, cfg.seed)
         W, acc, used, history = _lm_loop_impl(
             extended(ds.X), ds.y - 1, ds.r, order, cfg.c
         )

@@ -58,6 +58,15 @@ class TestConfigValidation:
         with pytest.raises(ParameterError):
             small_config(segments_per_record=(10, 5))
 
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ParameterError, match="seed must be an integer >= 0"):
+            small_config(seed=-1)
+
+    @pytest.mark.parametrize("scale", [1e308, 3e305])
+    def test_rejects_scale_with_infinite_segment_counts(self, scale):
+        with pytest.raises(ParameterError, match="segment counts infinite"):
+            default_config(scale=scale)
+
 
 class TestDeterminism:
     def test_same_seed_bit_identical(self):

@@ -148,10 +148,22 @@ class TestTrainPocket:
             assert res.accuracy_history[0][0] == 0
             assert res.train_accuracy >= res.accuracy_history[0][1]
 
+    def test_largest_budget_stops_at_full_accuracy(self):
+        # The visit order is drawn one epoch at a time, so the largest
+        # budget costs no more than the visits that training makes.
+        X = np.array([[-2.0], [-1.0], [1.0], [2.0], [0.5]])
+        t = np.array([-1, -1, 1, 1, 1])
+        big = train_pocket(X, t, TrainConfig(max_iterations=2**63 - 1, seed=0))
+        small = train_pocket(X, t, TrainConfig(max_iterations=5000, seed=0))
+        assert big.train_accuracy == 1.0 and big.iterations_used < 5000
+        np.testing.assert_array_equal(big.weights, small.weights)
+        assert big.iterations_used == small.iterations_used
+        assert big.accuracy_history == small.accuracy_history
+
     def test_cyclic_order_without_shuffle(self):
         X = np.array([[-1.0], [2.0]])
         t = np.array([-1, 1])
-        res = train_pocket(X, t, TrainConfig(max_iterations=100, seed=0, shuffle=False))
+        res = train_pocket(X, t, TrainConfig(max_iterations=100, seed=0))
         assert res.train_accuracy == 1.0
 
     def test_training_at_half_the_range_limit_stays_finite(self):
@@ -181,12 +193,19 @@ class TestTrainPocket:
         with pytest.raises(ParameterError, match="finite number > 0"):
             TrainConfig(c=c)
 
-    @pytest.mark.parametrize("max_iterations", [0, -3, 2.5, 20000.0, True, False, "10", None])
+    @pytest.mark.parametrize("max_iterations", [0, -3, 2.5, 20000.0, True, False, "10", None,
+                                                2**63, 10**400])
     def test_max_iterations_must_be_a_positive_integer(self, max_iterations):
         with pytest.raises(ParameterError, match="integer >= 1"):
             TrainConfig(max_iterations=max_iterations)
 
-    @pytest.mark.parametrize("c,max_iterations", [(1, 1), (0.5, np.int64(7)), (np.float64(2.0), 20_000)])
+    @pytest.mark.parametrize("seed", [-1, -(2**70), 1.0, "0", None, True])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        with pytest.raises(ParameterError, match="seed must be an integer >= 0"):
+            TrainConfig(seed=seed)
+
+    @pytest.mark.parametrize("c,max_iterations", [(1, 1), (0.5, np.int64(7)), (np.float64(2.0), 20_000),
+                                                  (1, 2**63 - 1)])
     def test_valid_config_accepted(self, c, max_iterations):
         cfg = TrainConfig(c=c, max_iterations=max_iterations)
         assert cfg.c == c and cfg.max_iterations == max_iterations
