@@ -11,6 +11,13 @@ sent to stdout gets no manifest.
 ``main`` is also the one place where errors become exit codes: 0 success,
 2 bad flags or parameter values, 3 data errors (missing, unreadable or
 malformed input files), 4 training or model errors.
+
+``train`` and ``bench`` train the pairwise tests in up to ``--jobs`` forked
+worker processes, and ``extract`` reads and featurizes the signal files in
+as many as the default: the CPUs this process may use, at most
+``MAX_DEFAULT_JOBS``. The outputs do not depend on the number of workers,
+and the first failing pair or file, in order, decides the message and the
+exit code.
 """
 
 import argparse
@@ -22,7 +29,8 @@ import time
 import numpy as np
 
 from . import __version__
-from .dataset import _split_by_record, load_csv, save_csv, standardize
+from ._parallel import MAX_DEFAULT_JOBS, check_jobs, default_jobs
+from .dataset import Dataset, _split_by_record, load_csv, save_csv, standardize
 from .errors import (
     DimensionError,
     EmptyInputError,
@@ -31,7 +39,7 @@ from .errors import (
     SchemaError,
     TrainingError,
 )
-from .eeg_features import read_signal_file, signals_to_dataset
+from .eeg_features import signal_files_to_dataset
 from .feature_stats import sigma_intervals, significance
 from .linear_machine import lm_train_pocket
 from .model_io import load_model, save_model
@@ -105,9 +113,10 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
                    help="train on raw features instead of standardized ones")
     p.add_argument("--test-fraction", type=float, default=0.33,
                    help="fraction of records per class held out for testing")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="accepted for compatibility; must be >= 1 and does not "
-                        "change the result")
+    p.add_argument("--jobs", type=int, default=default_jobs(),
+                   help="worker processes that train the pairwise tests "
+                        f"(default: the usable CPUs, at most {MAX_DEFAULT_JOBS}; "
+                        "here %(default)s); the result does not depend on it")
 
 
 def _add_synth_flags(p: argparse.ArgumentParser) -> None:
@@ -119,7 +128,8 @@ def _add_synth_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--artifact-rate", type=float, default=None)
 
 
-def _synth_config(args: argparse.Namespace, seed: int) -> SynthConfig:
+def _synthesize(args: argparse.Namespace, seed: int) -> tuple[SynthConfig, Dataset]:
+    """The generator's configuration from the flags, and its dataset."""
     overrides = {}
     if args.separation is not None:
         overrides["separation"] = args.separation
@@ -129,13 +139,18 @@ def _synth_config(args: argparse.Namespace, seed: int) -> SynthConfig:
         overrides["informative_count"] = args.informative
     if args.artifact_rate is not None:
         overrides["artifact_rate"] = args.artifact_rate
-    return default_config(seed=seed, scale=args.scale, **overrides)
+    cfg = default_config(seed=seed, scale=args.scale, **overrides)
+    try:
+        return cfg, generate(cfg)
+    except MemoryError:
+        raise ParameterError(
+            f"scale {args.scale}: the dataset does not fit in memory"
+        ) from None
 
 
 def _train_model(ds_train, args, model_kind: str, seed: int, max_iters: int | None):
     """Shared train-split fitting used by cmd_train and cmd_bench."""
-    if args.jobs < 1:
-        raise ParameterError(f"jobs must be >= 1, got {args.jobs}")
+    check_jobs(args.jobs)
     st = None
     if not args.no_standardize:
         ds_train, st = standardize(ds_train)
@@ -230,11 +245,7 @@ def cmd_intervals(args: argparse.Namespace) -> _Paths:
 
 def cmd_extract(args: argparse.Namespace) -> _Paths:
     labels = [s.strip() for s in args.classes.split(",")]
-    if len(labels) != len(args.signals):
-        raise ParameterError(
-            f"{len(args.signals)} signal files but {len(labels)} class labels"
-        )
-    ds = signals_to_dataset((read_signal_file(p) for p in args.signals), labels)
+    ds = signal_files_to_dataset(args.signals, labels, default_jobs())
     save_csv(ds, args.out)
     print(f"extracted {len(ds)} segments x {ds.m} features from "
           f"{len(args.signals)} recording(s) -> {args.out}")
@@ -242,8 +253,7 @@ def cmd_extract(args: argparse.Namespace) -> _Paths:
 
 
 def cmd_gen(args: argparse.Namespace) -> _Paths:
-    cfg = _synth_config(args, args.seed)
-    ds = generate(cfg)
+    cfg, ds = _synthesize(args, args.seed)
     save_csv(ds, args.out)
     config_path = args.out + ".config.txt"
     with open(config_path, "w", encoding="utf-8") as fh:
@@ -260,8 +270,7 @@ def cmd_bench(args: argparse.Namespace) -> _Paths:
     test_accs: dict[str, list[tuple[float, float]]] = {"pairnet": [], "lm": []}
     for k in range(args.seeds):
         seed = args.seed + k
-        cfg = _synth_config(args, seed)
-        ds = generate(cfg)
+        _, ds = _synthesize(args, seed)
         train, test = _split(ds, args.test_fraction, seed)
         for kind in ("pairnet", "lm"):
             max_iters = args.max_iters

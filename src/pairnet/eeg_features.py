@@ -30,6 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._parallel import ordered_map
 from .dataset import Dataset, _class_ids, _loadtxt
 from .errors import DimensionError, EmptyInputError, ParameterError, ParseError, open_utf8
 
@@ -301,10 +302,8 @@ def _windows(fs: float, c3: np.ndarray, c4: np.ndarray) -> tuple[np.ndarray, np.
     return c3[: k * n].reshape(k, n), c4[: k * n].reshape(k, n)
 
 
-def _segment_rows(
-    rec_id: int, fs: float, c3: np.ndarray, c4: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """A recording's whole 10-second segments as (k, n) arrays per channel."""
+def _recording_features(rec_id: int, fs: float, c3, c4) -> np.ndarray:
+    """Features of a recording's whole 10-second segments, one row each."""
     _check_rate(fs)
     c3 = np.asarray(c3, dtype=np.float64)
     c4 = np.asarray(c4, dtype=np.float64)
@@ -313,7 +312,27 @@ def _segment_rows(
     rows3, rows4 = _windows(fs, c3, c4)
     if len(rows3) == 0:
         raise EmptyInputError(f"recording {rec_id} is shorter than one 10-second segment")
-    return rows3, rows4
+    return _featurize(rows3, rows4, fs, DEFAULT_BANDS)
+
+
+def _file_features(task: tuple[int, str]) -> np.ndarray:
+    rec_id, path = task
+    return _recording_features(rec_id, *read_signal_file(path))
+
+
+def _recordings_dataset(feats: list[np.ndarray], labels: list[str]) -> Dataset:
+    """Record k (from 1) holds the rows of feats[k - 1] and class labels[k - 1]."""
+    if not feats:
+        raise EmptyInputError("no recordings to featurize")
+    distinct, ids = _class_ids(labels)
+    counts = [len(f) for f in feats]
+    return Dataset(
+        X=np.vstack(feats),
+        y=np.repeat(ids, counts),
+        records=np.repeat(np.arange(1, len(feats) + 1, dtype=np.int64), counts),
+        feature_names=tuple(feature_names()),
+        class_labels=tuple(distinct),
+    )
 
 
 def signals_to_dataset(
@@ -335,20 +354,26 @@ def signals_to_dataset(
             raise ParameterError(
                 f"more than {len(labels)} recordings for {len(labels)} class labels"
             )
-        rows3, rows4 = _segment_rows(len(feats) + 1, fs, c3, c4)
-        feats.append(_featurize(rows3, rows4, fs, DEFAULT_BANDS))
+        feats.append(_recording_features(len(feats) + 1, fs, c3, c4))
         # The loop variables would otherwise keep this recording's samples
         # alive while the iterable produces the next one.
-        del c3, c4, rows3, rows4
+        del c3, c4
     if len(feats) != len(labels):
         raise ParameterError(f"{len(feats)} recordings but {len(labels)} class labels")
+    return _recordings_dataset(feats, labels)
 
-    distinct, ids = _class_ids(labels)
-    counts = [len(f) for f in feats]
-    return Dataset(
-        X=np.vstack(feats),
-        y=np.repeat(ids, counts),
-        records=np.repeat(np.arange(1, len(feats) + 1, dtype=np.int64), counts),
-        feature_names=tuple(feature_names()),
-        class_labels=tuple(distinct),
-    )
+
+def signal_files_to_dataset(paths, class_labels_per_file, jobs: int = 1) -> Dataset:
+    """signals_to_dataset of the signal files at paths, read with
+    read_signal_file.
+
+    With jobs > 1 the files are read and featurized by up to jobs forked
+    worker processes, each holding the samples of one file at a time; the
+    dataset does not depend on jobs, and the first bad file in path order
+    decides the error either way.
+    """
+    paths, labels = list(paths), list(class_labels_per_file)
+    if len(labels) != len(paths):
+        raise ParameterError(f"{len(paths)} signal files but {len(labels)} class labels")
+    feats = ordered_map(_file_features, enumerate(paths, start=1), jobs)
+    return _recordings_dataset(feats, labels)

@@ -12,6 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._parallel import ordered_map
 from .dataset import Dataset, Standardization
 from .errors import DimensionError, EmptyInputError, ParameterError, TrainingError
 from .tlu import TrainConfig, prepare, train_pocket
@@ -152,14 +153,13 @@ def train_pairwise(
 
     Test (i, j) is pocket-trained on only the examples of classes i and j,
     with targets +1 for i and -1 for j, using a seed derived from
-    (cfg.seed, i, j). Tests are trained one after another in lexicographic
-    pair order. jobs is accepted for compatibility and must be >= 1; it
-    does not change the result.
+    (cfg.seed, i, j). With jobs > 1 the tests are spread over up to jobs
+    forked worker processes; the network does not depend on jobs, and a
+    missing class is reported for the first affected pair in lexicographic
+    order either way.
     """
     pairs = enumerate_pairs(ds.r)
-    if jobs < 1:
-        raise ParameterError(f"jobs must be >= 1, got {jobs}")
-    tests = [_train_one_pair(ds, cfg, i, j) for i, j in pairs]
+    tests = ordered_map(lambda pair: _train_one_pair(ds, cfg, *pair), pairs, jobs)
     return PairwiseNetwork(
         r=ds.r, m=ds.m, tests=tuple(tests), standardization=standardization
     )

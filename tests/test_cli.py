@@ -1,13 +1,17 @@
 import json
+import multiprocessing
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import pairnet
+from pairnet import cli, pairwise_net
 from pairnet.cli import build_parser, main
 
 
@@ -30,6 +34,32 @@ def run_child(*argv, boot=("-c", "from pairnet.cli import entry; entry()"), cwd=
         capture_output=True, text=True, timeout=120, cwd=cwd,
     )
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def _children(pid):
+    """The child process ids of pid, read from /proc."""
+    with open(f"/proc/{pid}/task/{pid}/children") as fh:
+        return [int(c) for c in fh.read().split()]
+
+
+def _alive(pid):
+    """Whether pid runs: neither gone nor a zombie left for init to reap."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+def _wait_for(probe, what, timeout=30.0):
+    """probe()'s first truthy value, polled until timeout seconds pass."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        got = probe()
+        if got:
+            return got
+        time.sleep(0.05)
+    raise AssertionError(f"no {what} after {timeout} s")
 
 
 @pytest.fixture
@@ -72,6 +102,18 @@ class TestGen:
         code, _, err = run_child("gen", "--out", tmp_path / "x.csv", "--scale", "1e308")
         assert code == 2, err
         assert "segment counts infinite" in err and "Traceback" not in err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_scale_beyond_memory_exits_2(self, tmp_path):
+        # The child caps its own address space, so the table it asks for
+        # cannot be allocated whatever this host's memory.
+        boot = ("-c", "import resource; resource.setrlimit(resource.RLIMIT_AS, "
+                "(1 << 31, 1 << 31)); from pairnet.cli import entry; entry()")
+        code, _, err = run_child("gen", "--out", tmp_path / "x.csv", "--scale", "1e10",
+                                 boot=boot)
+        assert code == 2, err
+        assert "scale 10000000000.0: the dataset does not fit in memory" in err
+        assert "Traceback" not in err
         assert not (tmp_path / "x.csv").exists()
 
 
@@ -357,6 +399,60 @@ class TestExtract:
         assert message in err
         assert not out.exists() and not (tmp_path / "x.csv.manifest.json").exists()
 
+    @pytest.mark.parametrize("slow_first,code,message", [
+        (True, 2, "sampling rate 40.0 Hz unusable"),
+        (False, 3, "No such file"),
+        (None, 3, "line 60002: non-numeric sample in '0.5 x'"),
+    ])
+    def test_first_bad_recording_decides_the_error_in_workers(
+            self, tmp_path, capsys, monkeypatch, slow_first, code, message):
+        # With two workers the missing file fails at once, whatever its
+        # position; the error is still that of the first bad file in
+        # argument order. slow_first=None puts first a file that fails only
+        # at its last line, after its whole body has been parsed.
+        monkeypatch.setattr(cli, "default_jobs", lambda: 2)
+        slow = tmp_path / "slow.txt"
+        if slow_first is None:
+            slow.write_text("fs=100\n" + "0.5 1.5\n" * 60_000 + "0.5 x\n")
+        else:
+            slow.write_text("fs=40\n" + "0.5 1.5\n" * 400)
+        paths = [slow, tmp_path / "missing.txt"]
+        if slow_first is False:
+            paths.reverse()
+        out = tmp_path / "x.csv"
+        got, _, err = run(capsys, "extract", *map(str, paths), "--classes", "1,2",
+                          "--out", str(out))
+        assert got == code, err
+        assert message in err
+        assert not out.exists() and not (tmp_path / "x.csv.manifest.json").exists()
+        assert multiprocessing.active_children() == []
+
+    @staticmethod
+    def _recordings(tmp_path):
+        """Four 30-second recordings at 100, 128, 256 and 100 Hz."""
+        rng = np.random.default_rng(3)
+        paths = []
+        for k, fs in enumerate((100, 128, 256, 100)):
+            x = rng.normal(size=(30 * fs, 2)) + np.sin(0.2 * (k + 1) * np.arange(30 * fs))[:, None]
+            path = tmp_path / f"rec{k}.txt"
+            path.write_text(f"fs={fs}\n" + "".join(f"{a!r} {b!r}\n" for a, b in x.tolist()))
+            paths.append(str(path))
+        return paths
+
+    def test_workers_do_not_change_feats_csv(self, tmp_path, capsys, monkeypatch):
+        paths = self._recordings(tmp_path)
+        outs = []
+        for jobs in (1, 2):
+            monkeypatch.setattr(cli, "default_jobs", lambda: jobs)
+            out = tmp_path / f"feats{jobs}.csv"
+            code, stdout, err = run(capsys, "extract", *paths, "--classes", "35,39,43,35",
+                                    "--out", str(out))
+            assert code == 0, err
+            assert "12 segments x 72 features from 4 recording(s)" in stdout
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+        assert multiprocessing.active_children() == []
+
     def test_nan_sample_exits_3_naming_the_line(self, tmp_path):
         body = ["0.5 1.5"] * 1000
         body[41] = "nan 1.5"
@@ -499,6 +595,64 @@ class TestRunner:
         assert "-> x.csv" in out
         assert (tmp_path / "x.csv").exists()
         assert (tmp_path / "x.csv.manifest.json").exists()
+
+    def test_no_worker_outlives_its_command(self, tmp_path, capsys, monkeypatch, workspace):
+        code, _, err = run(capsys, "train", workspace["data"], "--max-iters", "200",
+                           "--out", str(tmp_path / "m.txt"), "--jobs", "2")
+        assert code == 0, err
+        assert multiprocessing.active_children() == []
+        monkeypatch.setattr(cli, "default_jobs", lambda: 2)
+        code, _, err = run(capsys, "extract", workspace["sig"], str(tmp_path / "missing.txt"),
+                           "--classes", "1,2", "--out", str(tmp_path / "x.csv"))
+        assert code == 3, err
+        assert multiprocessing.active_children() == []
+
+    def test_dead_worker_exits_2_naming_jobs(self, tmp_path, capsys, monkeypatch, workspace):
+        # A worker killed from outside (say, for memory) ends the command
+        # with a message, not a traceback or a wait for its result.
+        train_one = pairwise_net._train_one_pair
+        monkeypatch.setattr(pairwise_net, "_train_one_pair", lambda ds, cfg, i, j: (
+            os._exit(1) if (i, j) == (1, 3) else train_one(ds, cfg, i, j)))
+        out = tmp_path / "m.txt"
+        code, _, err = run(capsys, "train", workspace["data"], "--max-iters", "200",
+                           "--out", str(out), "--jobs", "2")
+        assert code == 2, err
+        assert "a worker process died before finishing its task (jobs=2)" in err
+        assert "Traceback" not in err
+        assert not out.exists() and not (tmp_path / "m.txt.manifest.json").exists()
+        assert multiprocessing.active_children() == []
+
+    def test_no_worker_outlives_a_killed_command(self, tmp_path, small_csv):
+        # SIGKILL leaves the pool no chance to shut down; the workers notice
+        # that their parent is gone and exit. Each pair is slowed down so
+        # that the kill lands partway through training.
+        boot = ("-c", "import time; from pairnet import pairwise_net as pw; "
+                "f = pw._train_one_pair; "
+                "pw._train_one_pair = lambda *a: (time.sleep(0.1), f(*a))[1]; "
+                "from pairnet.cli import entry; entry()")
+        pythonpath = os.path.dirname(os.path.dirname(pairnet.__file__))
+        proc = subprocess.Popen(
+            [sys.executable, *boot, "train", str(small_csv), "--max-iters", "200",
+             "--out", str(tmp_path / "m.txt"), "--jobs", "2"],
+            env={**os.environ, "PYTHONPATH": pythonpath},
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        )
+
+        def two_workers():
+            pids = _children(proc.pid)
+            return pids if len(pids) == 2 else None
+
+        try:
+            workers = _wait_for(two_workers, "two workers")
+            time.sleep(0.3)
+        finally:
+            proc.kill()
+            proc.wait()
+        try:
+            _wait_for(lambda: not any(map(_alive, workers)), "exit of the workers")
+        finally:
+            for pid in filter(_alive, workers):
+                os.kill(pid, signal.SIGKILL)
 
     @pytest.mark.parametrize("from_env", [False, True])
     @pytest.mark.parametrize("command", ["gen", "train", "bench"])

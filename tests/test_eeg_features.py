@@ -1,5 +1,6 @@
 import gc
 import math
+import multiprocessing
 import os
 import threading
 import urllib.request
@@ -22,9 +23,10 @@ from pairnet.eeg_features import (
     periodogram,
     read_signal_file,
     segment_signal,
+    signal_files_to_dataset,
     signals_to_dataset,
 )
-from pairnet.errors import DimensionError, ParameterError, ParseError
+from pairnet.errors import DimensionError, EmptyInputError, ParameterError, ParseError
 
 FS = 100.0
 N = 1000  # 10 seconds at 100 Hz
@@ -387,6 +389,29 @@ class TestStreaming:
         with pytest.raises(ParameterError, match=match):
             signals_to_dataset(recordings(), ["1"] * n_labels)
         assert len(drawn) == min(n_labels + 1, len(recs))
+
+    def test_no_recordings_rejected(self):
+        with pytest.raises(EmptyInputError, match="no recordings"):
+            signals_to_dataset([], [])
+
+    @pytest.mark.parametrize("jobs", [1, 2, 3])
+    def test_signal_files_match_signals_to_dataset(self, tmp_path, jobs):
+        paths = []
+        for k, (fs, c3, c4) in enumerate(self._recordings()):
+            paths.append(tmp_path / f"rec{k}.txt")
+            paths[-1].write_text(f"fs={fs!r}\n" + "".join(
+                f"{a!r} {b!r}\n" for a, b in zip(c3.tolist(), c4.tolist())))
+        labels = ["b", "a", "b"]
+        want = signals_to_dataset(map(read_signal_file, paths), labels)
+        got = signal_files_to_dataset(paths, labels, jobs)
+        for name in ("X", "y", "records"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        assert got.class_labels == want.class_labels
+        assert multiprocessing.active_children() == []
+
+    def test_signal_files_need_one_label_each(self, tmp_path):
+        with pytest.raises(ParameterError, match="2 signal files but 1 class labels"):
+            signal_files_to_dataset([tmp_path / "a", tmp_path / "b"], ["1"])
 
 
 def reference_read(path):

@@ -1,3 +1,5 @@
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -9,12 +11,16 @@ from pairnet import (
     TrainConfig,
     TrainingError,
     classify_record,
+    default_config,
     derive_pair_seed,
     enumerate_pairs,
     evaluate,
+    generate,
     net_classify,
     net_outputs,
     permute_classes,
+    split_by_record,
+    standardize,
     train_pairwise,
     train_pocket,
 )
@@ -189,6 +195,38 @@ class TestTraining:
         four_jobs = train_pairwise(ds, cfg, jobs=4)
         for a, b in zip(serial.tests, four_jobs.tests):
             np.testing.assert_array_equal(a.weights, b.weights)
+
+    @pytest.fixture(scope="class")
+    def default_shape_serial(self):
+        """The default 16-class shape at scale 0.02, standardized, and its
+        network trained in this process."""
+        with pytest.warns(UserWarning, match="single record"):
+            train, _ = split_by_record(generate(default_config(seed=0, scale=0.02)), 0.33, 0)
+        ds, _ = standardize(train)
+        cfg = TrainConfig(seed=0)
+        return ds, cfg, train_pairwise(ds, cfg, jobs=1)
+
+    @pytest.mark.parametrize("jobs", [2, 3])
+    def test_worker_processes_train_every_pair_bit_identically(self, default_shape_serial,
+                                                                jobs):
+        ds, cfg, serial = default_shape_serial
+        forked = train_pairwise(ds, cfg, jobs=jobs)
+        assert len(forked.tests) == 120
+        for a, b in zip(serial.tests, forked.tests):
+            assert (a.i, a.j) == (b.i, b.j)
+            assert a.weights.tobytes() == b.weights.tobytes()
+        assert multiprocessing.active_children() == []
+
+    def test_first_pair_with_an_empty_class_decides_the_error(self):
+        # Classes 2 and 4 are empty: pair (1, 2) is the first to fail in
+        # pair order, though a worker may reach (1, 4) or (3, 4) first.
+        rng = np.random.default_rng(0)
+        ds = make_dataset(rng.normal(size=(40, 2)), np.repeat([1, 3, 5, 6], 10), r=6)
+        for jobs in (1, 2, 3):
+            with pytest.raises(TrainingError,
+                               match=r"class 2 has no examples; cannot train pair \(1,2\)"):
+                train_pairwise(ds, TrainConfig(max_iterations=500), jobs=jobs)
+        assert multiprocessing.active_children() == []
 
     def test_training_time_tracks_pair_count(self):
         # same per-class data and budget: the r=8 run trains 28 tests vs
