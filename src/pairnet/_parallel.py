@@ -21,9 +21,13 @@ from .errors import ParameterError
 
 # The most workers a default asks for: the CPU count that the speed and the
 # summed memory of the workers were measured at. The CPUs this process may
-# run on can be many more than it gets (a CPU quota does not shrink them),
-# and each worker adds memory of its own, so more have to be asked for.
+# run on can be many more than it gets, and each worker adds memory of its
+# own, so more have to be asked for.
 MAX_DEFAULT_JOBS = 2
+
+# Where the cgroup file systems are mounted: a CPU quota there caps the
+# default too, since the CPUs a process may run on do not show it.
+_CGROUP_ROOT = "/sys/fs/cgroup"
 
 # How often a worker checks that its parent is still alive, in seconds.
 _ORPHAN_POLL_S = 0.2
@@ -52,12 +56,38 @@ def _run_task(item):
     return _task(item)
 
 
+def _cpu_quota() -> int | None:
+    """The CPUs that the cgroup CPU quota grants, ceil(quota / period): read
+    from cgroup v2's cpu.max, else from v1's cpu.cfs_quota_us and
+    cpu.cfs_period_us. None where there is no quota ("max", or -1) or none
+    that can be read."""
+    def read(*parts):
+        with open(os.path.join(_CGROUP_ROOT, *parts), encoding="ascii") as fh:
+            return fh.read()
+
+    try:
+        try:
+            quota, period = read("cpu.max").split()
+        except FileNotFoundError:
+            quota, period = read("cpu", "cpu.cfs_quota_us"), read("cpu", "cpu.cfs_period_us")
+        quota, period = int(quota), int(period)
+    except (OSError, ValueError):  # no cgroup files, "max", or unreadable
+        return None
+    if quota <= 0 or period <= 0:
+        return None
+    return -(-quota // period)
+
+
 def default_jobs() -> int:
-    """The CPUs this process may run on, at most MAX_DEFAULT_JOBS."""
+    """The CPUs this process may run on, capped by its cgroup's CPU quota
+    and then by MAX_DEFAULT_JOBS."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # not on every platform
         cpus = os.cpu_count() or 1
+    quota = _cpu_quota()
+    if quota is not None:
+        cpus = min(cpus, quota)
     return min(cpus, MAX_DEFAULT_JOBS)
 
 

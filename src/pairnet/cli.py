@@ -14,10 +14,10 @@ malformed input files), 4 training or model errors.
 
 ``train`` and ``bench`` train the pairwise tests in up to ``--jobs`` forked
 worker processes, and ``extract`` reads and featurizes the signal files in
-as many as the default: the CPUs this process may use, at most
-``MAX_DEFAULT_JOBS``. The outputs do not depend on the number of workers,
-and the first failing pair or file, in order, decides the message and the
-exit code.
+as many as the default: the CPUs this process may use, capped by its
+cgroup's CPU quota and at most ``MAX_DEFAULT_JOBS``. The outputs do not
+depend on the number of workers, and the first failing pair or file, in
+order, decides the message and the exit code.
 """
 
 import argparse
@@ -164,8 +164,8 @@ def _train_model(ds_train, args, model_kind: str, seed: int, max_iters: int | No
 
 
 def cmd_train(args: argparse.Namespace) -> _Paths:
-    ds = load_csv(args.data)
-    train, test = _split(ds, args.test_fraction, args.seed)
+    # The full table is freed once split: only the two splits stay held.
+    train, test = _split(load_csv(args.data), args.test_fraction, args.seed)
     model = _train_model(train, args, args.model, args.seed, args.max_iters)
     if args.model == "pairnet":
         print(f"trained {len(model.tests)} pairwise tests")
@@ -270,8 +270,7 @@ def cmd_bench(args: argparse.Namespace) -> _Paths:
     test_accs: dict[str, list[tuple[float, float]]] = {"pairnet": [], "lm": []}
     for k in range(args.seeds):
         seed = args.seed + k
-        _, ds = _synthesize(args, seed)
-        train, test = _split(ds, args.test_fraction, seed)
+        train, test = _split(_synthesize(args, seed)[1], args.test_fraction, seed)
         for kind in ("pairnet", "lm"):
             max_iters = args.max_iters
             if kind == "lm" and args.lm_max_iters is not None:

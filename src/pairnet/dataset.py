@@ -124,7 +124,9 @@ class Standardization:
     stds: np.ndarray
 
     def apply(self, X: np.ndarray) -> np.ndarray:
-        return (np.asarray(X, dtype=np.float64) - self.means) / self.stds
+        out = np.asarray(X, dtype=np.float64) - self.means
+        out /= self.stds
+        return out
 
     def invert(self, X: np.ndarray) -> np.ndarray:
         return np.asarray(X, dtype=np.float64) * self.stds + self.means

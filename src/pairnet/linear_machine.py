@@ -7,7 +7,7 @@ import numpy as np
 from . import _kernels
 from .dataset import Dataset, Standardization
 from .errors import DimensionError, TrainingError
-from .tlu import PocketResult, TrainConfig, check_range, extend, prepare
+from .tlu import PocketResult, TrainConfig, blockwise, check_range, extend
 
 
 @dataclass(frozen=True)
@@ -32,12 +32,18 @@ class LinearMachine:
             )
 
     def discriminants_batch(self, X: np.ndarray) -> np.ndarray:
-        """(n, r) matrix of raw discriminant values."""
-        return prepare(X, self.m, self.standardization) @ self.weights.T
+        """(n, r) matrix of raw discriminant values, computed in blocks of
+        rows (see tlu.blockwise)."""
+        return blockwise(lambda xb: xb @ self.weights.T, X, self.m, self.standardization)
 
     def classify_batch(self, X: np.ndarray) -> np.ndarray:
-        """Predicted class ids (argmax, ties to the lowest id)."""
-        return np.argmax(self.discriminants_batch(X), axis=1).astype(np.int64) + 1
+        """Predicted class ids (argmax, ties to the lowest id).
+
+        Works in blocks of rows (see tlu.blockwise), so its temporaries take
+        O(block x r) memory, whatever the number of rows.
+        """
+        return blockwise(lambda xb: np.argmax(xb @ self.weights.T, axis=1) + 1,
+                         X, self.m, self.standardization)
 
 
 def lm_discriminants(lm: LinearMachine, x: np.ndarray) -> np.ndarray:

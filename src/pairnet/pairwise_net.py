@@ -15,7 +15,7 @@ import numpy as np
 from ._parallel import ordered_map
 from .dataset import Dataset, Standardization
 from .errors import DimensionError, EmptyInputError, ParameterError, TrainingError
-from .tlu import TrainConfig, prepare, train_pocket
+from .tlu import TrainConfig, blockwise, train_pocket
 
 
 @dataclass(frozen=True)
@@ -70,25 +70,32 @@ class PairwiseNetwork:
             S[t_idx, t.j - 1] = -1
         return S
 
-    def _activations(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(n, n_tests) raw test activations and their +1/-1 outputs."""
-        acts = prepare(X, self.m, self.standardization) @ self._stacked_weights().T
-        return acts, np.where(acts > 0.0, 1, -1).astype(np.int64)
-
     def outputs_batch(self, X: np.ndarray) -> np.ndarray:
-        """(n, r) integer output sums g_1..g_r per example."""
-        _, signs = self._activations(X)
-        return signs @ self._wiring()
+        """(n, r) integer output sums g_1..g_r per example, computed in
+        blocks of rows (see tlu.blockwise)."""
+        W, S = self._stacked_weights().T, self._wiring()
+        return blockwise(lambda xb: _signs(xb @ W) @ S, X, self.m, self.standardization)
 
     def classify_batch(self, X: np.ndarray) -> np.ndarray:
-        """Predicted class ids with the raw-margin / lowest-id tie-break."""
-        acts, signs = self._activations(X)
-        S = self._wiring()
-        g = signs @ S
-        margins = acts @ S
-        g_top = g.max(axis=1, keepdims=True)
-        tied_margins = np.where(g == g_top, margins, -np.inf)
-        return np.argmax(tied_margins, axis=1).astype(np.int64) + 1
+        """Predicted class ids with the raw-margin / lowest-id tie-break.
+
+        Works in blocks of rows (see tlu.blockwise), so its temporaries take
+        O(block x tests) memory, whatever the number of rows.
+        """
+        W, S = self._stacked_weights().T, self._wiring()
+
+        def classify(xb: np.ndarray) -> np.ndarray:
+            acts = xb @ W
+            g = _signs(acts) @ S
+            tied_margins = np.where(g == g.max(axis=1, keepdims=True), acts @ S, -np.inf)
+            return np.argmax(tied_margins, axis=1) + 1
+
+        return blockwise(classify, X, self.m, self.standardization)
+
+
+def _signs(acts: np.ndarray) -> np.ndarray:
+    """The +1/-1 outputs of raw test activations."""
+    return np.where(acts > 0.0, np.int64(1), np.int64(-1))
 
 
 @dataclass(frozen=True)

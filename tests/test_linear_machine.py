@@ -1,9 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from pairnet import (
     Dataset,
     LinearMachine,
+    Standardization,
     TrainConfig,
     TrainingError,
     lm_classify,
@@ -11,6 +14,7 @@ from pairnet import (
     lm_train_pocket,
 )
 from pairnet.errors import DimensionError
+from pairnet.tlu import BLOCK_ROWS
 
 
 def make_dataset(X, y, records=None, r=None):
@@ -68,6 +72,24 @@ class TestClassify:
         lm = LinearMachine(r=3, m=1, weights=W)
         assert lm_classify(lm, np.array([0.0])) == 2
 
+    @pytest.mark.parametrize("n", [1, 2 * BLOCK_ROWS + 37])
+    def test_blocks_match_rows(self, n):
+        # Discriminants x1, x2, x3, each exact: rows with a two-way tie at
+        # the top, and rows where all three tie, sit on both sides of each
+        # block boundary and at the end.
+        st = Standardization(means=np.zeros(3), stds=np.full(3, 0.5))
+        lm = LinearMachine(r=3, m=3, weights=np.eye(3, 4, k=1), standardization=st)
+        X = np.random.default_rng(3).normal(size=(n, 3))
+        ties = {(1.0, 1.0, 0.0): 1, (0.0, 2.0, 2.0): 2, (1.0, 1.0, 1.0): 1}
+        at = [k for k in (BLOCK_ROWS - 1, BLOCK_ROWS, 2 * BLOCK_ROWS - 1, 2 * BLOCK_ROWS) if k < n]
+        at.append(n - 1)
+        for k, row in zip(at, itertools.cycle(ties)):
+            X[k] = row
+        preds = lm.classify_batch(X)
+        np.testing.assert_array_equal(preds, [lm_classify(lm, x) for x in X])
+        for k, row in zip(at, itertools.cycle(ties)):
+            assert preds[k] == ties[row]
+
 
 class TestTraining:
     def test_three_separable_clusters(self):
@@ -93,6 +115,17 @@ class TestTraining:
         ds = make_dataset([[0.0], [1.0]], [1, 2], r=3)
         with pytest.raises(TrainingError, match="class"):
             lm_train_pocket(ds, TrainConfig())
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_cell_is_refused(self, bad):
+        ds = make_dataset([[-2.0], [-1.0], [1.0], [2.0]], [1, 1, 2, 3])
+        # A Dataset refuses non-finite cells itself; slip one past it to
+        # reach the training gate.
+        X = ds.X.copy()
+        X[2, 0] = bad
+        object.__setattr__(ds, "X", X)
+        with pytest.raises(TrainingError, match=r"training input is not finite: max\|x\| = (nan|inf)"):
+            lm_train_pocket(ds, TrainConfig(max_iterations=1000))
 
     def test_training_that_could_overflow_is_refused(self):
         ds = make_dataset([[-2e150], [-1e150], [1e150], [2e150]], [1, 1, 2, 3])

@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import pairnet
 from pairnet import (
@@ -13,6 +15,7 @@ from pairnet import (
     PairwiseNetwork,
     PairwiseTest,
     ParseError,
+    SchemaError,
     Standardization,
     TrainingError,
     enumerate_pairs,
@@ -305,3 +308,29 @@ class TestDimensionBound:
         )
         assert proc.returncode == 0, proc.stderr
         assert "file truncated: missing section" in proc.stdout
+
+
+class TestCorruptedModelFiles:
+    """A valid model file cut at any line, or with any one token replaced
+    by a bad value or dropped, is refused with a data error only."""
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), lm=st.booleans(), with_std=st.booleans(), cut=st.booleans())
+    def test_load_raises_parse_or_schema_error(self, tmp_path, data, lm, with_std, cut):
+        model = random_lm(m=2, with_std=with_std) if lm else random_net(r=3, m=2, with_std=with_std)
+        path = tmp_path / "model.txt"
+        save_model(model, path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        if cut:
+            k = data.draw(st.integers(0, len(lines) - 1), label="lines kept")
+            lines = lines[:k]
+        else:
+            k = data.draw(st.integers(0, len(lines) - 1), label="line")
+            tokens = lines[k].split()
+            t = data.draw(st.integers(0, len(tokens) - 1), label="token")
+            tokens[t] = data.draw(st.sampled_from(["nan", "inf", "1e999", "x", ""]), label="value")
+            lines[k] = " ".join(tokens)
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        with pytest.raises((ParseError, SchemaError)):
+            load_model(path)

@@ -1,4 +1,6 @@
+import itertools
 import multiprocessing
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from pairnet import (
     PairwiseNetwork,
     PairwiseTest,
     ParameterError,
+    Standardization,
     TrainConfig,
     TrainingError,
     classify_record,
@@ -25,7 +28,7 @@ from pairnet import (
     train_pocket,
 )
 from pairnet.errors import EmptyInputError
-from pairnet.tlu import activation, tlu_output
+from pairnet.tlu import BLOCK_ROWS, activation, tlu_output
 
 
 def make_dataset(X, y, records=None, r=None):
@@ -145,6 +148,31 @@ class TestTieBreak:
         )
         # outputs +1,-1,+1 -> g=(0,0,0); margins 1,-1,1 -> h=(0,0,0)
         assert net_classify(net, np.array([0.0])) == 1
+
+
+    @pytest.mark.parametrize("n", [1, 2 * BLOCK_ROWS + 37])
+    def test_blocks_match_rows(self, n):
+        # Activations x1, x2, x3 of tests (1,2), (1,3), (2,3), each exact.
+        # Every tie row below is a cycle, g = (0, 0, 0), left to the raw
+        # margins h = (x1 + x2, x3 - x1, -x2 - x3): a tie of the top two
+        # margins, or of all three. They sit on both sides of each block
+        # boundary and at the end.
+        st = Standardization(means=np.zeros(3), stds=np.full(3, 0.5))
+        net = PairwiseNetwork(r=3, m=3, tests=tuple(
+            PairwiseTest(i, j, w) for (i, j), w in zip(enumerate_pairs(3), np.eye(3, 4, k=1))
+        ), standardization=st)
+        X = np.random.default_rng(5).normal(size=(n, 3))
+        ties = {(2.0, -1.0, 3.0): 1, (1.0, -3.0, 2.0): 2, (1.0, -1.0, 1.0): 1}
+        at = [k for k in (BLOCK_ROWS - 1, BLOCK_ROWS, 2 * BLOCK_ROWS - 1, 2 * BLOCK_ROWS) if k < n]
+        at.append(n - 1)
+        for k, row in zip(at, itertools.cycle(ties)):
+            X[k] = row
+        preds = net.classify_batch(X)
+        np.testing.assert_array_equal(preds, [net_classify(net, x) for x in X])
+        np.testing.assert_array_equal(net.outputs_batch(X), [net_outputs(net, x) for x in X])
+        for k, row in zip(at, itertools.cycle(ties)):
+            np.testing.assert_array_equal(net_outputs(net, X[k]), [0, 0, 0])
+            assert preds[k] == ties[row]
 
 
 class TestTraining:
@@ -388,6 +416,30 @@ class TestEvaluate:
         for rec, n_seg, n_correct, modal, true, conf in metrics.per_record:
             assert n_seg == 3 and n_correct == 2 and modal == true
             assert conf == pytest.approx(2 / 3)
+
+    def test_memory_does_not_grow_with_rows_times_tests(self):
+        # numpy reports its buffers to tracemalloc. Classifying in row
+        # blocks keeps evaluate's peak below the dataset's own X, and the
+        # peak grows only by a few values per row (predictions, masks) as
+        # rows are added, not by one value per row and test.
+        net = random_network(16, 64, seed=3)
+        rng = np.random.default_rng(4)
+
+        def peak(n):
+            y = np.repeat(np.arange(1, 17), n // 16)
+            ds = make_dataset(rng.normal(size=(n, 64)), y, records=y, r=16)
+            tracemalloc.start()
+            try:
+                evaluate(net, ds)
+                return tracemalloc.get_traced_memory()[1], ds.X.nbytes
+            finally:
+                tracemalloc.stop()
+
+        n = 8 * BLOCK_ROWS
+        small, x_bytes = peak(n)
+        large, _ = peak(4 * n)
+        assert small < x_bytes
+        assert large - small < 64 * (3 * n)
 
     def test_distributions_sum_to_one(self):
         net = random_network(4, 2, seed=5)

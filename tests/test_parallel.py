@@ -79,6 +79,31 @@ def test_dead_worker_raises_instead_of_waiting():
 
 
 @pytest.mark.parametrize("cpus,want", [(1, 1), (2, 2), (64, _parallel.MAX_DEFAULT_JOBS)])
-def test_default_jobs_is_the_usable_cpus_capped(monkeypatch, cpus, want):
+def test_default_jobs_is_the_usable_cpus_capped(monkeypatch, tmp_path, cpus, want):
+    monkeypatch.setattr(_parallel, "_CGROUP_ROOT", str(tmp_path))  # no quota
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    assert _parallel.default_jobs() == want
+
+
+@pytest.mark.parametrize("files,want", [
+    ({}, 8),
+    ({"cpu.max": "max 100000\n"}, 8),
+    ({"cpu.max": "250000 100000\n"}, 3),
+    ({"cpu.max": "50000 100000\n"}, 1),
+    ({"cpu.max": "200000 100000\n", "cpu/cpu.cfs_quota_us": "50000\n",
+      "cpu/cpu.cfs_period_us": "100000\n"}, 2),  # v2 wins
+    ({"cpu/cpu.cfs_quota_us": "-1\n", "cpu/cpu.cfs_period_us": "100000\n"}, 8),
+    ({"cpu/cpu.cfs_quota_us": "150000\n", "cpu/cpu.cfs_period_us": "100000\n"}, 2),
+    ({"cpu/cpu.cfs_quota_us": "150000\n"}, 8),  # no period
+    ({"cpu.max": "lots 100000\n"}, 8),
+    ({"cpu.max": "100000 0\n"}, 8),
+    ({"cpu.max": "\n"}, 8),
+])
+def test_default_jobs_honours_a_cpu_quota(monkeypatch, tmp_path, files, want):
+    for name, text in files.items():
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        (tmp_path / name).write_text(text)
+    monkeypatch.setattr(_parallel, "_CGROUP_ROOT", str(tmp_path))
+    monkeypatch.setattr(_parallel, "MAX_DEFAULT_JOBS", 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
     assert _parallel.default_jobs() == want

@@ -181,6 +181,17 @@ class TestTrainPocket:
         with pytest.raises(TrainingError, match=r"could overflow .* not below 2\*\*1000"):
             train_pocket(X, t, TrainConfig(c=c, max_iterations=1000, seed=0))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("row", [0, 3, 1500])
+    def test_non_finite_cell_is_refused(self, bad, row):
+        # Row 1500 lies in the second block that check_range scans; a nan
+        # there must not be dropped by the running maximum.
+        X = np.where(np.arange(2000) % 2, 1.0, -1.0)[:, None] * np.array([1.0, 2.0])
+        X[row, 1] = bad
+        t = np.where(np.arange(2000) % 2, 1, -1)
+        with pytest.raises(TrainingError, match=r"training input is not finite: max\|x\| = (nan|inf)"):
+            train_pocket(X, t, TrainConfig(max_iterations=100, seed=0))
+
     def test_bad_config(self):
         with pytest.raises(ParameterError):
             TrainConfig(c=-1.0)
