@@ -25,6 +25,7 @@ import json
 import os
 import sys
 import time
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -58,12 +59,20 @@ LM_MAX_ITERS = 150_000
 _Paths = tuple[list[str], list[str]]
 
 
-def _default_seed() -> int:
-    raw = os.environ.get("PAIRNET_SEED", "0")
-    try:
-        return int(raw)
-    except ValueError:
-        raise ParameterError(f"PAIRNET_SEED must be an integer, got '{raw}'") from None
+class _EnvSeed(str):
+    """The default of --seed. argparse converts a str default with the flag's
+    type, int, only for the subcommand being run and only when the flag is
+    absent; int() then reads PAIRNET_SEED (0 when unset)."""
+
+    def __int__(self) -> int:
+        raw = os.environ.get("PAIRNET_SEED", "0")
+        try:
+            return int(raw)
+        except ValueError:
+            raise ParameterError(f"PAIRNET_SEED must be an integer, got '{raw}'") from None
+
+
+_SEED_DEFAULT = _EnvSeed("$PAIRNET_SEED")
 
 
 def _write_manifest(args: argparse.Namespace, inputs: list[str],
@@ -107,7 +116,7 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-iters", type=int, default=None,
                    help="example visits per trained unit (default: 20000 per pairwise "
                         "test, 150000 for the linear machine)")
-    p.add_argument("--seed", type=int, default=_default_seed(),
+    p.add_argument("--seed", type=int, default=_SEED_DEFAULT,
                    help="random seed (default: $PAIRNET_SEED or 0)")
     p.add_argument("--no-standardize", action="store_true",
                    help="train on raw features instead of standardized ones")
@@ -146,6 +155,16 @@ def _synthesize(args: argparse.Namespace, seed: int) -> tuple[SynthConfig, Datas
         raise ParameterError(
             f"scale {args.scale}: the dataset does not fit in memory"
         ) from None
+
+
+@contextmanager
+def _generator_flag_errors():
+    """gen and bench read no input file, so a SchemaError there means their
+    generator flags pushed the data past float64's range: a bad flag value."""
+    try:
+        yield
+    except SchemaError as exc:
+        raise ParameterError(f"--separation or --record-effect too large: {exc}") from None
 
 
 def _train_model(ds_train, args, model_kind: str, seed: int, max_iters: int | None):
@@ -252,6 +271,7 @@ def cmd_extract(args: argparse.Namespace) -> _Paths:
     return list(args.signals), [args.out]
 
 
+@_generator_flag_errors()
 def cmd_gen(args: argparse.Namespace) -> _Paths:
     cfg, ds = _synthesize(args, args.seed)
     save_csv(ds, args.out)
@@ -263,6 +283,7 @@ def cmd_gen(args: argparse.Namespace) -> _Paths:
     return [], [args.out, config_path]
 
 
+@_generator_flag_errors()
 def cmd_bench(args: argparse.Namespace) -> _Paths:
     if args.seeds < 1:
         raise ParameterError(f"--seeds must be >= 1, got {args.seeds}")
@@ -346,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a synthetic benchmark dataset CSV")
     p.add_argument("--out", required=True, help="dataset CSV to write")
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=_SEED_DEFAULT)
     _add_synth_flags(p)
     p.set_defaults(func=cmd_gen)
 

@@ -19,7 +19,9 @@ A recording is featurized in one batch: its segments become the rows of a
 (k, n) array per derived channel, one real FFT runs along the rows, and the
 seven band sums (0-25 Hz total plus the six bands) come from a single
 product with a (frequency x 7) 0/1 mask. A single segment is the k = 1 case
-of the same kernel.
+of the same kernel. Every path to the kernel (a SegmentSignal, segment_signal,
+a recording of signals_to_dataset or of a signal file) cuts its windows with
+_windows, the one check of the sampling rate and of the channels' shapes.
 """
 
 import math
@@ -67,14 +69,6 @@ DEFAULT_BANDS = (
 TOTAL_BAND = BandSpec("total", 0.0, TOTAL_BAND_HZ)
 
 
-def _check_rate(fs: float) -> None:
-    if not (math.isfinite(fs) and fs >= MIN_SAMPLING_HZ):
-        raise ParameterError(
-            f"sampling rate {fs} Hz unusable; need a finite rate >= "
-            f"{MIN_SAMPLING_HZ} Hz to cover the {TOTAL_BAND_HZ} Hz top band edge"
-        )
-
-
 @dataclass(frozen=True)
 class SegmentSignal:
     """One 10-second, two-channel segment of raw samples."""
@@ -84,19 +78,13 @@ class SegmentSignal:
     fs: float
 
     def __post_init__(self):
-        c3 = np.asarray(self.c3, dtype=np.float64)
-        c4 = np.asarray(self.c4, dtype=np.float64)
-        object.__setattr__(self, "c3", c3)
-        object.__setattr__(self, "c4", c4)
-        if c3.ndim != 1 or c4.ndim != 1 or c3.shape != c4.shape:
-            raise DimensionError("channels must be 1-D and equally long")
-        _check_rate(self.fs)
+        rows3, rows4 = _windows(self.fs, self.c3, self.c4)
         # A segment is exactly one whole window.
-        window, _ = _windows(self.fs, c3, c4)
-        if window.shape != (1, c3.shape[0]):
-            raise DimensionError(
-                f"segment length {c3.shape[0]} != fs * 10s = {window.shape[1]} samples"
-            )
+        n = len(self.c3)
+        if rows3.shape != (1, n):
+            raise DimensionError(f"segment length {n} != fs * 10s = {rows3.shape[1]} samples")
+        object.__setattr__(self, "c3", rows3[0])
+        object.__setattr__(self, "c4", rows4[0])
 
 
 class Psd(NamedTuple):
@@ -153,27 +141,25 @@ def band_power(psd: Psd, band: BandSpec) -> float:
     return float(psd.power @ _band_mask(psd.freqs, (band,))[:, 0])
 
 
-def feature_names(bands: tuple[BandSpec, ...] = DEFAULT_BANDS) -> list[str]:
+def feature_names() -> list[str]:
     """The 72 feature names in emission order, e.g. 'c3.alpha.relpow'."""
     return [
         f"{ch}.{band.name}.{qty}"
         for ch in CHANNEL_NAMES
-        for band in bands
+        for band in DEFAULT_BANDS
         for qty in QUANTITY_NAMES
     ]
 
 
-def _featurize(
-    c3: np.ndarray, c4: np.ndarray, fs: float, bands: tuple[BandSpec, ...]
-) -> np.ndarray:
+def _featurize(c3: np.ndarray, c4: np.ndarray, fs: float) -> np.ndarray:
     """Features of k segments given as (k, n) channel arrays; returns (k, 72).
 
     Relative quantities are normalized by the channel's total over the
     0-25 Hz range; when that total is not above 1e-15 they are 0.
     """
     n = c3.shape[1]
-    mask = _band_mask(np.fft.rfftfreq(n, 1.0 / fs), (TOTAL_BAND, *bands))
-    out = np.empty((c3.shape[0], len(CHANNEL_NAMES), len(bands), len(QUANTITY_NAMES)))
+    mask = _band_mask(np.fft.rfftfreq(n, 1.0 / fs), (TOTAL_BAND, *DEFAULT_BANDS))
+    out = np.empty((c3.shape[0], len(CHANNEL_NAMES), len(DEFAULT_BANDS), len(QUANTITY_NAMES)))
     for c, ch in enumerate((c3, c4, c3 + c4)):
         sums = _one_sided_power(ch) @ mask
         total, absolute = sums[:, :1], sums[:, 1:]
@@ -185,16 +171,9 @@ def _featurize(
     return out.reshape(c3.shape[0], -1)
 
 
-def extract_features(
-    seg: SegmentSignal, bands: tuple[BandSpec, ...] = DEFAULT_BANDS
-) -> np.ndarray:
-    """Compute the 72 spectral features of one segment.
-
-    Relative quantities are normalized by the channel's total over the
-    0-25 Hz range; when that total falls below 1e-15 the relative values
-    are 0. Variance columns equal the matching power columns.
-    """
-    return _featurize(seg.c3[None], seg.c4[None], seg.fs, bands)[0]
+def extract_features(seg: SegmentSignal) -> np.ndarray:
+    """The 72 spectral features of one segment: the k = 1 case of _featurize."""
+    return _featurize(seg.c3[None], seg.c4[None], seg.fs)[0]
 
 
 # Characters other than "\n" at which str.splitlines breaks a line; np.loadtxt
@@ -213,28 +192,29 @@ def read_signal_file(path) -> tuple[float, np.ndarray, np.ndarray]:
     Line 1 holds the sampling rate (``fs=<value>`` or a bare number, finite
     and > 0); every following non-empty line holds two finite samples (first
     channel, second channel), whitespace separated. Lines are those of
-    ``str.splitlines``. The body is parsed in one ``np.loadtxt`` call; when
-    that fails or its result is not a finite (n, 2) array, the line parser
-    runs instead and either returns the same arrays or names the bad line.
+    ``str.splitlines``. The body of a file np.loadtxt may read again is parsed
+    in one call of it; when that cannot run, fails or gives no finite (n, 2)
+    array, the line parser runs once and either returns the same arrays or
+    names the bad line.
     """
     with open_utf8(path) as fh:
         text = fh.read()
         seekable = fh.seekable()
     if not text:
         raise ParseError("signal file is empty", line=1)
-    if any(ch in text for ch in _EXTRA_LINE_BREAKS):
-        head, *body_lines = text.splitlines()
-        return (_parse_rate(head), *_parse_sample_lines(body_lines))
-    fs = _parse_rate(text.partition("\n")[0])
-    samples = None
+    # Line 1 ends at the first "\n", or before it at another str.splitlines break.
+    head = text.partition("\n")[0]
+    fs = _parse_rate(head.splitlines()[0] if head else head)
     name = os.fsdecode(path)
-    if seekable and not (name.endswith(_DATASOURCE_SUFFIXES) or "://" in name):
+    samples = None
+    if (seekable and not any(ch in text for ch in _EXTRA_LINE_BREAKS)
+            and not (name.endswith(_DATASOURCE_SUFFIXES) or "://" in name)):
         # Given the path, np.loadtxt reads the file again in chunks and
         # splits its lines in C: faster than iterating the lines of the
         # open file, or of the text, in Python. A pipe cannot be read again.
         samples = _load_samples_fast(name)
     if samples is None:
-        samples = _parse_sample_lines(text.split("\n")[1:])
+        samples = _parse_sample_lines(text.splitlines()[1:])
     return (fs, *samples)
 
 
@@ -285,18 +265,23 @@ def _parse_sample_lines(lines: list[str]) -> tuple[np.ndarray, np.ndarray]:
 def segment_signal(fs: float, c3: np.ndarray, c4: np.ndarray) -> list[SegmentSignal]:
     """Chop a recording into consecutive 10-second segments; the trailing
     partial window is dropped."""
-    _check_rate(fs)
-    c3 = np.asarray(c3, dtype=np.float64)
-    c4 = np.asarray(c4, dtype=np.float64)
-    if c3.ndim != 1 or c3.shape != c4.shape:
-        raise DimensionError("channels must be 1-D and equally long")
     return [SegmentSignal(c3=a, c4=b, fs=fs) for a, b in zip(*_windows(fs, c3, c4))]
 
 
-def _windows(fs: float, c3: np.ndarray, c4: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Both channels, at a rate _check_rate accepts, cut into whole 10-second
-    windows: the rows of a (k, n) array per channel. The trailing partial
-    window is dropped."""
+def _windows(fs: float, c3, c4, channels: str = "channels") -> tuple[np.ndarray, np.ndarray]:
+    """Both channels as float64, cut into whole 10-second windows: the rows of
+    a (k, n) array per channel; the trailing partial window is dropped. The
+    one check of a rate (finite and >= 50 Hz, else ParameterError) and of the
+    channels (1-D and equally long, else DimensionError naming `channels`)."""
+    if not (math.isfinite(fs) and fs >= MIN_SAMPLING_HZ):
+        raise ParameterError(
+            f"sampling rate {fs} Hz unusable; need a finite rate >= "
+            f"{MIN_SAMPLING_HZ} Hz to cover the {TOTAL_BAND_HZ} Hz top band edge"
+        )
+    c3 = np.asarray(c3, dtype=np.float64)
+    c4 = np.asarray(c4, dtype=np.float64)
+    if c3.ndim != 1 or c3.shape != c4.shape:
+        raise DimensionError(f"{channels} must be 1-D and equally long")
     n = round(fs * SEGMENT_SECONDS)
     k = len(c3) // n
     return c3[: k * n].reshape(k, n), c4[: k * n].reshape(k, n)
@@ -304,15 +289,10 @@ def _windows(fs: float, c3: np.ndarray, c4: np.ndarray) -> tuple[np.ndarray, np.
 
 def _recording_features(rec_id: int, fs: float, c3, c4) -> np.ndarray:
     """Features of a recording's whole 10-second segments, one row each."""
-    _check_rate(fs)
-    c3 = np.asarray(c3, dtype=np.float64)
-    c4 = np.asarray(c4, dtype=np.float64)
-    if c3.ndim != 1 or c3.shape != c4.shape:
-        raise DimensionError(f"recording {rec_id}: channels must be 1-D and equally long")
-    rows3, rows4 = _windows(fs, c3, c4)
+    rows3, rows4 = _windows(fs, c3, c4, f"recording {rec_id}: channels")
     if len(rows3) == 0:
         raise EmptyInputError(f"recording {rec_id} is shorter than one 10-second segment")
-    return _featurize(rows3, rows4, fs, DEFAULT_BANDS)
+    return _featurize(rows3, rows4, fs)
 
 
 def _file_features(task: tuple[int, str]) -> np.ndarray:

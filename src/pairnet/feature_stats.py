@@ -76,11 +76,11 @@ def significance(ds: Dataset) -> SignificanceReport:
     finite ratio too large for float64 scores +inf.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        class_means = np.vstack([block.mean(axis=0) for _, block in _class_blocks(ds)])
-        v = np.var(class_means, axis=0)
-        s_sum = np.zeros(ds.m)
+        class_means, s_sum = [], np.zeros(ds.m)
         for _, block in _class_blocks(ds):
+            class_means.append(block.mean(axis=0))
             s_sum += np.var(block, axis=0)
+        v = np.var(np.vstack(class_means), axis=0)
         d = np.where(
             s_sum > ZERO_EPS,
             100.0 * v / np.where(s_sum > ZERO_EPS, s_sum, 1.0),

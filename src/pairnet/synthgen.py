@@ -64,10 +64,8 @@ class SynthConfig:
             val = getattr(self, name)
             if not np.isfinite(val) or val < 0:
                 raise ParameterError(f"{name} must be finite and >= 0, got {val}")
-
-    @property
-    def total_records(self) -> int:
-        return sum(self.records_per_class)
+        if self.artifact_rate > 1:
+            raise ParameterError(f"artifact_rate must lie in [0, 1], got {self.artifact_rate}")
 
 
 def default_config(seed: int = 0, scale: float = 1.0, **overrides) -> SynthConfig:
@@ -108,11 +106,14 @@ def _truncated_normal(rng: np.random.Generator, shape, bound: float) -> np.ndarr
         x[bad] = rng.standard_normal(n_bad)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def generate(cfg: SynthConfig) -> Dataset:
     """Draw a dataset from the configured class/record/noise model.
 
     Deterministic: the same config (including seed) yields a bit-identical
-    dataset. Records are numbered 1..total in class order.
+    dataset. Records are numbered 1..total in class order. Settings that push
+    a value past float64's range make it inf or nan, which Dataset rejects
+    with a SchemaError.
     """
     rng = np.random.default_rng(cfg.seed)
     lo, hi = cfg.segments_per_record

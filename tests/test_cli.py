@@ -4,11 +4,14 @@ import os
 import signal
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pairnet
 from pairnet import cli, pairwise_net
@@ -72,6 +75,12 @@ def small_csv(tmp_path, capsys):
     return path
 
 
+# Finite floats at the edges of float64's range and of the flags' ranges.
+_EXTREME_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, 1.0, 1.0000000000000002, 1e306,
+                                   2e307, 1e308, 1.7976931348623157e308,
+                                   -1.7976931348623157e308])
+
+
 class TestGen:
     def test_writes_csv_sidecar_and_manifest(self, tmp_path, capsys):
         out = tmp_path / "synth.csv"
@@ -115,6 +124,40 @@ class TestGen:
         assert "scale 10000000000.0: the dataset does not fit in memory" in err
         assert "Traceback" not in err
         assert not (tmp_path / "x.csv").exists()
+
+    # gen and bench read no input file: values that push the generated data
+    # past float64's range are bad flags.
+    @pytest.mark.parametrize("argv,message", [
+        (["gen", "--separation", "2e307"], "--separation or --record-effect too large"),
+        (["gen", "--record-effect", "1e308"], "--separation or --record-effect too large"),
+        (["bench", "--seeds", "1", "--max-iters", "200", "--record-effect", "1e200"],
+         "--separation or --record-effect too large"),
+        (["gen", "--artifact-rate", "5"], "artifact_rate must lie in [0, 1], got 5.0"),
+    ])
+    def test_generator_flag_values_exit_2(self, tmp_path, argv, message):
+        out = tmp_path / "x.out"
+        code, _, err = run_child(*argv, "--scale", "0.02", "--out", out)
+        assert code == 2, err
+        assert message in err and "Traceback" not in err
+        assert os.listdir(tmp_path) == []
+
+    @settings(max_examples=40, deadline=None)
+    @given(flags=st.fixed_dictionaries({}, optional={
+        "--separation": st.one_of(_EXTREME_FLOATS, st.floats(allow_nan=False,
+                                                             allow_infinity=False)),
+        "--record-effect": st.one_of(_EXTREME_FLOATS, st.floats(allow_nan=False,
+                                                                allow_infinity=False)),
+        "--artifact-rate": st.one_of(_EXTREME_FLOATS, st.floats(0.0, 1.0)),
+        "--informative": st.one_of(st.sampled_from([0, 72, 73]), st.integers(-2**70, 2**70)),
+    }))
+    def test_fuzzed_generator_flags_exit_0_or_2(self, flags):
+        with tempfile.TemporaryDirectory() as tmp:
+            argv = ["gen", "--out", os.path.join(tmp, "x.csv"), "--scale", "0.02"]
+            argv += [f"{flag}={value!r}" for flag, value in flags.items()]
+            code = main(argv)
+            assert code in (0, 2)
+            if code:
+                assert os.listdir(tmp) == []
 
 
 class TestTrain:
@@ -206,6 +249,29 @@ class TestTrain:
         code, _, stderr = run(capsys, "train", str(small_csv))
         assert code == 2
         assert "PAIRNET_SEED" in stderr
+
+    def test_seed_flag_wins_over_malformed_env_seed(self, tmp_path, capsys, small_csv,
+                                                    monkeypatch):
+        monkeypatch.setenv("PAIRNET_SEED", "abc")
+        model = tmp_path / "m.txt"
+        code, _, err = run(capsys, "train", str(small_csv), "--out", str(model),
+                           "--max-iters", "200", "--seed", "5")
+        assert code == 0, err
+        assert json.loads((tmp_path / "m.txt.manifest.json").read_text())["seed"] == 5
+
+    def test_malformed_env_seed_ignored_without_seed_flag(self, capsys, small_csv,
+                                                          monkeypatch):
+        monkeypatch.setenv("PAIRNET_SEED", "abc")
+        code, out, err = run(capsys, "significance", str(small_csv))
+        assert code == 0, err
+        assert out.startswith("feature\tv\ts_sum\td\trank\n")
+
+    def test_bad_seed_flag_is_an_argparse_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", "--out", "x.csv", "--seed", "abc"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "pairnet gen: error: argument --seed: invalid int value: 'abc'\n")
 
 
 class TestEvaluate:

@@ -101,6 +101,25 @@ class TestSegmentSignal:
         with pytest.raises(DimensionError, match="equally long"):
             segment_signal(100.0, np.zeros(2000), np.zeros(1500))
 
+    # Every path checks the rate, then the channels, in _windows.
+    @pytest.mark.parametrize("fs,c3,c4,error", [
+        (math.nan, np.zeros(1000), np.zeros(999), ParameterError),
+        (math.inf, np.zeros(1000), np.zeros(999), ParameterError),
+        (49.9, np.zeros(1000), np.zeros(999), ParameterError),
+        (100.0, np.zeros((1000, 2)), np.zeros((1000, 2)), DimensionError),
+        (100.0, np.zeros(1000), np.zeros(999), DimensionError),
+    ])
+    @pytest.mark.parametrize("path", ["SegmentSignal", "segment_signal", "signals_to_dataset"])
+    def test_every_path_raises_the_same_error(self, path, fs, c3, c4, error):
+        call = {
+            "SegmentSignal": lambda: SegmentSignal(c3=c3, c4=c4, fs=fs),
+            "segment_signal": lambda: segment_signal(fs, c3, c4),
+            "signals_to_dataset": lambda: signals_to_dataset([(fs, c3, c4)], ["1"]),
+        }[path]
+        match = "sampling rate" if error is ParameterError else "channels must be 1-D"
+        with pytest.raises(error, match=match):
+            call()
+
 
 class TestPeriodogram:
     def test_zero_signal(self):

@@ -50,6 +50,11 @@ class TestConfigValidation:
         with pytest.raises(ParameterError):
             small_config(separation=-1.0)
 
+    @pytest.mark.parametrize("rate", [1.0000000000000002, 5.0])
+    def test_rejects_artifact_rate_above_one(self, rate):
+        with pytest.raises(ParameterError, match=r"artifact_rate must lie in \[0, 1\]"):
+            small_config(artifact_rate=rate)
+
     def test_rejects_informative_above_m(self):
         with pytest.raises(ParameterError):
             small_config(informative_count=99)
