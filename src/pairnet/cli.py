@@ -37,6 +37,7 @@ from .errors import (
     EmptyInputError,
     ParameterError,
     ParseError,
+    RangeError,
     SchemaError,
     TrainingError,
 )
@@ -160,11 +161,17 @@ def _synthesize(args: argparse.Namespace, seed: int) -> tuple[SynthConfig, Datas
 @contextmanager
 def _generator_flag_errors():
     """gen and bench read no input file, so a SchemaError there means their
-    generator flags pushed the data past float64's range: a bad flag value."""
+    generator flags pushed the data past float64's range, and a RangeError
+    that bench's flags could make training overflow: bad flag values."""
     try:
         yield
     except SchemaError as exc:
         raise ParameterError(f"--separation or --record-effect too large: {exc}") from None
+    except RangeError as exc:
+        raise ParameterError(
+            f"--c, --max-iters, --lm-max-iters, --separation or --record-effect "
+            f"too large: {exc}"
+        ) from None
 
 
 def _train_model(ds_train, args, model_kind: str, seed: int, max_iters: int | None):

@@ -82,7 +82,9 @@ class SegmentSignal:
         # A segment is exactly one whole window.
         n = len(self.c3)
         if rows3.shape != (1, n):
-            raise DimensionError(f"segment length {n} != fs * 10s = {rows3.shape[1]} samples")
+            raise DimensionError(
+                f"segment length {n} != fs * 10s = {self.fs * SEGMENT_SECONDS:.0f} samples"
+            )
         object.__setattr__(self, "c3", rows3[0])
         object.__setattr__(self, "c4", rows4[0])
 
@@ -99,10 +101,8 @@ def _one_sided_power(rows: np.ndarray) -> np.ndarray:
     n = rows.shape[1]
     spec = np.fft.rfft(rows - rows.mean(axis=1, keepdims=True), axis=1)
     power = np.abs(spec) ** 2 / n**2
-    if n % 2 == 0:
-        power[:, 1:-1] *= 2.0
-    else:
-        power[:, 1:] *= 2.0
+    # Each bin but DC (and Nyquist, for even n) also holds its negative twin.
+    power[:, 1:(n + 1) // 2] *= 2.0
     return power
 
 
@@ -116,8 +116,8 @@ def periodogram(signal: np.ndarray, fs: float) -> Psd:
     x = np.asarray(signal, dtype=np.float64)
     if x.ndim != 1 or x.shape[0] < 2:
         raise ParameterError("signal must be 1-D with at least 2 samples")
-    if fs <= 0:
-        raise ParameterError(f"fs must be > 0, got {fs}")
+    if not (math.isfinite(fs) and fs > 0):
+        raise ParameterError(f"fs must be finite and > 0, got {fs}")
     n = x.shape[0]
     return Psd(freqs=np.fft.rfftfreq(n, 1.0 / fs), power=_one_sided_power(x[None])[0])
 
@@ -282,7 +282,9 @@ def _windows(fs: float, c3, c4, channels: str = "channels") -> tuple[np.ndarray,
     c4 = np.asarray(c4, dtype=np.float64)
     if c3.ndim != 1 or c3.shape != c4.shape:
         raise DimensionError(f"{channels} must be 1-D and equally long")
-    n = round(fs * SEGMENT_SECONDS)
+    # A window longer than the recording leaves no row; capping it keeps the
+    # (0, n) shape representable when fs * 10 is huge, or overflows to inf.
+    n = round(min(fs * SEGMENT_SECONDS, len(c3) + 1))
     k = len(c3) // n
     return c3[: k * n].reshape(k, n), c4[: k * n].reshape(k, n)
 

@@ -68,3 +68,8 @@ class DimensionError(PairnetError):
 class TrainingError(PairnetError):
     """Training preconditions are not met (missing class, one-sided targets,
     inputs large enough to overflow), or a model cannot be saved."""
+
+
+class RangeError(TrainingError):
+    """Training could leave float64's range: the training input is not
+    finite, or too large for the given c and max_iterations."""

@@ -7,7 +7,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .errors import DimensionError, EmptyInputError, ParameterError, TrainingError, check_seed
+from .errors import (DimensionError, EmptyInputError, ParameterError, RangeError,
+                     TrainingError, check_seed)
 
 # A TLU is parameterized by one extended weight vector of length m+1,
 # where w[0] is the bias multiplying the implicit constant input 1.
@@ -133,8 +134,8 @@ def error_correct(w: TluWeights, x: np.ndarray, target: int, c: float = 1.0) -> 
 
 
 def check_range(xb: np.ndarray, cfg: TrainConfig) -> None:
-    """TrainingError unless training on the extended rows xb stays within
-    float64's range.
+    """RangeError (a TrainingError) unless training on the extended rows xb
+    stays within float64's range.
 
     Each error-correction step adds at most c * max|x| to a weight, so after
     any number of visits up to max_iterations no weight exceeds
@@ -152,12 +153,12 @@ def check_range(xb: np.ndarray, cfg: TrainConfig) -> None:
             l1_max = np.maximum(l1_max, ax.sum(axis=1).max())
         bound = float(cfg.c) * cfg.max_iterations * float(x_max) * float(l1_max)
     if not np.isfinite(x_max):
-        raise TrainingError(
+        raise RangeError(
             f"training input is not finite: max|x| = {float(x_max)}; every "
             "feature value must be a finite number"
         )
     if not bound < _RANGE_LIMIT:
-        raise TrainingError(
+        raise RangeError(
             f"training could overflow float64: c * max_iterations * max|x| * "
             f"max row L1 norm = {bound:.3g} is not below 2**1000; scale the "
             "features down or lower c or max_iterations"

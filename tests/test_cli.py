@@ -446,6 +446,18 @@ class TestExtract:
         assert code == 2, err
         assert "Hz unusable" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("head", ["fs=1e20", "fs=1e308"])
+    def test_window_beyond_any_array_exits_3(self, tmp_path, head):
+        # fs * 10 exceeds numpy's largest dimension, or overflows to inf.
+        (tmp_path / "sig.txt").write_text(f"{head}\n1 2\n3 4\n")
+        code, _, err = run_child(
+            "extract", tmp_path / "sig.txt", "--classes", "1", "--out", tmp_path / "x.csv"
+        )
+        assert code == 3, err
+        assert "recording 1 is shorter than one 10-second segment" in err
+        assert "Traceback" not in err
+        assert os.listdir(tmp_path) == ["sig.txt"]
+
     @pytest.mark.parametrize("slow_first,code,message", [
         (True, 2, "sampling rate 40.0 Hz unusable"),
         (False, 3, "No such file"),
@@ -553,6 +565,22 @@ class TestBench:
         assert manifest["config"]["seeds"] == 2
         assert manifest["config"]["max_iters"] == 1500
         assert manifest["config"]["scale"] == 0.02
+
+    @pytest.mark.parametrize("flags", [
+        ["--no-standardize", "--record-effect", "1e200"],
+        ["--c", "1e300"],
+    ])
+    def test_training_overflow_from_flags_exits_2(self, tmp_path, flags):
+        # bench reads no file, so only its flags can make training overflow.
+        code, _, err = run_child(
+            "bench", "--scale", "0.02", "--max-iters", "200", "--lm-max-iters", "200",
+            "--seeds", "1", *flags, "--out", tmp_path / "r.tsv",
+        )
+        assert code == 2, err
+        assert "--c, --max-iters, --lm-max-iters, --separation or --record-effect too large: " \
+            "training could overflow float64" in err
+        assert "Traceback" not in err
+        assert os.listdir(tmp_path) == []
 
 
 SINGLE_RECORD_NOTE = (

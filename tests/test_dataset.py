@@ -1,6 +1,7 @@
 import csv
 import os
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -336,6 +337,27 @@ class TestCsvPaths:
         path = tmp_path / "wide.csv"
         assert_paths_agree(path, header + "".join(rows))
         assert load_csv(path).X.shape == (2, m)
+
+    def test_fast_path_holds_one_copy_of_the_features(self, tmp_path):
+        # numpy reports its buffers to tracemalloc. The structured table read
+        # by np.loadtxt, plus the C-ordered X that Dataset copies out of it,
+        # bound the peak: the features are taken from the table as a view,
+        # and a second copy would add another X.nbytes.
+        n, m = 4000, 40
+        y = np.arange(n) % 4 + 1
+        ds = make_dataset(np.random.default_rng(6).normal(size=(n, m)), y, y)
+        path = tmp_path / "saved.csv"
+        save_csv(ds, path)
+        load_csv(path)  # the first call imports numpy.lib.recfunctions
+        tracemalloc.start()
+        try:
+            loaded = load_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(loaded.X, ds.X) and np.array_equal(loaded.records, ds.records)
+        table_bytes = n * (8 * m + 2 * dataset._TEXT_CELL_WIDTH)
+        assert peak < table_bytes + ds.X.nbytes + ds.X.nbytes // 2
 
     def test_pipe_is_read_by_the_csv_module(self, tmp_path):
         fifo = tmp_path / "data.fifo"

@@ -97,6 +97,13 @@ class TestSegmentSignal:
         with pytest.raises(ParameterError, match="sampling rate"):
             segment_signal(fs, np.zeros(n), np.zeros(n))
 
+    # fs * 10 beyond numpy's largest dimension, and overflowing to inf.
+    @pytest.mark.parametrize("fs,window", [(1e20, "1000000000000000000000"), (1e308, "inf")])
+    def test_window_longer_than_any_array(self, fs, window):
+        assert segment_signal(fs, np.zeros(5), np.zeros(5)) == []
+        with pytest.raises(DimensionError, match=f"segment length 5 != fs \\* 10s = {window} "):
+            SegmentSignal(c3=np.zeros(5), c4=np.zeros(5), fs=fs)
+
     def test_segment_signal_rejects_unequal_channels(self):
         with pytest.raises(DimensionError, match="equally long"):
             segment_signal(100.0, np.zeros(2000), np.zeros(1500))
@@ -147,6 +154,11 @@ class TestPeriodogram:
     def test_too_short(self):
         with pytest.raises(ParameterError):
             periodogram(np.array([1.0]), FS)
+
+    @pytest.mark.parametrize("fs", [math.nan, math.inf])
+    def test_rejects_non_finite_rate(self, fs):
+        with pytest.raises(ParameterError, match="fs must be finite and > 0"):
+            periodogram(np.arange(8.0), fs)
 
 
 class TestBandPower:
