@@ -72,13 +72,17 @@ class Dataset:
             raise SchemaError(f"class ids must lie in 1..{r}")
         if n and records.min() < 1:
             raise SchemaError("record ids must be >= 1")
-        for rec in np.unique(records):
-            classes = np.unique(y[records == rec])
-            if classes.size > 1:
-                raise SchemaError(
-                    f"record {rec} appears in classes {classes.tolist()}; "
-                    "a record must belong to exactly one class"
-                )
+        # The distinct (record, class) pairs, sorted: a record listed twice
+        # is mixed, and the first such is the smallest.
+        pairs = np.unique(np.column_stack([records, y]), axis=0)
+        mixed = np.flatnonzero(pairs[1:, 0] == pairs[:-1, 0])
+        if mixed.size:
+            rec = pairs[mixed[0], 0]
+            classes = pairs[pairs[:, 0] == rec, 1]
+            raise SchemaError(
+                f"record {rec} appears in classes {classes.tolist()}; "
+                "a record must belong to exactly one class"
+            )
         X.flags.writeable = False
         y.flags.writeable = False
         records.flags.writeable = False
@@ -187,9 +191,9 @@ def _load_csv_stream(fh, name: str) -> Dataset:
 
 class _Header(NamedTuple):
     width: int
-    class_idx: int
-    record_idx: int
-    feature_idx: list[int]
+    # The column index of each cell both parsers take from a row: the
+    # feature columns, then class, then record.
+    order: list[int]
     feature_names: list[str]
 
 
@@ -213,15 +217,14 @@ def _read_header(rows: Iterator[list[str]], name: str) -> _Header:
             raise SchemaError(f"{name}: missing mandatory column '{col}'")
         if header.count(col) > 1:
             raise SchemaError(f"{name}: duplicate column '{col}'")
-    class_idx = header.index("class")
-    record_idx = header.index("record")
-    feature_idx = [i for i in range(len(header)) if i not in (class_idx, record_idx)]
-    feature_names = [header[i] for i in feature_idx]
+    order = [i for i, h in enumerate(header) if h not in RESERVED_COLUMNS]
+    feature_names = [header[i] for i in order]
     if not feature_names:
         raise SchemaError(f"{name}: no feature columns found")
     if len(set(feature_names)) != len(feature_names):
         raise SchemaError(f"{name}: duplicate feature column names")
-    return _Header(len(header), class_idx, record_idx, feature_idx, feature_names)
+    order += [header.index(col) for col in RESERVED_COLUMNS]
+    return _Header(len(header), order, feature_names)
 
 
 def _load_csv_fast(fh, name: str) -> Dataset | None:
@@ -236,27 +239,19 @@ def _load_csv_fast(fh, name: str) -> Dataset | None:
     value, a record id that is 0 or not 1 to 18 digits, fewer than two classes)
     returns None, so that the csv path raises its own error.
     """
-    # Imported here: it imports numpy.ma, which adds about 1.4 MB and 10-20 ms
-    # to every command that reads no CSV.
-    from numpy.lib.recfunctions import structured_to_unstructured
-
     hd = _read_header(_csv_rows(csv.reader(fh)), name)
     width = _TEXT_CELL_WIDTH
-    # One field per column, in the file's order; a feature field is named by
-    # its column index, which no feature name can clash with.
-    text_fields = {hd.class_idx: "class", hd.record_idx: "record"}
-    row = np.dtype([
-        (text_fields[i], f"S{width}") if i in text_fields else (f"c{i}", np.float64)
-        for i in range(hd.width)
-    ])
-    table = _loadtxt(_plain_lines(fh), dtype=row, delimiter=",", ndmin=1)
+    row = np.dtype([("X", np.float64, (len(hd.feature_names),))]
+                   + [(col, f"S{width}") for col in RESERVED_COLUMNS])
+    table = _loadtxt(
+        _plain_lines(fh, hd.width), dtype=row, delimiter=",", usecols=hd.order, ndmin=1
+    )
     if table is None:
         return None
-    # A view when the feature columns sit evenly spaced, as save_csv writes.
-    X = structured_to_unstructured(table[[f"c{i}" for i in hd.feature_idx]])
+    X = table["X"]
     if len(X) == 0 or not np.isfinite(X).all():
         return None
-    if max(np.char.str_len(table[col]).max() for col in ("class", "record")) >= width:
+    if max(np.char.str_len(table[col]).max() for col in RESERVED_COLUMNS) >= width:
         return None
     records = np.char.strip(table["record"])
     if not (np.char.isdigit(records).all() and np.char.str_len(records).max() <= 18):
@@ -271,17 +266,20 @@ def _load_csv_fast(fh, name: str) -> Dataset | None:
     return Dataset(X, ids[inverse], records, tuple(hd.feature_names), tuple(labels))
 
 
-def _plain_lines(fh):
+def _plain_lines(fh, width: int):
     """The lines of fh, with a ValueError at the first one the fast path must
     leave to the csv module: non-ASCII text, a quote, NUL (a bytes cell
     drops it), one of the ASCII separators \\x1c-\\x1f (np.loadtxt and
-    str.strip read them as blanks, float() does not), or a line longer than
-    the csv module's field limit (it may hold a cell that the csv module
-    rejects). Both parsers end a line at '\\n', '\\r\\n' or a lone '\\r'."""
+    str.strip read them as blanks, float() does not), more than width cells
+    (np.loadtxt drops the cells after its last usecols column), or a line
+    longer than the csv module's field limit (it may hold a cell that the
+    csv module rejects). Both parsers end a line at '\\n', '\\r\\n' or a
+    lone '\\r'."""
     # Read, never set: the limit is process-wide.
     limit = csv.field_size_limit()
     for line in fh:
         if (not line.isascii() or '"' in line or "\x00" in line or len(line) > limit
+                or line.count(",") >= width
                 or "\x1c" in line or "\x1d" in line or "\x1e" in line or "\x1f" in line):
             raise ValueError("line left to the csv module")
         yield line
@@ -306,9 +304,10 @@ def _load_csv_rows(fh, name: str) -> Dataset:
             raise ParseError(
                 f"expected {hd.width} cells, found {len(row)}", line=reader.line_num
             )
-        rows.append([row[i] for i in hd.feature_idx])
-        class_raw.append(row[hd.class_idx].strip())
-        record_raw.append(row[hd.record_idx].strip())
+        *cells, label, rec = (row[i] for i in hd.order)
+        rows.append(cells)
+        class_raw.append(label.strip())
+        record_raw.append(rec.strip())
         line_nums.append(reader.line_num)
     if not rows:
         raise EmptyInputError(f"{name}: no data rows")

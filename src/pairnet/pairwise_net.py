@@ -192,12 +192,12 @@ def classify_record(net, segments: np.ndarray) -> RecordClassification:
     segments = np.atleast_2d(np.asarray(segments, dtype=np.float64))
     if segments.shape[0] == 0:
         raise EmptyInputError("classify_record needs at least one segment")
-    return _vote(net.classify_batch(segments), net.r)
+    return _vote(np.bincount(net.classify_batch(segments), minlength=net.r + 1)[1:])
 
 
-def _vote(preds: np.ndarray, r: int) -> RecordClassification:
-    """One record's decision from its segments' predicted class ids."""
-    hist = np.bincount(preds, minlength=r + 1)[1:]
+def _vote(hist: np.ndarray) -> RecordClassification:
+    """One record's decision from the count of its segments predicted as
+    each class 1..r."""
     dist = hist / hist.sum()
     modal = int(np.argmax(hist)) + 1
     return RecordClassification(
@@ -225,17 +225,19 @@ def evaluate(model, ds: Dataset) -> EvalMetrics:
     confusion = np.zeros((ds.r, ds.r), dtype=np.int64)
     np.add.at(confusion, (ds.y - 1, preds - 1), 1)
 
+    # Row k of counts tallies the predicted classes 1..r of record recs[k].
+    recs, first, inverse = np.unique(ds.records, return_index=True, return_inverse=True)
+    counts = np.bincount(inverse * ds.r + preds - 1, minlength=len(recs) * ds.r)
     rows = []
     dists: dict[int, np.ndarray] = {}
-    for rec in ds.record_ids():
-        mask = ds.records == rec
-        true_class = int(ds.y[mask][0])
-        vote = _vote(preds[mask], ds.r)
+    for rec, true_class, hist in zip(recs.tolist(), ds.y[first].tolist(),
+                                     counts.reshape(len(recs), ds.r)):
+        vote = _vote(hist)
         rows.append((
-            int(rec), int(mask.sum()), int(vote.histogram[true_class - 1]),
+            rec, int(hist.sum()), int(hist[true_class - 1]),
             vote.modal_class, true_class, vote.confidence,
         ))
-        dists[int(rec)] = vote.distribution
+        dists[rec] = vote.distribution
 
     return EvalMetrics(
         segment_accuracy=segment_accuracy,

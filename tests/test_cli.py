@@ -392,6 +392,20 @@ class TestReports:
         code, _, _ = run(capsys, "intervals", str(small_csv), "--feature", "nope")
         assert code == 2
 
+    @pytest.mark.parametrize("index", ["0", "73"])
+    def test_intervals_index_out_of_range_exits_2(self, capsys, small_csv, index):
+        code, out, err = run(capsys, "intervals", str(small_csv), "--feature", index)
+        assert code == 2
+        assert err == f"pairnet: feature index {index} out of range 1..72\n" and out == ""
+
+    def test_duplicate_feature_names_exit_3(self, tmp_path):
+        path = tmp_path / "dup.csv"
+        path.write_text("a,a,class,record\n1.0,2.0,1,1\n3.0,4.0,2,2\n")
+        code, out, err = run_child("significance", path)
+        assert code == 3, err
+        assert f"{path}: duplicate feature column names" in err
+        assert "Traceback" not in err and out == ""
+
     @pytest.mark.parametrize("k", ["nan", "inf"])
     def test_intervals_non_finite_k_exits_2(self, small_csv, k):
         code, out, err = run_child("intervals", small_csv, "--feature", "f3", "--k", k)
@@ -436,6 +450,16 @@ class TestExtract:
         )
         assert code == 3, err
         assert "line 1: sampling rate" in err and "Traceback" not in err
+
+    def test_empty_signal_file_exits_3(self, tmp_path):
+        (tmp_path / "sig.txt").write_text("")
+        code, out, err = run_child(
+            "extract", tmp_path / "sig.txt", "--classes", "1", "--out", tmp_path / "x.csv"
+        )
+        assert code == 3, err
+        assert "line 1: signal file is empty" in err
+        assert "Traceback" not in err and out == ""
+        assert os.listdir(tmp_path) == ["sig.txt"]
 
     @pytest.mark.parametrize("head,rows", [("fs=0.04", 1000), ("fs=40", 10)])
     def test_unusable_rate_exits_2_whatever_the_length(self, tmp_path, head, rows):

@@ -42,6 +42,36 @@ def make_dataset(X, y, records, r=None):
     )
 
 
+class TestDataset:
+    @pytest.mark.parametrize("change,message", [
+        ({"X": np.zeros(2)}, "X must be 2-dimensional"),
+        ({"X": np.zeros((2, 0)), "feature_names": ()},
+         "at least one feature column is required (m >= 1)"),
+        ({"class_labels": ("a",)}, "r >= 2 required, got r=1"),
+        ({"feature_names": ("f", "g")}, "2 feature names for 1 columns"),
+        ({"y": [1, 2, 1]}, "y and records must have one entry per row of X"),
+        ({"records": [1]}, "y and records must have one entry per row of X"),
+        ({"y": [0, 2]}, "class ids must lie in 1..2"),
+        ({"y": [1, 3]}, "class ids must lie in 1..2"),
+        ({"records": [0, 2]}, "record ids must be >= 1"),
+    ])
+    def test_constructor_refusals(self, change, message):
+        args = {"X": np.zeros((2, 1)), "y": [1, 2], "records": [1, 2],
+                "feature_names": ("f",), "class_labels": ("a", "b")}
+        with pytest.raises(SchemaError) as exc:
+            Dataset(**{**args, **change})
+        assert str(exc.value) == message
+
+    def test_smallest_mixed_record_is_named(self):
+        # Records 5 and 3 both span two classes; record 5 comes first in
+        # row order, record 3 is named.
+        with pytest.raises(SchemaError) as exc:
+            make_dataset(np.zeros((6, 1)), [3, 2, 1, 2, 1, 3], [5, 5, 1, 3, 3, 6])
+        assert str(exc.value) == (
+            "record 3 appears in classes [1, 2]; a record must belong to exactly one class"
+        )
+
+
 class TestLoadCsv:
     def test_smallest_well_formed(self):
         ds = loads_csv(SMALL_CSV)
@@ -338,17 +368,26 @@ class TestCsvPaths:
         assert_paths_agree(path, header + "".join(rows))
         assert load_csv(path).X.shape == (2, m)
 
-    def test_fast_path_holds_one_copy_of_the_features(self, tmp_path):
+    @pytest.mark.parametrize("at", [None, 0, 20], ids=["save_csv", "first", "between"])
+    def test_fast_path_holds_one_copy_of_the_features(self, tmp_path, at):
         # numpy reports its buffers to tracemalloc. The structured table read
         # by np.loadtxt, plus the C-ordered X that Dataset copies out of it,
         # bound the peak: the features are taken from the table as a view,
-        # and a second copy would add another X.nbytes.
+        # and a second copy would add another X.nbytes. at is the column
+        # before which class and record sit (None: last, as save_csv writes).
         n, m = 4000, 40
         y = np.arange(n) % 4 + 1
         ds = make_dataset(np.random.default_rng(6).normal(size=(n, m)), y, y)
         path = tmp_path / "saved.csv"
         save_csv(ds, path)
-        load_csv(path)  # the first call imports numpy.lib.recfunctions
+        if at is not None:
+            moved = []
+            for line in path.read_text().splitlines():
+                cells = line.split(",")
+                cells[at:at] = cells[-2:]
+                moved.append(",".join(cells[:-2]) + "\r\n")
+            path.write_text("".join(moved))
+        load_csv(path)  # np.unique imports numpy.ma on its first call
         tracemalloc.start()
         try:
             loaded = load_csv(path)

@@ -356,29 +356,38 @@ class TestRecordClassification:
 
 
 class TestEvaluate:
-    def test_record_rows_match_classify_record(self):
+    @pytest.mark.parametrize("many", [False, True], ids=["tie", "many-records"])
+    def test_record_rows_match_classify_record(self, many):
         net = random_network(4, 2, seed=11)
         rng = np.random.default_rng(12)
-        X = rng.normal(size=(60, 2))
-        recs = np.repeat(np.arange(1, 13), 5)
-        y = (recs - 1) % 4 + 1
-        # Record 13: two segments each for classes 3 and 2, a tie.
-        tie = [X[net.classify_batch(X) == k][:2] for k in (3, 2)]
-        X = np.vstack([X, *tie])
-        recs = np.append(recs, [13] * 4)
-        y = np.append(y, [4] * 4)
+        if many:
+            # 700 sparse record ids of 1 to 4 segments each, in shuffled row order.
+            ids = rng.choice(np.arange(1, 5000), size=700, replace=False)
+            recs = rng.permutation(np.repeat(ids, rng.integers(1, 5, size=700)))
+            X = rng.normal(size=(recs.size, 2))
+            y = recs % 4 + 1
+        else:
+            X = rng.normal(size=(60, 2))
+            recs = np.repeat(np.arange(1, 13), 5)
+            y = (recs - 1) % 4 + 1
+            # Record 13: two segments each for classes 3 and 2, a tie.
+            tie = [X[net.classify_batch(X) == k][:2] for k in (3, 2)]
+            X = np.vstack([X, *tie])
+            recs = np.append(recs, [13] * 4)
+            y = np.append(y, [4] * 4)
         ds = make_dataset(X, y, recs, r=4)
         metrics = evaluate(net, ds)
-        assert [row[0] for row in metrics.per_record] == list(range(1, 14))
+        assert [row[0] for row in metrics.per_record] == np.unique(recs).tolist()
         for rec, n_seg, n_correct, modal, true, conf in metrics.per_record:
             rc = classify_record(net, ds.X[ds.records == rec])
             assert n_seg == rc.histogram.sum()
             assert n_correct == rc.histogram[true - 1]
             assert (modal, conf) == (rc.modal_class, rc.confidence)
             np.testing.assert_array_equal(metrics.per_record_distributions[rec], rc.distribution)
-        tied = classify_record(net, ds.X[ds.records == 13])
-        np.testing.assert_array_equal(tied.histogram, [0, 2, 2, 0])
-        assert metrics.per_record[-1][3] == 2
+        if not many:
+            tied = classify_record(net, ds.X[ds.records == 13])
+            np.testing.assert_array_equal(tied.histogram, [0, 2, 2, 0])
+            assert metrics.per_record[-1][3] == 2
 
     def test_perfect_classifier(self):
         rng = np.random.default_rng(4)
