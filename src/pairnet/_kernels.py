@@ -1,39 +1,189 @@
-"""Hot training loops, one per model, and the seeded order they visit.
+"""Hot training loops, one per model, the seeded order they visit, and the
+choice between their two implementations.
 
-The pocket and linear-machine training loops are inherently sequential
-(every weight update depends on the previous one). A visit costs a Python
-loop iteration, and most of that cost is numpy call overhead rather than
-arithmetic (one 73-long dot product, or a 16x73 product, per visit). So
-the loops keep each visit on Python scalars: the example rows are taken
-once as a list of row views, the targets or labels as Python lists, the
-visit order yields Python ints, and each visit makes a single BLAS call
-(``x.dot(pi)`` or ``W.dot(x)``) whose result is turned into a Python float
-or int before any comparison. Full-set accuracy evaluations and weight
-updates stay whole-array operations.
+The pocket and linear-machine loops are inherently sequential (every weight
+update depends on the previous one), and a visit is cheap: one 73-long dot
+product, or a 16x73 product, at the paper's size. Each loop has two
+implementations that make the same decisions bit for bit:
 
-Each loop visits every index ``order`` yields (its length is the budget)
-until the pocket reaches accuracy 1.0, and returns the four fields of a
-``tlu.PocketResult`` in field order: the pocket weights, its accuracy (a
+- ``pocket_loop_c`` and ``lm_loop_c`` run the visits in C (``_loops.c``),
+  calling numpy's own BLAS with the arguments numpy passes for each
+  expression of the numpy loops. Python owns the state, in numpy arrays, and
+  hands the loop one stretch of the visit order (an epoch) at a time; the
+  loop returns at the end of it, and at each pocket swap so that the history
+  can be appended.
+- ``pocket_loop_numpy`` and ``lm_loop_numpy`` are the fallback and the
+  reference. They keep each visit on Python scalars: the example rows are
+  taken once as a list of row views, the targets or labels as Python lists,
+  the visit order yields Python ints, and each visit makes a single BLAS call
+  (``x.dot(pi)`` or ``W.dot(x)``) whose result is turned into a Python float
+  or int before any comparison. Full-set accuracy evaluations and weight
+  updates stay whole-array operations.
+
+``load()``, which the first ``pocket_loop`` or ``lm_loop`` calls, picks the
+path once per process and names it in ``ACTIVE_PATH``. It builds ``_loops.c``
+at first use with the system C compiler and ``-ffp-contract=off`` (no FMA:
+``pi + (c*t)*x`` must round twice, as numpy does) into
+``$XDG_CACHE_HOME/pairnet`` (default ``~/.cache/pairnet``), under a name keyed
+by the hash of the source and the flags, renamed into place when complete.
+The BLAS entry points come from the scipy-openblas64 library that numpy's
+wheel bundles, and only if numpy has loaded it. No compiler, a failed build,
+an unwritable cache, another BLAS or a missing symbol selects the numpy
+loops, with ``FALLBACK_REASON`` saying why; it never fails a command. Where
+numpy itself would call other BLAS routines (one row, one feature column or
+one class), a loop runs its numpy version.
+
+Each loop visits every index its visit order holds (its length is the
+budget) until the pocket reaches accuracy 1.0, and returns the four fields
+of a ``tlu.PocketResult`` in field order: the pocket weights, its accuracy (a
 Python float), the visits used (a Python int) and the history, a tuple of
 (visit, accuracy) pairs.
 
-The decision sequence is that of the per-visit ``ddot`` signs (and of the
-whole-set products in the accuracy evaluations), so it depends on how
-BLAS rounds each dot product. ``tests/test_kernels.py`` checks both loops
-against a scalar reference loop that sums left to right; the two are
-proven equal only where every dot product is exact, as on the
-integer-grid problems there.
+The decision sequence is that of the per-visit dot-product signs (and of
+the whole-set products in the accuracy evaluations), so it depends on how
+BLAS rounds each dot product. ``tests/test_kernels.py`` checks the two
+implementations against each other on random float data, and both against
+scalar reference loops that sum left to right; the latter are proven equal
+only where every dot product is exact, as on the integer-grid problems there.
 """
 
+import functools
 import itertools
+import os
+import types
+from pathlib import Path
 
 import numpy as np
 
-# perfbench stamps each run with the loop implementation that ran.
+# The loop implementation this process runs: "numpy" until load() picks,
+# then "c" or "numpy". The manifests of train and bench record it.
 ACTIVE_PATH = "numpy"
+# Why the compiled loops are not in use, once load() has fallen back.
+FALLBACK_REASON = None
+
+_SOURCE = Path(__file__).with_name("_loops.c")
+_CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+_COMPILERS = ("cc", "gcc", "clang")
+_BLAS_LIBRARY = "libscipy_openblas64_*.so"
+_BLAS_SYMBOLS = ("scipy_cblas_ddot64_", "scipy_cblas_dgemv64_", "scipy_cblas_dgemm64_")
+
+# None until load() picks; then the compiled loops, or False for numpy's.
+_loaded = None
 
 
-def pocket_loop(xb, targets, order, c):
+class _Unavailable(Exception):
+    """The compiled loops cannot be used; the message says why, in one line."""
+
+
+def load():
+    """Pick this process's loop path, once, and return the compiled loops, or
+    None where the numpy loops run. Call it before forking workers, so that
+    they inherit the choice and the loaded library."""
+    global _loaded, ACTIVE_PATH, FALLBACK_REASON
+    if _loaded is None:
+        try:
+            _loaded, ACTIVE_PATH, FALLBACK_REASON = _load_compiled(), "c", None
+        except (_Unavailable, OSError) as exc:
+            _loaded, ACTIVE_PATH, FALLBACK_REASON = False, "numpy", str(exc)
+    return _loaded or None
+
+
+def pocket_loop(xb, targets, stretches, c):
+    """The pocket loop over a visit order given as stretches, int64 arrays of
+    example indices (``epochs`` yields them), on this process's path."""
+    loops = load()
+    if loops is None or not _blas_shaped(xb, 2):
+        return pocket_loop_numpy(xb, targets, _indices(stretches), c)
+    return pocket_loop_c(loops, xb, targets, stretches, c)
+
+
+def lm_loop(xb, y0, r, stretches, c):
+    """The linear-machine loop over a visit order given as stretches, on this
+    process's path."""
+    loops = load()
+    if loops is None or not _blas_shaped(xb, r):
+        return lm_loop_numpy(xb, y0, r, _indices(stretches), c)
+    return lm_loop_c(loops, xb, y0, r, stretches, c)
+
+
+def _blas_shaped(xb, r):
+    # The shapes for which numpy computes x.dot(pi), xb @ pi, W.dot(x) and
+    # xb @ W.T with ddot, dgemv and dgemm on these very arguments.
+    n, d = xb.shape
+    return (min(n, d, r) >= 2 and xb.dtype == np.float64
+            and xb.flags.c_contiguous)
+
+
+def _indices(stretches):
+    return itertools.chain.from_iterable(s.tolist() for s in stretches)
+
+
+def pocket_loop_c(loops, xb, targets, stretches, c):
+    """pocket_loop_numpy in C, on the loops load() returned. xb must be
+    C-ordered float64 with at least two rows and columns (else ValueError)."""
+    n, d = xb.shape
+    targets = np.ascontiguousarray(targets, dtype=np.float64)
+    _check_c_inputs(xb, targets, 2)
+    pi, pocket, act = np.zeros(d), np.zeros(d), np.empty(n)
+    state = loops.State(0, 0, int(np.count_nonzero(targets < 0.0)) / n, -1.0)
+    visits = functools.partial(
+        loops.lib.pocket_visits, xb.ctypes.data, targets.ctypes.data, n, d, c,
+        pi.ctypes.data, pocket.ctypes.data, act.ctypes.data, loops.byref(state))
+    used, history = _visit_stretches(visits, stretches, n, state)
+    return pocket, state.pocket_acc, used, history
+
+
+def lm_loop_c(loops, xb, y0, r, stretches, c):
+    """lm_loop_numpy in C, on the loops load() returned. xb must be C-ordered
+    float64 with at least two rows and columns, and r at least 2 (else
+    ValueError)."""
+    n, d = xb.shape
+    labels = np.ascontiguousarray(y0, dtype=np.int64)
+    _check_c_inputs(xb, labels, r)
+    if not (labels.min() >= 0 and labels.max() < r):
+        raise IndexError(f"class index out of range 0..{r - 1}")
+    W, pocket, scores = np.zeros((r, d)), np.zeros((r, d)), np.empty(n * r)
+    state = loops.State(0, 0, int(np.count_nonzero(labels == 0)) / n, -1.0)
+    visits = functools.partial(
+        loops.lib.lm_visits, xb.ctypes.data, labels.ctypes.data, n, d, r, c,
+        W.ctypes.data, pocket.ctypes.data, scores.ctypes.data, loops.byref(state))
+    used, history = _visit_stretches(visits, stretches, n, state)
+    return pocket, state.pocket_acc, used, history
+
+
+def _check_c_inputs(xb, per_row, r):
+    # The compiled loops read these arrays by raw address.
+    if not (_blas_shaped(xb, r) and per_row.shape == xb.shape[:1]):
+        raise ValueError(f"compiled loops need C-ordered float64 rows, at least 2x2, "
+                         f"one target per row and r >= 2; got {xb.shape} "
+                         f"{xb.dtype} rows, {per_row.shape} targets, r={r}")
+
+
+def _visit_stretches(visits, stretches, n, state):
+    """Run a compiled loop over each stretch in turn. visits(address, length)
+    visits from the start of a stretch until it ends or the pocket swaps, and
+    returns the visits it made. Returns the visits used and the history, as
+    the numpy loops count them."""
+    history = [(0, state.pocket_acc)]
+    used = 0
+    for order in stretches:
+        order = np.ascontiguousarray(order, dtype=np.int64)
+        if order.size and not (order.min() >= 0 and order.max() < n):
+            raise IndexError(f"visit index out of range 0..{n - 1}")
+        address, left = order.ctypes.data, order.size
+        while left:
+            done = visits(address, left)
+            used += done
+            left -= done
+            address += done * order.itemsize
+            if state.pocket_acc != history[-1][1]:  # a swap; each one improves
+                history.append((used, state.pocket_acc))
+                if state.pocket_acc >= 1.0:
+                    return used, tuple(history)
+    return used, tuple(history)
+
+
+def pocket_loop_numpy(xb, targets, order, c):
     """Pocket algorithm with ratchet over a visit order.
 
     xb is the (n, m+1) extended example matrix (column 0 all ones), targets
@@ -87,7 +237,7 @@ def pocket_loop(xb, targets, order, c):
     return pocket, pocket_acc, it, tuple(history)
 
 
-def lm_loop(xb, y0, r, order, c):
+def lm_loop_numpy(xb, y0, r, order, c):
     """Jointly trained linear machine with a whole-machine pocket ratchet.
 
     y0 holds 0-based class indices, and order yields the visited example
@@ -145,12 +295,124 @@ def lm_loop(xb, y0, r, order, c):
     return pocket, pocket_acc, it, tuple(history)
 
 
-def visit_order(n: int, max_iters: int, seed: int):
-    """The example index visited at each of max_iters iterations: fresh
-    permutations of 0..n-1, one per epoch, from the generator seeded with
-    seed. Each is drawn only when training reaches its epoch, so memory
-    does not grow with max_iters; a bad seed fails here, before any visit.
-    """
+def epochs(n: int, max_iters: int, seed: int):
+    """The visit order of max_iters iterations as one int64 array per epoch:
+    fresh permutations of 0..n-1 from the generator seeded with seed, the
+    last one cut to the budget. Each is drawn only when training reaches its
+    epoch, so memory does not grow with max_iters; a bad seed fails here,
+    before any visit."""
     rng = np.random.default_rng(seed)
-    epochs = (rng.permutation(n).tolist() for _ in itertools.repeat(None))
-    return itertools.islice(itertools.chain.from_iterable(epochs), max_iters)
+
+    def draw(left):
+        while left > 0:
+            yield rng.permutation(n)[:left]
+            left -= n
+
+    return draw(max_iters)
+
+
+def visit_order(n: int, max_iters: int, seed: int):
+    """The example index visited at each of max_iters iterations, as Python
+    ints: the epochs of ``epochs(n, max_iters, seed)`` one after another."""
+    return _indices(epochs(n, max_iters, seed))
+
+
+def _load_compiled():
+    import ctypes
+
+    blas = _numpy_blas(ctypes)
+    entries = []
+    for name in _BLAS_SYMBOLS:
+        try:
+            entries.append(ctypes.cast(getattr(blas, name), ctypes.c_void_p))
+        except AttributeError:
+            raise _Unavailable(f"symbol {name} missing") from None
+    path = _build()
+    try:
+        lib = ctypes.CDLL(str(path))
+    except OSError as exc:
+        raise _Unavailable(f"cannot load {path}: {exc}") from None
+
+    class State(ctypes.Structure):
+        # loop_state in _loops.c
+        _fields_ = [("run", ctypes.c_int64), ("best_run", ctypes.c_int64),
+                    ("pocket_acc", ctypes.c_double), ("cached_acc", ctypes.c_double)]
+
+    i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
+    lib.set_blas.argtypes = [ptr, ptr, ptr]
+    lib.set_blas.restype = None
+    lib.set_blas(*entries)
+    lib.pocket_visits.argtypes = [ptr, ptr, i64, i64, f64, ptr, ptr, ptr,
+                                  ctypes.POINTER(State), ptr, i64]
+    lib.pocket_visits.restype = i64
+    lib.lm_visits.argtypes = [ptr, ptr, i64, i64, i64, f64, ptr, ptr, ptr,
+                              ctypes.POINTER(State), ptr, i64]
+    lib.lm_visits.restype = i64
+    # byref travels along, so that only load() imports ctypes.
+    return types.SimpleNamespace(lib=lib, State=State, byref=ctypes.byref)
+
+
+def _numpy_blas(ctypes):
+    """The scipy-openblas64 library that numpy's wheel bundles, opened only
+    if numpy has already loaded it: dlopen with RTLD_NOLOAD returns the very
+    object numpy calls and loads nothing new."""
+    noload = getattr(os, "RTLD_NOLOAD", None)
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    if noload is not None:
+        for path in sorted(libs.glob(_BLAS_LIBRARY)):
+            try:
+                return ctypes.CDLL(str(path), mode=noload | os.RTLD_NOW)
+            except OSError:
+                continue
+    raise _Unavailable("numpy's BLAS is not the scipy-openblas64 its wheel bundles")
+
+
+def _cache_dir() -> Path:
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):
+        base = os.path.join(os.path.expanduser("~"), ".cache")
+    if not os.path.isabs(base):  # no home directory to expand ~ to
+        raise _Unavailable("no cache directory: neither XDG_CACHE_HOME nor HOME is set")
+    return Path(base) / "pairnet"
+
+
+def _build() -> Path:
+    """The path of the compiled loops, built first unless the cache holds them."""
+    import hashlib
+    import shutil
+    import subprocess
+    import tempfile
+
+    try:
+        source = _SOURCE.read_bytes()
+    except OSError as exc:
+        raise _Unavailable(f"cannot read {_SOURCE.name}: {exc.strerror}") from None
+    key = hashlib.sha256(source + " ".join(_CFLAGS).encode()).hexdigest()[:16]
+    cache = _cache_dir()
+    path = cache / f"_loops-{key}.so"
+    if path.is_file():
+        return path
+    cc = next(filter(None, map(shutil.which, _COMPILERS)), None)
+    if cc is None:
+        raise _Unavailable("no C compiler")
+    try:
+        cache.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(prefix=f".{path.name}.", suffix=".tmp", dir=cache)
+        os.close(fd)
+    except OSError as exc:
+        raise _Unavailable(f"cache {cache} not writable: {exc.strerror}") from None
+    try:
+        # The source goes in on stdin: the very bytes the name is keyed by.
+        proc = subprocess.run([cc, *_CFLAGS, "-o", tmp, "-x", "c", "-"], input=source,
+                              capture_output=True, timeout=300)
+        if proc.returncode != 0:
+            err = proc.stderr.decode(errors="replace").strip()
+            first = (err.splitlines() or ["no message"])[0]
+            raise _Unavailable(f"C build failed ({cc} exit {proc.returncode}): {first}")
+        os.replace(tmp, path)
+    except (OSError, subprocess.SubprocessError) as exc:
+        raise _Unavailable(f"C build failed: {exc}") from None
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+    return path

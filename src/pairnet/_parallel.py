@@ -2,7 +2,9 @@
 
 The pairwise tests train independently of each other, and each signal file
 is featurized on its own, so both spread over processes. Threads would not
-help: the per-visit loops and ``np.loadtxt`` hold the GIL.
+help the numpy fallback: ``np.loadtxt`` and the numpy visit loops hold the
+GIL. The compiled visit loops release it for each ctypes call, at most one
+epoch of visits long, but processes serve both paths alike.
 
 The workers are forked, not spawned: each inherits the function it applies,
 and whatever dataset or configuration that closes over, from the parent's

@@ -5,8 +5,11 @@ Each ``cmd_*`` does its work and returns the paths it read and wrote.
 ``main`` is the one runner around them: it times the command, and when the
 command wrote files it writes a JSON manifest next to the first of them
 (``<out>.manifest.json``) echoing the command, all flag values, the seed,
-input/output paths, wall-clock duration, and the library version. A report
-sent to stdout gets no manifest.
+input/output paths, wall-clock duration, and the library version; for
+``train`` and ``bench`` also the training-loop path that ran
+(``kernel_path``, ``"c"`` or ``"numpy"``) and, when the compiled loops could
+not be used, why (``kernel_fallback``). A report sent to stdout gets no
+manifest.
 
 ``main`` is also the one place where errors become exit codes: 0 success,
 2 bad flags or parameter values, 3 data errors (missing, unreadable or
@@ -29,7 +32,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _kernels
 from ._parallel import MAX_DEFAULT_JOBS, check_jobs, default_jobs
 from .dataset import Dataset, _split_by_record, load_csv, save_csv, standardize
 from .errors import (
@@ -87,6 +90,10 @@ def _write_manifest(args: argparse.Namespace, inputs: list[str],
         "duration_seconds": round(duration, 3),
         "version": __version__,
     }
+    if args.command in ("train", "bench"):
+        manifest["kernel_path"] = _kernels.ACTIVE_PATH
+        if _kernels.FALLBACK_REASON is not None:
+            manifest["kernel_fallback"] = _kernels.FALLBACK_REASON
     with open(outputs[0] + ".manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, default=str)
         fh.write("\n")

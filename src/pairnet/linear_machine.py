@@ -80,7 +80,7 @@ def lm_train_pocket(
 
     xb = extend(ds.X)
     check_range(xb, cfg)
-    order = _kernels.visit_order(len(ds), cfg.max_iterations, cfg.seed)
+    order = _kernels.epochs(len(ds), cfg.max_iterations, cfg.seed)
     W, acc, used, history = _kernels.lm_loop(xb, ds.y - 1, ds.r, order, float(cfg.c))
     lm = LinearMachine(r=ds.r, m=ds.m, weights=W, standardization=standardization)
     return lm, PocketResult(W.ravel(), acc, used, history)

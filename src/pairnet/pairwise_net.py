@@ -12,6 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import _kernels
 from ._parallel import ordered_map
 from .dataset import Dataset, Standardization
 from .errors import DimensionError, EmptyInputError, ParameterError, TrainingError
@@ -166,6 +167,7 @@ def train_pairwise(
     order either way.
     """
     pairs = enumerate_pairs(ds.r)
+    _kernels.load()  # once, before the workers fork
     tests = ordered_map(lambda pair: _train_one_pair(ds, cfg, *pair), pairs, jobs)
     return PairwiseNetwork(
         r=ds.r, m=ds.m, tests=tuple(tests), standardization=standardization

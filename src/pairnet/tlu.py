@@ -190,5 +190,5 @@ def train_pocket(X: np.ndarray, targets: np.ndarray, cfg: TrainConfig) -> Pocket
 
     xb = extend(X)
     check_range(xb, cfg)
-    order = _kernels.visit_order(X.shape[0], cfg.max_iterations, cfg.seed)
+    order = _kernels.epochs(X.shape[0], cfg.max_iterations, cfg.seed)
     return PocketResult(*_kernels.pocket_loop(xb, targets, order, float(cfg.c)))

@@ -671,7 +671,13 @@ class TestRunner:
         code, _, err = run(capsys, *argv)
         assert code == 0, err
         manifest = json.loads((tmp_path / (outputs[0] + ".manifest.json")).read_text())
-        assert set(manifest) == MANIFEST_KEYS
+        if argv[0] in ("train", "bench"):
+            # The loop path that trained, and why, when it is the fallback.
+            fallback = {"kernel_fallback"} if manifest["kernel_path"] == "numpy" else set()
+            assert set(manifest) == MANIFEST_KEYS | {"kernel_path"} | fallback
+            assert manifest["kernel_path"] == pairnet._kernels.ACTIVE_PATH
+        else:
+            assert set(manifest) == MANIFEST_KEYS
         assert manifest["command"] == argv[0]
         assert manifest["inputs"] == inputs
         assert manifest["outputs"] == outputs

@@ -1,27 +1,38 @@
-"""The lazy visit order and the training loops against eager and scalar
-references, and the training wiring against the same references.
+"""The lazy visit order and both implementations of the training loops
+against eager and scalar references and against each other, the training
+wiring against the same references, and the choice between the compiled and
+the numpy loops.
 
 ``build_visit_order`` below draws every epoch's permutation up front; it is
-the oracle for ``visit_order``, which draws each only when the loop reaches
-its epoch. ``_pocket_loop_impl`` and ``_lm_loop_impl`` are plain scalar
-loops that sum every dot product left to right, indexing a list of the
-order; they are the oracle for ``pocket_loop`` and ``lm_loop``, which take
-any iterable order and decide by BLAS dot products. Probe
-problems use small-integer features (and corrections of 1 or 0.5) so every
-dot product is exact in float64 regardless of summation order; any
-divergence is then a real decision-sequence difference, not rounding
-noise.
+the oracle for ``visit_order`` and ``epochs``, which draw each only when the
+loop reaches its epoch. ``_pocket_loop_impl`` and ``_lm_loop_impl`` are
+plain scalar loops that sum every dot product left to right, indexing a list
+of the order; they are the oracle for both implementations of ``pocket_loop``
+and ``lm_loop``, which decide by BLAS dot products. Those probe problems use
+small-integer features (and corrections of 1 or 0.5) so every dot product is
+exact in float64 regardless of summation order; any divergence is then a
+real decision-sequence difference, not rounding noise. On random float data,
+where the rounding of each BLAS call decides signs near zero, the compiled
+loops must match the numpy loops bit for bit instead.
 """
 
 import itertools
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pairnet
 from pairnet import Dataset, TrainConfig, derive_pair_seed, train_pairwise, train_pocket
 from pairnet import _kernels
-from pairnet._kernels import lm_loop, pocket_loop, visit_order
+from pairnet._kernels import (epochs, lm_loop, lm_loop_c, lm_loop_numpy, pocket_loop,
+                              pocket_loop_c, pocket_loop_numpy, visit_order)
+from pairnet.cli import main
 from pairnet.linear_machine import lm_train_pocket
 
 
@@ -224,6 +235,16 @@ class TestVisitOrder:
     def test_bad_seed_fails_before_any_visit(self):
         with pytest.raises(ValueError):
             visit_order(4, 10, -1)
+        with pytest.raises(ValueError):
+            epochs(4, 10, -1)
+
+    @pytest.mark.parametrize("max_iters", [1, 6, 7, 8, 14, 40, 701])
+    def test_epochs_hold_the_order_one_epoch_each(self, max_iters):
+        got = list(epochs(7, max_iters, 5))
+        assert all(e.dtype == np.int64 for e in got)
+        assert [len(e) for e in got[:-1]] == [7] * (len(got) - 1)
+        assert 1 <= len(got[-1]) <= 7
+        assert np.concatenate(got).tolist() == build_visit_order(7, max_iters, 5)
 
 
 def assert_same_result(a, b):
@@ -248,73 +269,209 @@ def separable_problem(seed, n=40, m=2):
     return xb, targets, order
 
 
+def compiled_loops():
+    """The compiled loops, or a skip where this process runs the numpy ones
+    (say, a numpy whose BLAS is not the scipy-openblas64 it bundles)."""
+    loops = _kernels.load()
+    if loops is None:
+        pytest.skip(f"compiled loops unavailable: {_kernels.FALLBACK_REASON}")
+    return loops
+
+
+def stretches(order, size=7):
+    """order cut into int64 arrays of size indices, so that loops cross
+    stretch boundaries mid-epoch as well as at them."""
+    order = np.asarray(order, dtype=np.int64)
+    return [order[s:s + size] for s in range(0, len(order), size)]
+
+
+def run_pocket(path, xb, targets, order, c):
+    if path == "numpy":
+        return pocket_loop_numpy(xb, targets, iter(order), c)
+    return pocket_loop_c(compiled_loops(), xb, targets, stretches(order), c)
+
+
+def run_lm(path, xb, y0, r, order, c):
+    if path == "numpy":
+        return lm_loop_numpy(xb, y0, r, iter(order), c)
+    return lm_loop_c(compiled_loops(), xb, y0, r, stretches(order), c)
+
+
+@pytest.mark.parametrize("path", ["numpy", "c"])
 class TestReferenceEquivalence:
-    """The scalar reference loops are the oracle that the training loops
-    must match on every returned value."""
+    """The scalar reference loops are the oracle that both implementations
+    of the training loops must match on every returned value."""
 
     @pytest.mark.parametrize("c", [1.0, 0.5])
     @pytest.mark.parametrize("seed", range(4))
-    def test_pocket_matches_reference(self, seed, c):
+    def test_pocket_matches_reference(self, path, seed, c):
         xb, targets, order = integer_problem(seed)
         assert_same_result(
             _pocket_loop_impl(xb, targets, order, c),
-            pocket_loop(xb, targets, order, c),
+            run_pocket(path, xb, targets, order, c),
         )
 
     @pytest.mark.parametrize("c", [1.0, 0.5])
     @pytest.mark.parametrize("seed", range(4))
-    def test_lm_matches_reference(self, seed, c):
+    def test_lm_matches_reference(self, path, seed, c):
         xb, y0, order = integer_lm_problem(seed)
         assert_same_result(
             _lm_loop_impl(xb, y0, 4, order, c),
-            lm_loop(xb, y0, 4, order, c),
+            run_lm(path, xb, y0, 4, order, c),
         )
 
     @pytest.mark.parametrize("max_iters", [1, 7, 37])
-    def test_budget_shorter_than_an_epoch(self, max_iters):
+    def test_budget_shorter_than_an_epoch(self, path, max_iters):
         xb, targets, order = integer_problem(3)
         order = order[:max_iters]
-        res = pocket_loop(xb, targets, order, 1.0)
+        res = run_pocket(path, xb, targets, order, 1.0)
         assert res[2] == max_iters < xb.shape[0]
         assert_same_result(_pocket_loop_impl(xb, targets, order, 1.0), res)
         xb, y0, order = integer_lm_problem(3)
         order = order[:max_iters]
-        res = lm_loop(xb, y0, 4, order, 1.0)
+        res = run_lm(path, xb, y0, 4, order, 1.0)
         assert res[2] == max_iters
         assert_same_result(_lm_loop_impl(xb, y0, 4, order, 1.0), res)
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_separable_stops_at_full_accuracy(self, seed):
+    def test_separable_stops_at_full_accuracy(self, path, seed):
         xb, targets, order = separable_problem(seed)
-        res = pocket_loop(xb, targets, order, 1.0)
+        res = run_pocket(path, xb, targets, order, 1.0)
         assert res[1] == 1.0 and res[2] < 5000
         assert res[3][-1][0] == res[2]  # the last visit made the final swap
         assert_same_result(_pocket_loop_impl(xb, targets, order, 1.0), res)
 
-    def test_separable_lm_stops_at_full_accuracy(self):
+    def test_separable_lm_stops_at_full_accuracy(self, path):
         xb = np.array([[1.0, -3.0], [1.0, -1.0], [1.0, 2.0], [1.0, 4.0]])
         y0 = np.array([0, 0, 1, 1], dtype=np.int64)
         order = list(visit_order(4, 1000, 0))
-        res = lm_loop(xb, y0, 2, order, 1.0)
+        res = run_lm(path, xb, y0, 2, order, 1.0)
         assert res[1] == 1.0 and res[2] < 1000
         assert_same_result(_lm_loop_impl(xb, y0, 2, order, 1.0), res)
 
-    @pytest.mark.parametrize("max_iters", range(1, 9))
-    def test_lm_ties_go_to_the_lowest_class(self, max_iters):
-        # Identical rows make every discriminant tie at W = 0 and again
-        # whenever the classes' corrections balance, both per visit and in
-        # the whole-set evaluation.
-        xb = np.array([[1.0, 2.0]] * 3)
-        y0 = np.array([1, 0, 2], dtype=np.int64)
-        order = [1, 0, 1, 2, 1, 0, 2, 1]
+    @pytest.mark.parametrize("seed", range(3))
+    def test_lm_ties_go_to_the_lowest_class(self, path, seed):
+        # Integer rows make the discriminants tie at W = 0 and again
+        # whenever the classes' corrections cancel, both per visit and in
+        # the whole-set evaluation. Numbering the classes backwards turns
+        # ties to the lowest class into ties to the highest, and changes the
+        # result here, so a loop that broke ties the other way would fail.
+        rng = np.random.default_rng(seed)
+        xb = extended(rng.integers(-2, 3, size=(12, 2)).astype(np.float64))
+        y0 = np.arange(12) % 3
+        order = list(visit_order(12, 60, seed))
+        want = _lm_loop_impl(xb, y0, 3, order, 1.0)
+        backwards = _lm_loop_impl(xb, 2 - y0, 3, order, 1.0)
+        assert not np.array_equal(want[0], backwards[0][::-1])
+        assert_same_result(want, run_lm(path, xb, y0, 3, order, 1.0))
+
+
+def float_problem(seed, n, d, r):
+    """Random float rows (column 0 all ones), +/-1 targets, class labels
+    below r, and a correction c drawn from the seed."""
+    rng = np.random.default_rng(seed)
+    xb = extended(rng.normal(size=(n, d - 1)) * rng.uniform(0.1, 10.0))
+    targets = rng.choice([-1.0, 1.0], size=n)
+    targets[0], targets[1] = 1.0, -1.0
+    y0 = rng.integers(0, r, size=n)
+    y0[:r] = np.arange(r)
+    c = float(rng.choice([1.0, 0.5, 0.1, 1 / 3]))
+    return xb, targets, y0, c
+
+
+class TestCompiledMatchesNumpy:
+    """On random float data the compiled loops make the numpy loops'
+    decisions, so every returned value agrees bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("n, d, r", [(2, 2, 2), (9, 3, 3), (60, 8, 4),
+                                         (333, 17, 7), (1100, 73, 16)])
+    def test_random_float_problems(self, n, d, r, seed):
+        loops = compiled_loops()
+        xb, targets, y0, c = float_problem(seed, n, d, r)
+        # Budgets that end inside an epoch, at its end, and after several.
+        for budget in (n // 2 + 1, n, 5 * n + 3, 4000):
+            got = pocket_loop_c(loops, xb, targets, epochs(n, budget, seed), c)
+            assert_same_result(
+                pocket_loop_numpy(xb, targets, visit_order(n, budget, seed), c), got)
+            assert got[2] == budget or got[1] == 1.0
+            got = lm_loop_c(loops, xb, y0, r, epochs(n, budget, seed), c)
+            assert_same_result(
+                lm_loop_numpy(xb, y0, r, visit_order(n, budget, seed), c), got)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_stop_at_full_accuracy_on_float_data(self, seed):
+        loops = compiled_loops()
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(200, 5))
+        xb = extended(X)
+        targets = np.where(X @ rng.normal(size=5) > 0.3, 1.0, -1.0)
+        y0 = (targets > 0).astype(np.int64)
+        for got, want in (
+            (pocket_loop_c(loops, xb, targets, epochs(200, 10**6, seed), 1.0),
+             pocket_loop_numpy(xb, targets, visit_order(200, 10**6, seed), 1.0)),
+            (lm_loop_c(loops, xb, y0, 2, epochs(200, 10**6, seed), 1.0),
+             lm_loop_numpy(xb, y0, 2, visit_order(200, 10**6, seed), 1.0)),
+        ):
+            assert got[1] == 1.0 and got[2] < 10**6
+            assert_same_result(want, got)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_lm_ties_on_float_rows(self, seed):
+        # Rows on a 0.1 grid tie the discriminants at W = 0 and whenever
+        # the corrections cancel. Numbering the classes backwards turns
+        # ties to the lowest class into ties to the highest, and changes the
+        # result here, so a loop that broke ties the other way would fail.
+        loops = compiled_loops()
+        rng = np.random.default_rng(seed)
+        xb = extended(rng.integers(-2, 3, size=(12, 2)) * 0.1)
+        y0 = np.arange(12) % 3
+        order = list(visit_order(12, 60, seed))
+        want = lm_loop_numpy(xb, y0, 3, iter(order), 0.7)
+        backwards = lm_loop_numpy(xb, 2 - y0, 3, iter(order), 0.7)
+        assert not np.array_equal(want[0], backwards[0][::-1])
+        assert_same_result(want, lm_loop_c(loops, xb, y0, 3, stretches(order, 5), 0.7))
+
+    def test_any_stretch_cut_gives_the_same_result(self):
+        loops = compiled_loops()
+        xb, targets, y0, c = float_problem(3, 50, 6, 3)
+        order = list(visit_order(50, 900, 3))
+        want = pocket_loop_numpy(xb, targets, iter(order), c)
+        for size in (1, 2, 50, 899, 900):
+            assert_same_result(want, pocket_loop_c(loops, xb, targets,
+                                                   stretches(order, size), c))
+        want = lm_loop_numpy(xb, y0, 3, iter(order), c)
+        for size in (1, 2, 50, 899, 900):
+            assert_same_result(want, lm_loop_c(loops, xb, y0, 3, stretches(order, size), c))
+
+    def test_indices_out_of_range_raise(self):
+        loops = compiled_loops()
+        xb, targets, y0, c = float_problem(0, 10, 3, 2)
+        for bad in ([10], [-1]):
+            with pytest.raises(IndexError):
+                pocket_loop_c(loops, xb, targets, stretches(bad), c)
+            with pytest.raises(IndexError):
+                lm_loop_c(loops, xb, y0, 2, stretches(bad), c)
+        with pytest.raises(IndexError):
+            lm_loop_c(loops, xb, np.full(10, 2), 2, stretches([0]), c)
+        # The compiled loops read by raw address, so shapes are checked first.
+        with pytest.raises(ValueError):
+            pocket_loop_c(loops, xb, targets[:9], stretches([0]), c)
+        with pytest.raises(ValueError):
+            lm_loop_c(loops, np.asfortranarray(xb), y0, 2, stretches([0]), c)
+
+    @pytest.mark.parametrize("n, d, r", [(1, 3, 2), (5, 1, 2), (5, 3, 1)])
+    def test_shapes_numpy_treats_apart_run_the_numpy_loop(self, n, d, r):
+        # One row, one column or one class: numpy then calls other BLAS
+        # routines than the compiled loops, or none at all.
+        xb, targets, y0, c = float_problem(1, max(n, 2), d, 2)
+        xb, targets, y0 = xb[:n], targets[:n], np.minimum(y0[:n], r - 1)
         assert_same_result(
-            _lm_loop_impl(xb, y0, 3, order[:max_iters], 1.0),
-            lm_loop(xb, y0, 3, order[:max_iters], 1.0),
-        )
-
-
-def test_active_path_is_numpy():
-    assert _kernels.ACTIVE_PATH == "numpy"
+            pocket_loop_numpy(xb, targets, visit_order(n, 50, 2), c),
+            pocket_loop(xb, targets, epochs(n, 50, 2), c))
+        assert_same_result(
+            lm_loop_numpy(xb, y0, r, visit_order(n, 50, 2), c),
+            lm_loop(xb, y0, r, epochs(n, 50, 2), c))
 
 
 def integer_dataset(seed=0, r=4, n=120, m=3):
@@ -392,3 +549,158 @@ def train_both(ds, c):
     mask = (ds.y == 1) | (ds.y == 2)
     targets = np.where(ds.y[mask] == 1, 1.0, -1.0)
     return train_pocket(ds.X[mask], targets, cfg), lm_train_pocket(ds, cfg)[1]
+
+
+def float_dataset(seed=0, r=4, n=160, m=5):
+    """Random float features and labels unrelated to them."""
+    rng = np.random.default_rng(seed)
+    return Dataset(
+        rng.normal(size=(n, m)), np.arange(n) % r + 1, np.arange(1, n + 1),
+        tuple(f"f{k}" for k in range(1, m + 1)),
+        tuple(str(k) for k in range(1, r + 1)),
+    )
+
+
+FLOAT_CFG = TrainConfig(c=0.5, max_iterations=2500, seed=4)
+
+
+@pytest.fixture(scope="module")
+def path_models():
+    """The pairwise network and linear machine on float_dataset, trained on
+    this process's own path, and whether that path is the compiled one."""
+    ds = float_dataset()
+    net = train_pairwise(ds, FLOAT_CFG)
+    lm = lm_train_pocket(ds, FLOAT_CFG)[0]
+    return net, lm, _kernels.ACTIVE_PATH == "c"
+
+
+@pytest.fixture
+def fresh_pick(monkeypatch, tmp_path):
+    """load() picks again, with an empty cache directory; the module's pick
+    comes back after the test."""
+    for name in ("_loaded", "ACTIVE_PATH", "FALLBACK_REASON"):
+        monkeypatch.setattr(_kernels, name, getattr(_kernels, name))
+    monkeypatch.setattr(_kernels, "_loaded", None)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    return tmp_path / "cache" / "pairnet"
+
+
+def _broken_source(monkeypatch, tmp_path):
+    source = tmp_path / "_loops.c"
+    source.write_text("this is not C\n")
+    monkeypatch.setattr(_kernels, "_SOURCE", source)
+
+
+def _unwritable_cache(monkeypatch, tmp_path):
+    # Runs as any user, root included: a directory cannot be made in a file.
+    (tmp_path / "file").write_text("")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "file"))
+
+
+# Each cause of a fallback: how to force it, and the start of its reason.
+FALLBACKS = {
+    "no compiler": (
+        lambda mp, tmp: mp.setattr(_kernels, "_COMPILERS", ("pairnet-no-such-cc",)),
+        "no C compiler"),
+    "failed build": (_broken_source, "C build failed"),
+    "unwritable cache": (_unwritable_cache, "cache "),
+    "other BLAS": (
+        lambda mp, tmp: mp.setattr(_kernels, "_BLAS_LIBRARY", "libno_such_blas*.so"),
+        "numpy's BLAS is not"),
+    "missing symbol": (
+        lambda mp, tmp: mp.setattr(_kernels, "_BLAS_SYMBOLS", (
+            "scipy_cblas_ddot64_", "scipy_cblas_dnosuch64_", "scipy_cblas_dgemm64_")),
+        "symbol scipy_cblas_dnosuch64_ missing"),
+}
+
+
+class TestPathChoice:
+    """load() picks the compiled loops once per process, or falls back to the
+    numpy loops for any cause without raising; the models do not depend on
+    the path."""
+
+    def test_active_path_names_the_pick(self):
+        loops = _kernels.load()
+        assert _kernels.ACTIVE_PATH == ("c" if loops else "numpy")
+        assert (_kernels.FALLBACK_REASON is None) == (loops is not None)
+        assert _kernels.load() is loops
+
+    def test_jobs_do_not_change_the_compiled_model(self, path_models):
+        compiled_loops()
+        ds = float_dataset()
+        for jobs in (1, 2):
+            net = train_pairwise(ds, FLOAT_CFG, jobs=jobs)
+            assert [t.weights.tobytes() for t in net.tests] == [
+                t.weights.tobytes() for t in path_models[0].tests]
+
+    @pytest.mark.parametrize("cause", sorted(FALLBACKS))
+    def test_each_fallback_trains_the_same_models(self, monkeypatch, tmp_path,
+                                                  path_models, fresh_pick, cause):
+        net, lm, compiled = path_models
+        if not compiled and cause != "other BLAS":
+            pytest.skip(f"compiled loops unavailable: {_kernels.FALLBACK_REASON}")
+        force, reason = FALLBACKS[cause]
+        force(monkeypatch, tmp_path)
+        ds = float_dataset()
+        got = train_pairwise(ds, FLOAT_CFG, jobs=2)
+        assert _kernels.ACTIVE_PATH == "numpy"
+        assert _kernels.FALLBACK_REASON.startswith(reason)
+        assert "\n" not in _kernels.FALLBACK_REASON
+        assert [t.weights.tobytes() for t in got.tests] == [
+            t.weights.tobytes() for t in net.tests]
+        assert lm_train_pocket(ds, FLOAT_CFG)[0].weights.tobytes() == lm.weights.tobytes()
+        assert not fresh_pick.is_dir() or os.listdir(fresh_pick) == []
+
+    @pytest.mark.parametrize("cause", ["no compiler", "missing symbol"])
+    def test_train_falls_back_with_the_same_bytes(self, monkeypatch, tmp_path, capsys,
+                                                  cli_csv, fresh_pick, cause):
+        def train(out):
+            code = main(["train", str(cli_csv), "--out", str(out), "--seed", "2",
+                         "--max-iters", "400", "--model", model])
+            assert code == 0, capsys.readouterr().err
+            return out.read_bytes(), json.loads(Path(f"{out}.manifest.json").read_text())
+
+        for model in ("pairnet", "lm"):
+            want, manifest = train(tmp_path / f"{model}-own.txt")
+            if manifest["kernel_path"] != "c":
+                pytest.skip(f"compiled loops unavailable: {_kernels.FALLBACK_REASON}")
+            assert "kernel_fallback" not in manifest
+            monkeypatch.setattr(_kernels, "_loaded", None)
+            with monkeypatch.context() as mp:
+                # An empty cache: a build that is there needs no compiler.
+                mp.setenv("XDG_CACHE_HOME", str(tmp_path / f"{model}-empty"))
+                FALLBACKS[cause][0](mp, tmp_path)
+                got, manifest = train(tmp_path / f"{model}-fallback.txt")
+            monkeypatch.setattr(_kernels, "_loaded", None)
+            assert got == want
+            assert manifest["kernel_path"] == "numpy"
+            assert manifest["kernel_fallback"].startswith(FALLBACKS[cause][1])
+
+    def test_one_build_in_the_cache_and_none_in_the_package(self, tmp_path, cli_csv):
+        compiled_loops()
+        package = Path(pairnet.__file__).parent
+        before = sorted(os.listdir(package))
+        cache = tmp_path / "cache"
+        out = tmp_path / "m.txt"
+        env = {**os.environ, "XDG_CACHE_HOME": str(cache),
+               "PYTHONPATH": os.pathsep.join(
+                   p for p in (str(package.parent), os.environ.get("PYTHONPATH")) if p)}
+        proc = subprocess.run(
+            [sys.executable, "-c", "from pairnet.cli import entry; entry()", "train",
+             str(cli_csv), "--out", str(out), "--jobs", "2", "--max-iters", "400"],
+            env=env, capture_output=True, text=True, timeout=300, cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+        assert manifest["kernel_path"] == "c" and "kernel_fallback" not in manifest
+        built = os.listdir(cache / "pairnet")
+        assert len(built) == 1 and built[0].startswith("_loops-") and built[0].endswith(".so")
+        assert sorted(os.listdir(package)) == before
+        assert sorted(os.listdir(tmp_path)) == sorted(
+            ["cache", "m.txt", "m.txt.manifest.json"])
+
+
+@pytest.fixture(scope="module")
+def cli_csv(tmp_path_factory):
+    path = tmp_path_factory.mktemp("cli") / "data.csv"
+    assert main(["gen", "--out", str(path), "--scale", "0.02", "--seed", "5"]) == 0
+    return path
