@@ -1,5 +1,6 @@
 """Hot training loops, one per model, the seeded order they visit, and the
-choice between their two implementations.
+choice between their two implementations; and the compiled CSV-body
+scanner, which shares their library.
 
 The pocket and linear-machine loops are inherently sequential (every weight
 update depends on the previous one), and a visit is cheap: one 73-long dot
@@ -32,6 +33,10 @@ an unwritable cache, another BLAS or a missing symbol selects the numpy
 loops, with ``FALLBACK_REASON`` saying why; it never fails a command. Where
 numpy itself would call other BLAS routines (one row, one feature column or
 one class), a loop runs its numpy version.
+
+The same library holds ``csv_scan``, which ``dataset.load_csv`` tries before
+``np.loadtxt`` through ``scan_csv``. Where ``load()`` falls back, so does the
+CSV path, to ``np.loadtxt``.
 
 Each loop visits every index its visit order holds (its length is the
 budget) until the pocket reaches accuracy 1.0, and returns the four fields
@@ -116,6 +121,37 @@ def _blas_shaped(xb, r):
 
 def _indices(stretches):
     return itertools.chain.from_iterable(s.tolist() for s in stretches)
+
+
+def scan_csv(fd, row, offset, size, limit):
+    """The body of the CSV file open on fd as an array of the structured
+    dtype row, read by the compiled scanner; or None where the compiled
+    library is not loaded or the scanner leaves the file to np.loadtxt.
+
+    Cell k of a line fills the row at byte offset[k]: with a float, or,
+    where size[k] > 0, with its text padded with NUL bytes to size[k]. A
+    line longer than limit bytes, and any line not made of exactly
+    len(offset) plain cells, leaves the file to np.loadtxt (see _loops.c).
+    The file offset of fd does not move."""
+    loops = load()
+    if loops is None:
+        return None
+    offset = np.ascontiguousarray(offset, dtype=np.int64)
+    size = np.ascontiguousarray(size, dtype=np.int64)
+    if not (offset.shape == size.shape == (offset.size,) and np.all(offset >= 0)
+            and np.all(offset + np.where(size > 0, size, 8) <= row.itemsize)):
+        raise ValueError("every cell must lie inside the row")
+    capacity = loops.lib.csv_newlines(fd)
+    if capacity < 0:
+        return None
+    try:
+        # Pages no row is written to stay unused: blank lines need none.
+        table = np.empty(capacity, dtype=row)
+    except MemoryError:
+        return None
+    rows = loops.lib.csv_scan(fd, offset.size, offset.ctypes.data, size.ctypes.data,
+                              limit, table.ctypes.data, row.itemsize, capacity)
+    return None if rows < 0 else table[:rows]
 
 
 def pocket_loop_c(loops, xb, targets, stretches, c):
@@ -348,6 +384,12 @@ def _load_compiled():
     lib.lm_visits.argtypes = [ptr, ptr, i64, i64, i64, f64, ptr, ptr, ptr,
                               ctypes.POINTER(State), ptr, i64]
     lib.lm_visits.restype = i64
+    lib.csv_cell.argtypes = [ctypes.c_char_p, i64, ptr]
+    lib.csv_cell.restype = ctypes.c_int
+    lib.csv_newlines.argtypes = [ctypes.c_int]
+    lib.csv_newlines.restype = i64
+    lib.csv_scan.argtypes = [ctypes.c_int, i64, ptr, ptr, i64, ptr, i64, i64]
+    lib.csv_scan.restype = i64
     # byref travels along, so that only load() imports ctypes.
     return types.SimpleNamespace(lib=lib, State=State, byref=ctypes.byref)
 

@@ -1,4 +1,5 @@
-/* Compiled pocket and linear-machine visit loops for pairnet._kernels.
+/* Compiled pocket and linear-machine visit loops, and the CSV-body scanner,
+ * for pairnet._kernels.
  *
  * Each loop runs the visits of one stretch of the visit order. The weights,
  * the pocket, a scratch buffer and the loop_state belong to the caller and
@@ -11,8 +12,12 @@
  * numpy loops make. Build with -ffp-contract=off: an update must round after
  * the product and again after the sum, as numpy's do, not once in an FMA.
  */
+#define _XOPEN_SOURCE 700 /* pread, off_t */
+#include <errno.h>
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
+#include <unistd.h>
 
 typedef int64_t blasint; /* scipy-openblas64 takes 64-bit integers */
 
@@ -129,4 +134,274 @@ int64_t lm_visits(const double *xb, const int64_t *labels, int64_t n, int64_t d,
         }
     }
     return len;
+}
+
+/* The CSV-body scanner. It takes only lines on which the csv module and
+ * np.loadtxt agree, and returns -1 at the first doubt, so that they decide;
+ * the caller checks every value it returns as it checks theirs. */
+
+/* Read size, and the longest line carried from one block into the next: a
+ * longer line is refused, so that no file is ever held whole. */
+enum { CSV_BLOCK = 1 << 16, CSV_MAX_LINE = 1 << 20 };
+
+/* 10^0 .. 10^22, each exact in a double */
+static const double EXACT_POW10[] = {
+    1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11,
+    1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22};
+
+#ifdef __SIZEOF_INT128__
+typedef unsigned __int128 u128;
+
+static int bit_length(u128 n)
+{
+    uint64_t hi = (uint64_t)(n >> 64), lo = (uint64_t)n;
+    return hi ? 128 - __builtin_clzll(hi) : lo ? 64 - __builtin_clzll(lo) : 0;
+}
+
+/* (n + f) * 2^scale as the nearest double, ties to even, where n > 0 and
+ * 0 <= f < 1 is a fraction that is nonzero if inexact is; the result must
+ * be a normal double. */
+static double round_to_double(u128 n, int scale, int inexact)
+{
+    int drop = bit_length(n) - 53;
+    if (drop > 0) {
+        u128 rest = n & (((u128)1 << drop) - 1), half = (u128)1 << (drop - 1);
+        n >>= drop;
+        scale += drop;
+        if (rest > half || (rest == half && (inexact || (n & 1))))
+            n++;  /* 2^53 at most, still exact */
+    }
+    /* 2^scale, exact, as the result is normal */
+    uint64_t bits = (uint64_t)(scale + 1023) << 52;
+    double two;
+    memcpy(&two, &bits, sizeof two);
+    return (double)(uint64_t)n * two;
+}
+
+/* w * 10^e exactly rounded, for w < 10^18 and -19 <= e <= 19. The product
+ * fits in 128 bits. For a quotient, w is shifted up so that n / p has 63 or
+ * 64 bits, one hardware division where there is one, and the remainder says
+ * whether the quotient is exact. */
+static double scaled_by_pow10(uint64_t w, int e)
+{
+    uint64_t p = 1;
+    for (int k = 0; k < (e < 0 ? -e : e); k++)
+        p *= 10;
+    if (e >= 0)
+        return round_to_double((u128)w * p, 0, 0);
+    int shift = bit_length(p) + 63 - bit_length(w);
+    u128 n = (u128)w << shift, q = n / p;
+    return round_to_double(q, -shift, n != q * p);
+}
+#endif
+
+static int is_digit(char c) { return c >= '0' && c <= '9'; }
+
+/* The cell s[0..len) as the double nearest its value, ties to even, in
+ * *out. Returns 0, or -1 unless the cell matches
+ * [+-]?(d+(.d*)?|.d+)([eE][+-]?d+)? or strtod, which converts what the
+ * exact tiers cannot, stops short of its end (as in a locale whose decimal
+ * point is ','). The byte s[len] must be readable and not a digit. */
+int csv_cell(const char *s, int64_t len, double *out)
+{
+    const char *p = s, *end = s + len;
+    int neg = p < end && *p == '-';
+    if (p < end && (*p == '+' || *p == '-'))
+        p++;
+    const char *mantissa = p;
+    while (p < end && *p == '0')
+        p++;
+    /* The value is w * 10^e10, w exact while it has 19 digits or fewer. */
+    uint64_t w = 0;
+    const char *first = p;
+    for (; p < end && is_digit(*p); p++)
+        w = w * 10 + (uint64_t)(*p - '0');
+    int64_t digits = p - first, e10 = 0;
+    int any = p > mantissa;
+    if (p < end && *p == '.') {
+        const char *fraction = ++p;
+        if (digits == 0)  /* zeros before the first significant digit */
+            while (p < end && *p == '0')
+                p++;
+        first = p;
+        for (; p < end && is_digit(*p); p++)
+            w = w * 10 + (uint64_t)(*p - '0');
+        digits += p - first;
+        e10 = fraction - p;
+        any |= p > fraction;
+    }
+    if (!any)
+        return -1;
+    if (p < end && (*p == 'e' || *p == 'E')) {
+        p++;
+        int eneg = p < end && *p == '-';
+        if (p < end && (*p == '+' || *p == '-'))
+            p++;
+        if (p == end || !is_digit(*p))
+            return -1;
+        int64_t e = 0;
+        for (; p < end && is_digit(*p); p++)
+            if (e < 100000)  /* past any double; strtod reads the digits */
+                e = e * 10 + (*p - '0');
+        e10 += eneg ? -e : e;
+    }
+    if (p != end)
+        return -1;
+    double v;
+    if (digits == 0) {
+        v = 0.0;
+    } else if (digits <= 19 && w <= (1ULL << 53) && e10 >= -22 && e10 <= 22) {
+        /* Clinger's fast path: both operands are exact, so one rounding */
+        v = e10 < 0 ? (double)w / EXACT_POW10[-e10] : (double)w * EXACT_POW10[e10];
+#ifdef __SIZEOF_INT128__
+    } else if (digits <= 18 && e10 >= -19 && e10 <= 19) {
+        v = scaled_by_pow10(w, (int)e10);
+#endif
+    } else {
+        char *stop;
+        v = strtod(mantissa, &stop);
+        if (stop != end)
+            return -1;
+    }
+    *out = neg ? -v : v;
+    return 0;
+}
+
+/* The number of '\n' bytes in the file open on fd, or -1 if it cannot be
+ * read; the file offset does not move. */
+int64_t csv_newlines(int fd)
+{
+    char *buf = malloc(CSV_BLOCK);
+    int64_t count = 0;
+    off_t at = 0;
+    ssize_t got;
+    if (buf == NULL)
+        return -1;
+    while ((got = pread(fd, buf, CSV_BLOCK, at)) != 0) {
+        if (got < 0) {
+            if (errno == EINTR)
+                continue;
+            count = -1;
+            break;
+        }
+        for (const char *p = buf, *end = buf + got; (p = memchr(p, '\n', end - p)); p++)
+            count++;
+        at += got;
+    }
+    free(buf);
+    return count;
+}
+
+/* Where each cell of a row goes: cell k is a float at offset[k] of the row,
+ * or, when size[k] > 0, text padded with NUL to size[k] bytes there. */
+typedef struct {
+    int64_t width;
+    const int64_t *offset, *size;
+    char *table;
+    int64_t itemsize, capacity, rows;
+} csv_layout;
+
+/* One body line p[0..len), without its '\n', into the next row unless it
+ * is blank. Returns 0, or -1 if it is not a plain row of width cells. */
+static int scan_line(const char *p, int64_t len, csv_layout *t)
+{
+    if (len && p[len - 1] == '\r')
+        len--;
+    if (len == 0)
+        return 0;
+    if (t->rows == t->capacity)
+        return -1;
+    char *row = t->table + t->rows * t->itemsize;
+    const char *cell = p, *end = p + len;
+    int64_t k = 0;
+    for (const char *q = p;; q++) {
+        if (q == end || *q == ',') {
+            if (k == t->width)
+                return -1;
+            int64_t n = q - cell, size = t->size[k];
+            if (size) {
+                if (n >= size)
+                    return -1;
+                memcpy(row + t->offset[k], cell, (size_t)n);
+                memset(row + t->offset[k] + n, 0, (size_t)(size - n));
+            } else {
+                double v;
+                if (csv_cell(cell, n, &v))
+                    return -1;
+                memcpy(row + t->offset[k], &v, sizeof v);
+            }
+            k++;
+            if (q == end)
+                break;
+            cell = q + 1;
+        } else if ((unsigned char)*q < 0x20 || (unsigned char)*q > 0x7e || *q == '"') {
+            return -1;  /* control bytes (a lone '\r' too), non-ASCII, quotes */
+        }
+    }
+    if (k != t->width)
+        return -1;
+    t->rows++;
+    return 0;
+}
+
+/* Parse the body of the CSV file open on fd into table, capacity rows of
+ * itemsize bytes laid out as offset and size say, one row per line of
+ * width cells. The header, the first line after an optional UTF-8 BOM, is
+ * skipped; it may hold no '"' and no '\r' but before its '\n'. Blank lines
+ * are skipped, and no line may be longer than limit bytes. The file is read
+ * in blocks of CSV_BLOCK bytes after the one partial line carried over, and
+ * the file offset does not move. Returns the rows filled, or -1. */
+int64_t csv_scan(int fd, int64_t width, const int64_t *offset, const int64_t *size,
+                 int64_t limit, char *table, int64_t itemsize, int64_t capacity)
+{
+    csv_layout t = {width, offset, size, table, itemsize, capacity, 0};
+    int64_t longest = limit < CSV_MAX_LINE ? limit : CSV_MAX_LINE;
+    char *buf = malloc((size_t)(longest + CSV_BLOCK + 1));
+    int64_t have = 0;  /* the carried partial line, at buf[0..have) */
+    off_t at = 0;
+    int header = 1;
+    if (buf == NULL)
+        return -1;
+    for (;;) {
+        ssize_t got = pread(fd, buf + have, CSV_BLOCK, at);
+        if (got < 0) {
+            if (errno == EINTR)
+                continue;
+            goto refuse;
+        }
+        char *p = buf, *end = buf + have + got;
+        if (at == 0 && got >= 3 && memcmp(buf, "\xef\xbb\xbf", 3) == 0)
+            p += 3;
+        at += got;
+        if (got == 0) {  /* the last line, which has no '\n' */
+            if (have == 0)
+                break;
+            if (end[-1] == '\r')
+                goto refuse;
+            *end++ = '\n';
+        }
+        for (char *nl; (nl = memchr(p, '\n', (size_t)(end - p))); p = nl + 1) {
+            if (nl + 1 - p > limit)
+                goto refuse;
+            if (header) {
+                for (const char *q = p; q < nl; q++)
+                    if (*q == '"' || (*q == '\r' && q + 1 < nl))
+                        goto refuse;
+                header = 0;
+            } else if (scan_line(p, nl - p, &t)) {
+                goto refuse;
+            }
+        }
+        if (got == 0)
+            break;
+        have = end - p;
+        if (have > longest)
+            goto refuse;
+        memmove(buf, p, (size_t)have);
+    }
+    free(buf);
+    return t.rows;
+refuse:
+    free(buf);
+    return -1;
 }

@@ -16,6 +16,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
+from . import _kernels
 from .errors import EmptyInputError, ParameterError, ParseError, SchemaError, check_seed, open_utf8
 
 RESERVED_COLUMNS = ("class", "record")
@@ -24,6 +25,9 @@ _CSV_CHUNK_ROWS = 64
 # cell that fills them may have been cut short and goes to the csv path.
 _TEXT_CELL_WIDTH = 32
 _INT64_MAX = int(np.iinfo(np.int64).max)
+# The parser that read the file load_csv returned last: "scanner" (the
+# compiled one), "loadtxt" or "csv"; None before the first.
+CSV_PARSER = None
 
 
 @dataclass(frozen=True)
@@ -72,13 +76,15 @@ class Dataset:
             raise SchemaError(f"class ids must lie in 1..{r}")
         if n and records.min() < 1:
             raise SchemaError("record ids must be >= 1")
-        # The distinct (record, class) pairs, sorted: a record listed twice
-        # is mixed, and the first such is the smallest.
-        pairs = np.unique(np.column_stack([records, y]), axis=0)
-        mixed = np.flatnonzero(pairs[1:, 0] == pairs[:-1, 0])
+        # Sorted by record, then class: a record whose class changes is
+        # mixed, and the first such is the smallest.
+        order = np.lexsort((y, records))
+        by_record, by_class = records[order], y[order]
+        mixed = np.flatnonzero((by_record[1:] == by_record[:-1])
+                               & (by_class[1:] != by_class[:-1]))
         if mixed.size:
-            rec = pairs[mixed[0], 0]
-            classes = pairs[pairs[:, 0] == rec, 1]
+            rec = by_record[mixed[0]]
+            classes = _distinct(by_class[by_record == rec])
             raise SchemaError(
                 f"record {rec} appears in classes {classes.tolist()}; "
                 "a record must belong to exactly one class"
@@ -99,7 +105,7 @@ class Dataset:
         return self.X.shape[0]
 
     def record_ids(self) -> np.ndarray:
-        return np.unique(self.records)
+        return _distinct(self.records)
 
     def subset(self, mask: np.ndarray) -> "Dataset":
         """New dataset keeping rows where mask is True; metadata is shared."""
@@ -136,6 +142,16 @@ class Standardization:
         return np.asarray(X, dtype=np.float64) * self.stds + self.means
 
 
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of a 1-D array, as np.unique(a) gives them.
+    On numpy 2.x the first np.unique call imports numpy.ma, which costs a
+    command 15-17 ms; sorting does not."""
+    a = np.sort(a)
+    keep = np.ones(a.shape, dtype=bool)
+    keep[1:] = a[1:] != a[:-1]
+    return a[keep]
+
+
 def _class_ids(raw) -> tuple[list[str], np.ndarray]:
     """The distinct class labels in deterministic order (numeric when every
     label is a number) and the class id in 1..r of each label in raw."""
@@ -165,10 +181,11 @@ def load_csv(path) -> Dataset:
     Class labels are remapped to contiguous ids 1..r (sorted numerically
     when all labels are numeric); the original labels are preserved in
     class_labels. Row order is preserved. The file is UTF-8, with an
-    optional byte-order mark. The body is parsed in one ``np.loadtxt``
-    call; when the fast path does not take a file or fails on it, the csv
-    module parses the file again and returns the same Dataset or names the
-    bad line.
+    optional byte-order mark. The body is parsed by the compiled scanner
+    (``_kernels.scan_csv``), or where it is not loaded or refuses the file,
+    in one ``np.loadtxt`` call; when neither takes a file or fails on it,
+    the csv module parses the file again and returns the same Dataset or
+    names the bad line.
     """
     with open_utf8(path, newline="") as fh:
         return _load_csv_stream(fh, str(path))
@@ -180,13 +197,16 @@ def loads_csv(text: str) -> Dataset:
 
 
 def _load_csv_stream(fh, name: str) -> Dataset:
+    global CSV_PARSER
     # The csv path reads the text again from the start, which a pipe cannot.
     if fh.seekable():
         ds = _load_csv_fast(fh, name)
         if ds is not None:
             return ds
         fh.seek(0)
-    return _load_csv_rows(fh, name)
+    ds = _load_csv_rows(fh, name)
+    CSV_PARSER = "csv"
+    return ds
 
 
 class _Header(NamedTuple):
@@ -228,24 +248,30 @@ def _read_header(rows: Iterator[list[str]], name: str) -> _Header:
 
 
 def _load_csv_fast(fh, name: str) -> Dataset | None:
-    """The body in one np.loadtxt call, or None when the csv module must decide.
+    """The body read by the compiled scanner or one np.loadtxt call, or None
+    when the csv module must decide.
 
     Feature cells are read straight into float64 and class and record cells
     into fixed-width bytes, so no line is split into Python strings (only
-    the record ids pass through Python ints on their way to int64). Only lines
-    that _plain_lines passes reach np.loadtxt: on those it splits rows and
-    cells, skips blank lines and parses numbers as the csv path does. Every
-    other doubt (a cell that may have been cut to the width, a non-finite
-    value, a record id that is 0 or not 1 to 18 digits, fewer than two classes)
-    returns None, so that the csv path raises its own error.
+    the record ids pass through Python ints on their way to int64). The
+    scanner takes only files on which every parser agrees, and leaves any
+    other to np.loadtxt. Only lines that _plain_lines passes reach
+    np.loadtxt: on those it splits rows and cells, skips blank lines and
+    parses numbers as the csv path does. Every other doubt (a cell that may
+    have been cut to the width, a non-finite value, a record id that is 0 or
+    not 1 to 18 digits, fewer than two classes) returns None, so that the
+    csv path raises its own error.
     """
+    global CSV_PARSER
     hd = _read_header(_csv_rows(csv.reader(fh)), name)
     width = _TEXT_CELL_WIDTH
     row = np.dtype([("X", np.float64, (len(hd.feature_names),))]
                    + [(col, f"S{width}") for col in RESERVED_COLUMNS])
-    table = _loadtxt(
-        _plain_lines(fh, hd.width), dtype=row, delimiter=",", usecols=hd.order, ndmin=1
-    )
+    table, parser = _scan(fh, hd, row), "scanner"
+    if table is None:
+        table, parser = _loadtxt(
+            _plain_lines(fh, hd.width), dtype=row, delimiter=",", usecols=hd.order, ndmin=1
+        ), "loadtxt"
     if table is None:
         return None
     X = table["X"]
@@ -259,11 +285,34 @@ def _load_csv_fast(fh, name: str) -> Dataset | None:
     records = records.astype(np.int64)
     if records.min() < 1:
         return None
-    distinct, inverse = np.unique(np.char.strip(table["class"]), return_inverse=True)
-    labels, ids = _class_ids([c.decode("ascii") for c in distinct])
+    classes = np.char.strip(table["class"])
+    names = _distinct(classes)
+    labels, ids = _class_ids([c.decode("ascii") for c in names])
     if len(labels) < 2:
         return None
-    return Dataset(X, ids[inverse], records, tuple(hd.feature_names), tuple(labels))
+    y = ids[np.searchsorted(names, classes)]
+    ds = Dataset(X, y, records, tuple(hd.feature_names), tuple(labels))
+    CSV_PARSER = parser
+    return ds
+
+
+def _scan(fh, hd: _Header, row: np.dtype) -> np.ndarray | None:
+    """The body as an array of row from the compiled scanner, or None where
+    fh has no file descriptor or the scanner does not take the file."""
+    try:
+        fd = fh.fileno()
+    except (OSError, ValueError):
+        return None
+    # Cell hd.order[j] of a line fills feature j, then class, then record.
+    features, texts = hd.order[:-2], hd.order[-2:]
+    offset = np.empty(hd.width, dtype=np.int64)
+    size = np.zeros(hd.width, dtype=np.int64)
+    offset[features] = row.fields["X"][1] + 8 * np.arange(len(features))
+    for col, name in zip(texts, RESERVED_COLUMNS):
+        field, at = row.fields[name][:2]
+        offset[col], size[col] = at, field.itemsize
+    # Read, never set: the limit is process-wide.
+    return _kernels.scan_csv(fd, row, offset, size, csv.field_size_limit())
 
 
 def _plain_lines(fh, width: int):
@@ -492,7 +541,7 @@ def _split_by_record(
     test_records: set[int] = set()
     singles: list[int] = []
     for class_id in range(1, ds.r + 1):
-        recs = np.unique(ds.records[ds.y == class_id])
+        recs = _distinct(ds.records[ds.y == class_id])
         if recs.size == 0:
             continue
         if recs.size == 1:

@@ -227,12 +227,16 @@ def evaluate(model, ds: Dataset) -> EvalMetrics:
     confusion = np.zeros((ds.r, ds.r), dtype=np.int64)
     np.add.at(confusion, (ds.y - 1, preds - 1), 1)
 
-    # Row k of counts tallies the predicted classes 1..r of record recs[k].
-    recs, first, inverse = np.unique(ds.records, return_index=True, return_inverse=True)
+    # Row k of counts tallies the predicted classes 1..r of record recs[k],
+    # whose segments all have class classes[k].
+    recs = ds.record_ids()
+    inverse = np.searchsorted(recs, ds.records)
+    classes = np.empty(len(recs), dtype=np.int64)
+    classes[inverse] = ds.y
     counts = np.bincount(inverse * ds.r + preds - 1, minlength=len(recs) * ds.r)
     rows = []
     dists: dict[int, np.ndarray] = {}
-    for rec, true_class, hist in zip(recs.tolist(), ds.y[first].tolist(),
+    for rec, true_class, hist in zip(recs.tolist(), classes.tolist(),
                                      counts.reshape(len(recs), ds.r)):
         vote = _vote(hist)
         rows.append((

@@ -20,7 +20,7 @@ from pairnet import (
     split_by_record,
     standardize,
 )
-from pairnet import dataset
+from pairnet import _kernels, dataset
 from pairnet.dataset import loads_csv
 from pairnet.synthgen import default_config, generate
 
@@ -316,9 +316,23 @@ def csv_texts(draw):
     return draw(st.sampled_from(["", "\ufeff"])) + text
 
 
+@pytest.fixture(params=["scanner", "loadtxt"])
+def fast_parser(request, monkeypatch):
+    """The parser load_csv tries first: the compiled scanner, or np.loadtxt,
+    which runs where the compiled library does not load."""
+    if request.param == "scanner":
+        if _kernels.load() is None:
+            pytest.skip(f"compiled library unavailable: {_kernels.FALLBACK_REASON}")
+    else:
+        monkeypatch.setattr(_kernels, "_loaded", False)
+    return request.param
+
+
+@pytest.mark.usefixtures("fast_parser")
 class TestCsvPaths:
-    """load_csv parses the body with np.loadtxt and hands anything it does not
-    take to the csv-module parser; both must give the same result."""
+    """load_csv parses the body with the compiled scanner or np.loadtxt and
+    hands anything they do not take to the csv-module parser; every path
+    must give the same result."""
 
     @settings(max_examples=600, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -351,10 +365,37 @@ class TestCsvPaths:
         "1.0,35,1\n2.0,37,1\n",
         "1.0,35,1,\n2.0,37,2\n",
         "1.0,35\n2.0,37,2\n",
+        "1.,35,1\n.5,37,2\n",
+        "+1,35,1\n-0.0,37,2\n",
+        "1e999,35,1\n2.0,37,2\n",
+        "5e-324,35,1\n-5E-324,37,2\n",
+        "12345678901234567890,35,1\n0.12345678901234567890123e-3,37,2\n",
+        " 1.5,35,1\n2.5 ,37,2\n",
+        "1.0,35,1\n2.0,37,2",
+        "1.0,35,1\r\n2.0,37,2\r",
+        "\n1.0,35,1\r\n\r\n\n2.0,37,2\n\n",
+        ".,35,1\n2.0,37,2\n",
+        "1e,35,1\n2.0,37,2\n",
         pytest.param("0." + "0" * 139_998 + "1,35,1\n2.0,37,2\n", id="long-cell"),
     ])
     def test_edge_cases_match_csv_module(self, tmp_path, body):
         assert_paths_agree(tmp_path / "edge.csv", "f1,class,record\n" + body)
+
+    @pytest.mark.parametrize("bom", ["", "\ufeff"])
+    @pytest.mark.parametrize("eol", ["\n", "\r\n"])
+    def test_line_across_a_block_matches_csv_module(self, tmp_path, bom, eol):
+        # The scanner reads 64 KiB blocks; a line that runs from one block
+        # into the next is carried over whole.
+        rows = [f"{k * 0.1!r},{35 + k % 2},{k % 2 + 1}{eol}" for k in range(9000)]
+        for name in ("f1", "f_1", "f__1"):  # a header after which no line ends at a block end
+            head = bom + f"{name},class,record{eol}"
+            ends = set(np.cumsum([len(line.encode()) for line in [head] + rows]).tolist())
+            if not {1 << 16, 2 << 16} & ends:
+                break
+        assert max(ends) > 2 << 16 and not {1 << 16, 2 << 16} & ends
+        path = tmp_path / "blocks.csv"
+        assert_paths_agree(path, head + "".join(rows))
+        assert load_csv(path).X[:, 0].tolist() == [k * 0.1 for k in range(9000)]
 
     def test_row_longer_than_the_field_limit_matches_csv_module(self, tmp_path):
         # 40,000 short cells make lines longer than the csv module's field
@@ -443,6 +484,67 @@ class TestCsvPaths:
         assert back.records.tolist() == ds.records.tolist()
         assert back.feature_names == ds.feature_names
         assert back.class_labels == ds.class_labels
+
+
+class TestCsvScanner:
+    """The compiled scanner takes the files on which every parser agrees and
+    leaves each other file to np.loadtxt, which then decides as before."""
+
+    @pytest.fixture(autouse=True)
+    def scanner(self):
+        if _kernels.load() is None:
+            pytest.skip(f"compiled library unavailable: {_kernels.FALLBACK_REASON}")
+
+    @pytest.mark.parametrize("text", [
+        "f1,class,record\n1.,35,1\n.5,37,2\n",
+        "f1,class,record\n+1,35,1\n-0.0,37,2\n",
+        "f1,class,record\n5e-324,35,1\n1E+308,37,2\n",
+        "f1,class,record\n12345678901234567890,35,1\n9007199254740993,37,2\n",
+        "f1,class,record\n1.0, 35 ,1\n2.0,37, 2\n",
+        "f1,class,record\n1.0,35,1\n2.0,37,2",
+        "f1,class,record\r\n\r\n1.0,35,1\r\n\n2.0,37,2\r\n\r\n",
+        "\ufeffrecord,f1,class\n1,1.0,35\n2,2.0,37\n",
+        "f\xe9,class,record\n1.0,35,1\n2.0,37,2\n",
+    ], ids=["point", "sign", "range", "digits", "text-spaces", "no-final-newline",
+            "blank-lines", "bom", "non-ascii-header"])
+    def test_takes_plain_files(self, tmp_path, text):
+        assert_paths_agree(tmp_path / "plain.csv", text)
+        assert dataset.CSV_PARSER == "scanner"
+
+    @pytest.mark.parametrize("text", [
+        "f1,class,record\n 1.5,35,1\n2.5 ,37,2\n",
+        "f1,class,record\r1.0,35,1\r2.0,37,2\r",
+        "f1,class,record\n1.0,35,1\n2.0,37,2\r",
+        "f1,class,record\n1.0,\tt,1\n2.0,37,2\n",
+        "f1,class,record\n1.0,35,1\n2.0,\xe9,2\n",
+        "f1,class,record\n1_0,35,1\n2.0,37,2\n",
+        "f1,class,record\n1.0,35,1\n2.0,37,2\n\n  \n",
+        '"f1",class,record\n1.0,35,1\n2.0,37,2\n',
+    ], ids=["number-spaces", "cr", "final-cr", "tab", "non-ascii", "underscore",
+            "spaces-line", "quoted-header"])
+    def test_leaves_other_files_to_the_next_parser(self, tmp_path, monkeypatch, text):
+        monkeypatch.setattr(dataset, "CSV_PARSER", None)
+        assert_paths_agree(tmp_path / "other.csv", text)
+        assert dataset.CSV_PARSER in (None, "loadtxt", "csv")  # None: load_csv raised
+
+    def test_save_csv_output_takes_the_scanner(self, tmp_path, monkeypatch):
+        ds = generate(default_config(seed=3, scale=0.02))
+        path = tmp_path / "data.csv"
+        save_csv(ds, path)
+        monkeypatch.setattr(dataset, "_loadtxt", None)
+        monkeypatch.setattr(dataset, "_load_csv_rows", None)
+        assert load_csv(path).X.tobytes() == ds.X.tobytes()
+        assert dataset.CSV_PARSER == "scanner"
+
+    def test_file_offset_does_not_move(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("f1,class,record\n1.0,35,1\n2.0,37,2\n")
+        row = np.dtype([("x", "f8"), ("c", "S4"), ("r", "S4")])
+        with open(path, "rb") as fh:
+            fh.seek(5)
+            table = _kernels.scan_csv(fh.fileno(), row, [0, 8, 12], [0, 4, 4], 1000)
+            assert os.lseek(fh.fileno(), 0, os.SEEK_CUR) == 5
+        assert table.tolist() == [(1.0, b"35", b"1"), (2.0, b"37", b"2")]
 
 
 def reference_save_csv(ds, path):

@@ -14,11 +14,17 @@ exact in float64 regardless of summation order; any divergence is then a
 real decision-sequence difference, not rounding noise. On random float data,
 where the rounding of each BLAS call decides signs near zero, the compiled
 loops must match the numpy loops bit for bit instead.
+
+The compiled library's CSV cell conversion (``csv_cell``) is checked against
+``float()`` bit for bit, and each fallback cause against the CSV path too.
 """
 
+import ctypes
 import itertools
 import json
+import math
 import os
+import struct
 import subprocess
 import sys
 from fractions import Fraction
@@ -26,10 +32,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import pairnet
 from pairnet import Dataset, TrainConfig, derive_pair_seed, train_pairwise, train_pocket
-from pairnet import _kernels
+from pairnet import _kernels, dataset, load_csv
 from pairnet._kernels import (epochs, lm_loop, lm_loop_c, lm_loop_numpy, pocket_loop,
                               pocket_loop_c, pocket_loop_numpy, visit_order)
 from pairnet.cli import main
@@ -651,6 +659,19 @@ class TestPathChoice:
         assert lm_train_pocket(ds, FLOAT_CFG)[0].weights.tobytes() == lm.weights.tobytes()
         assert not fresh_pick.is_dir() or os.listdir(fresh_pick) == []
 
+    @pytest.mark.parametrize("cause", sorted(FALLBACKS))
+    def test_each_fallback_reads_the_same_dataset(self, monkeypatch, tmp_path, cli_csv,
+                                                  path_csv, fresh_pick, cause):
+        *want, parser = path_csv
+        if parser != "scanner" and cause != "other BLAS":
+            pytest.skip(f"compiled library unavailable: {_kernels.FALLBACK_REASON}")
+        force, reason = FALLBACKS[cause]
+        force(monkeypatch, tmp_path)
+        assert read_csv(cli_csv) == (*want, "loadtxt")
+        assert _kernels.ACTIVE_PATH == "numpy"
+        assert _kernels.FALLBACK_REASON.startswith(reason)
+        assert not fresh_pick.is_dir() or os.listdir(fresh_pick) == []
+
     @pytest.mark.parametrize("cause", ["no compiler", "missing symbol"])
     def test_train_falls_back_with_the_same_bytes(self, monkeypatch, tmp_path, capsys,
                                                   cli_csv, fresh_pick, cause):
@@ -699,8 +720,111 @@ class TestPathChoice:
             ["cache", "m.txt", "m.txt.manifest.json"])
 
 
+def read_csv(path):
+    """load_csv(path)'s arrays and metadata, and the parser that read it."""
+    ds = load_csv(path)
+    return (ds.X.tobytes(), ds.y.tolist(), ds.records.tolist(), ds.feature_names,
+            ds.class_labels, dataset.CSV_PARSER)
+
+
+@pytest.fixture(scope="module")
+def path_csv(cli_csv):
+    """read_csv of cli_csv on this process's own pick."""
+    return read_csv(cli_csv)
+
+
 @pytest.fixture(scope="module")
 def cli_csv(tmp_path_factory):
     path = tmp_path_factory.mktemp("cli") / "data.csv"
     assert main(["gen", "--out", str(path), "--scale", "0.02", "--seed", "5"]) == 0
     return path
+
+
+def convert_cell(text):
+    """The compiled conversion of one CSV cell, or None where it refuses it."""
+    cell = text.encode()
+    out = ctypes.c_double()
+    if compiled_loops().lib.csv_cell(cell, len(cell), ctypes.addressof(out)):
+        return None
+    return out.value
+
+
+@st.composite
+def decimal_cells(draw):
+    """Decimal strings of 1-25 digits, a point anywhere or nowhere, and an
+    exponent from -330 to 310 or none."""
+    digits = draw(st.text(alphabet="0123456789", min_size=1, max_size=25))
+    point = draw(st.one_of(st.none(), st.integers(0, len(digits))))
+    if point is not None:
+        digits = digits[:point] + "." + digits[point:]
+    exponent = ""
+    if draw(st.booleans()):
+        e = draw(st.integers(-330, 310))
+        exponent = draw(st.sampled_from(["e", "E", "e+"] if e >= 0 else ["e", "E"])) + str(e)
+    return draw(st.sampled_from(["", "+", "-"])) + digits + exponent
+
+
+def crafted_cells():
+    """Halfway and boundary cases of each conversion tier: mantissas around
+    2^53 at the exponents where a tier ends, and 17-digit integers halfway
+    between two doubles (which round to the even one) and next to them, also
+    with a point moved left by a trailing zero."""
+    cells = ["9007199254740993", "9007199254740993.0", "1e22", "1e23", "1e-22", "1e-23",
+             "123456789012345678e19", "123456789012345678e-19", "999999999999999999e19",
+             "1e-19", "0.1", "0.2", "0.3"]
+    for m in range(2**53 - 4, 2**53 + 5):
+        cells += [f"{m}e{e}" for e in (-23, -22, -20, -19, -18, -1, 0, 1, 18, 19, 20, 22, 23)]
+    for k in (0, 1, 2**40, 2**52 - 1):
+        half = 2**54 + 4 * k + 2  # doubles here are 4 apart
+        for n in (half - 1, half, half + 1):
+            cells += [str(n), f"{n}0e-1", f"{n}e-19", f"{n}e19"]
+    # 18-digit decimals next to the midpoint of two doubles in [1, 10): the
+    # 128-bit tier's quotient often ends at the midpoint exactly, and only
+    # its remainder says which way to round.
+    rng = np.random.default_rng(9)
+    for x in rng.uniform(1.0, 10.0, size=200).tolist():
+        mid = (Fraction(x) + Fraction(math.nextafter(x, 11.0))) / 2
+        w = math.ceil(mid * 10**17)
+        cells += [f"{w}e-17", f"{w - 1}e-17"]
+    return cells
+
+
+class TestCsvCell:
+    """The scanner's conversion of one feature cell (csv_cell in _loops.c)
+    is float()'s, bit for bit and in the sign of zero, and it refuses what
+    its grammar excludes."""
+
+    @staticmethod
+    def check(text):
+        got = convert_cell(text)
+        assert got is not None, text
+        assert struct.pack("<d", got) == struct.pack("<d", float(text)), (text, got)
+
+    @settings(max_examples=1000, deadline=None)
+    @given(bits=st.integers(0, 2**64 - 1))
+    def test_repr_of_any_finite_double(self, bits):
+        x = struct.unpack("<d", bits.to_bytes(8, "little"))[0]
+        assume(math.isfinite(x))
+        self.check(repr(x))
+
+    @settings(max_examples=1000, deadline=None)
+    @given(text=decimal_cells())
+    def test_decimal_strings(self, text):
+        self.check(text)
+
+    def test_crafted_boundaries(self):
+        for text in crafted_cells():
+            self.check(text)
+
+    def test_edges(self):
+        for text in ["1.", ".5", "+1", "-0.0", "-0", "0e999", "1e999", "-1e999", "5e-324",
+                     "2e-324", "3e-324", "1e-400", "2.2250738585072014e-308",
+                     "1.7976931348623157e308", "1" * 20, "0." + "0" * 30 + "1",
+                     "1" * 400 + "e-400"]:
+            self.check(text)
+
+    def test_refuses_other_cells(self):
+        for text in ["", ".", "+", "-", "e5", ".e5", "1e", "1e+", "1e-", "--1", "+-1", "1_0",
+                     "nan", "inf", "Infinity", " 1", "1 ", "0x10", "1.2.3", "1e5.0", "1,5",
+                     "\t1", "\u0661"]:
+            assert convert_cell(text) is None, text
