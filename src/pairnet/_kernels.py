@@ -1,6 +1,6 @@
 """Hot training loops, one per model, the seeded order they visit, and the
-choice between their two implementations; and the compiled CSV-body
-scanner, which shares their library.
+choice between their two implementations; and the compiled scanners of a
+CSV body and of a signal file, which share their library.
 
 The pocket and linear-machine loops are inherently sequential (every weight
 update depends on the previous one), and a visit is cheap: one 73-long dot
@@ -21,8 +21,8 @@ implementations that make the same decisions bit for bit:
   or int before any comparison. Full-set accuracy evaluations and weight
   updates stay whole-array operations.
 
-``load()``, which the first ``pocket_loop`` or ``lm_loop`` calls, picks the
-path once per process and names it in ``ACTIVE_PATH``. It builds ``_loops.c``
+``load()``, which the first loop or scanner calls, picks the path once per
+process and names it in ``ACTIVE_PATH``. It builds ``_loops.c``
 at first use with the system C compiler and ``-ffp-contract=off`` (no FMA:
 ``pi + (c*t)*x`` must round twice, as numpy does) into
 ``$XDG_CACHE_HOME/pairnet`` (default ``~/.cache/pairnet``), under a name keyed
@@ -34,9 +34,13 @@ loops, with ``FALLBACK_REASON`` saying why; it never fails a command. Where
 numpy itself would call other BLAS routines (one row, one feature column or
 one class), a loop runs its numpy version.
 
-The same library holds ``csv_scan``, which ``dataset.load_csv`` tries before
-``np.loadtxt`` through ``scan_csv``. Where ``load()`` falls back, so does the
-CSV path, to ``np.loadtxt``.
+The same library holds two scanners: ``csv_scan``, which
+``dataset.load_csv`` tries before ``np.loadtxt`` through ``scan_csv``, and
+``signal_scan``, which ``eeg_features.read_signal_file`` tries before its
+text read and ``np.loadtxt`` through ``scan_signal``. Both read a file in
+64 KiB blocks through one line reader and convert each cell with
+``csv_cell``. Where ``load()`` falls back, so do both readers, to
+``np.loadtxt``.
 
 Each loop visits every index its visit order holds (its length is the
 budget) until the pocket reaches accuracy 1.0, and returns the four fields
@@ -152,6 +156,25 @@ def scan_csv(fd, row, offset, size, limit):
     rows = loops.lib.csv_scan(fd, offset.size, offset.ctypes.data, size.ctypes.data,
                               limit, table.ctypes.data, row.itemsize, capacity)
     return None if rows < 0 else table[:rows]
+
+
+def scan_signal(fd):
+    """The two channels of the signal file open on fd, float64 arrays read by
+    the compiled scanner past the header line; or None where the compiled
+    library is not loaded or the scanner leaves the file to np.loadtxt and
+    the line parser (see _loops.c). The file offset of fd does not move."""
+    loops = load()
+    if loops is None:
+        return None
+    capacity = loops.lib.csv_newlines(fd)
+    if capacity < 0:
+        return None
+    try:
+        first, second = np.empty(capacity), np.empty(capacity)
+    except MemoryError:
+        return None
+    rows = loops.lib.signal_scan(fd, first.ctypes.data, second.ctypes.data, capacity)
+    return None if rows < 0 else (first[:rows], second[:rows])
 
 
 def pocket_loop_c(loops, xb, targets, stretches, c):
@@ -390,6 +413,8 @@ def _load_compiled():
     lib.csv_newlines.restype = i64
     lib.csv_scan.argtypes = [ctypes.c_int, i64, ptr, ptr, i64, ptr, i64, i64]
     lib.csv_scan.restype = i64
+    lib.signal_scan.argtypes = [ctypes.c_int, ptr, ptr, i64]
+    lib.signal_scan.restype = i64
     # byref travels along, so that only load() imports ctypes.
     return types.SimpleNamespace(lib=lib, State=State, byref=ctypes.byref)
 

@@ -1,5 +1,5 @@
-/* Compiled pocket and linear-machine visit loops, and the CSV-body scanner,
- * for pairnet._kernels.
+/* Compiled pocket and linear-machine visit loops, and the CSV-body and
+ * signal-file scanners, for pairnet._kernels.
  *
  * Each loop runs the visits of one stretch of the visit order. The weights,
  * the pocket, a scratch buffer and the loop_state belong to the caller and
@@ -14,6 +14,7 @@
  */
 #define _XOPEN_SOURCE 700 /* pread, off_t */
 #include <errno.h>
+#include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -136,13 +137,16 @@ int64_t lm_visits(const double *xb, const int64_t *labels, int64_t n, int64_t d,
     return len;
 }
 
-/* The CSV-body scanner. It takes only lines on which the csv module and
- * np.loadtxt agree, and returns -1 at the first doubt, so that they decide;
- * the caller checks every value it returns as it checks theirs. */
+/* The scanners: of a CSV body, for pairnet.dataset, and of a signal file,
+ * for pairnet.eeg_features. Each takes only lines on which the parsers it
+ * stands in for agree, and returns -1 at the first doubt, so that they
+ * decide; the caller checks every value it returns as it checks theirs.
+ * Both read a file line by line through for_each_line, and convert a cell
+ * with csv_cell. */
 
 /* Read size, and the longest line carried from one block into the next: a
  * longer line is refused, so that no file is ever held whole. */
-enum { CSV_BLOCK = 1 << 16, CSV_MAX_LINE = 1 << 20 };
+enum { READ_BLOCK = 1 << 16, MAX_LINE = 1 << 20 };
 
 /* 10^0 .. 10^22, each exact in a double */
 static const double EXACT_POW10[] = {
@@ -271,13 +275,13 @@ int csv_cell(const char *s, int64_t len, double *out)
  * read; the file offset does not move. */
 int64_t csv_newlines(int fd)
 {
-    char *buf = malloc(CSV_BLOCK);
+    char *buf = malloc(READ_BLOCK);
     int64_t count = 0;
     off_t at = 0;
     ssize_t got;
     if (buf == NULL)
         return -1;
-    while ((got = pread(fd, buf, CSV_BLOCK, at)) != 0) {
+    while ((got = pread(fd, buf, READ_BLOCK, at)) != 0) {
         if (got < 0) {
             if (errno == EINTR)
                 continue;
@@ -292,8 +296,65 @@ int64_t csv_newlines(int fd)
     return count;
 }
 
-/* Where each cell of a row goes: cell k is a float at offset[k] of the row,
- * or, when size[k] > 0, text padded with NUL to size[k] bytes there. */
+/* What a scanner does with one line p[0..len), without its '\n': 0 to go
+ * on, or -1 to refuse the file. */
+typedef int (*line_fn)(void *ctx, const char *p, int64_t len);
+
+/* Hand the first line of the file open on fd, after an optional UTF-8 BOM,
+ * to header and every later line to body. The file is read in blocks of
+ * READ_BLOCK bytes after the one partial line carried over, so that it is
+ * never held whole; the last line needs no '\n', but may not end in '\r'.
+ * No line may be longer than limit bytes, and the file offset does not
+ * move. Returns 0, or -1 when a line is refused or the file cannot be read. */
+static int for_each_line(int fd, int64_t limit, line_fn header, line_fn body, void *ctx)
+{
+    int64_t longest = limit < MAX_LINE ? limit : MAX_LINE;
+    char *buf = malloc((size_t)(longest + READ_BLOCK + 1));
+    int64_t have = 0;  /* the carried partial line, at buf[0..have) */
+    off_t at = 0;
+    line_fn line = header;
+    int status = -1;
+    if (buf == NULL)
+        return -1;
+    for (;;) {
+        ssize_t got = pread(fd, buf + have, READ_BLOCK, at);
+        if (got < 0) {
+            if (errno == EINTR)
+                continue;
+            goto done;
+        }
+        char *p = buf, *end = buf + have + got;
+        if (at == 0 && got >= 3 && memcmp(buf, "\xef\xbb\xbf", 3) == 0)
+            p += 3;
+        at += got;
+        if (got == 0) {  /* the last line, which has no '\n' */
+            if (have == 0)
+                break;
+            if (end[-1] == '\r')
+                goto done;
+            *end++ = '\n';
+        }
+        for (char *nl; (nl = memchr(p, '\n', (size_t)(end - p))); p = nl + 1) {
+            if (nl + 1 - p > limit || line(ctx, p, nl - p))
+                goto done;
+            line = body;
+        }
+        if (got == 0)
+            break;
+        have = end - p;
+        if (have > longest)
+            goto done;
+        memmove(buf, p, (size_t)have);
+    }
+    status = 0;
+done:
+    free(buf);
+    return status;
+}
+
+/* The CSV-body scanner. Where each cell of a row goes: cell k is a float at
+ * offset[k] of the row, or, when size[k] > 0, text padded with NUL to
+ * size[k] bytes there. */
 typedef struct {
     int64_t width;
     const int64_t *offset, *size;
@@ -301,10 +362,21 @@ typedef struct {
     int64_t itemsize, capacity, rows;
 } csv_layout;
 
-/* One body line p[0..len), without its '\n', into the next row unless it
- * is blank. Returns 0, or -1 if it is not a plain row of width cells. */
-static int scan_line(const char *p, int64_t len, csv_layout *t)
+/* The header may hold no '"' and no '\r' but before its '\n'. */
+static int csv_header(void *ctx, const char *p, int64_t len)
 {
+    (void)ctx;
+    for (const char *q = p; q < p + len; q++)
+        if (*q == '"' || (*q == '\r' && q + 1 < p + len))
+            return -1;
+    return 0;
+}
+
+/* One CSV body line into the next row of the csv_layout ctx unless it is
+ * blank; refused unless it is a plain row of width cells. */
+static int csv_line(void *ctx, const char *p, int64_t len)
+{
+    csv_layout *t = ctx;
     if (len && p[len - 1] == '\r')
         len--;
     if (len == 0)
@@ -346,62 +418,77 @@ static int scan_line(const char *p, int64_t len, csv_layout *t)
 
 /* Parse the body of the CSV file open on fd into table, capacity rows of
  * itemsize bytes laid out as offset and size say, one row per line of
- * width cells. The header, the first line after an optional UTF-8 BOM, is
- * skipped; it may hold no '"' and no '\r' but before its '\n'. Blank lines
- * are skipped, and no line may be longer than limit bytes. The file is read
- * in blocks of CSV_BLOCK bytes after the one partial line carried over, and
- * the file offset does not move. Returns the rows filled, or -1. */
+ * width cells. The header, the first line, is skipped, and so are blank
+ * lines; no line may be longer than limit bytes. Returns the rows filled,
+ * or -1. */
 int64_t csv_scan(int fd, int64_t width, const int64_t *offset, const int64_t *size,
                  int64_t limit, char *table, int64_t itemsize, int64_t capacity)
 {
     csv_layout t = {width, offset, size, table, itemsize, capacity, 0};
-    int64_t longest = limit < CSV_MAX_LINE ? limit : CSV_MAX_LINE;
-    char *buf = malloc((size_t)(longest + CSV_BLOCK + 1));
-    int64_t have = 0;  /* the carried partial line, at buf[0..have) */
-    off_t at = 0;
-    int header = 1;
-    if (buf == NULL)
-        return -1;
+    return for_each_line(fd, limit, csv_header, csv_line, &t) ? -1 : t.rows;
+}
+
+/* The signal-file scanner. Its two channels hold capacity samples each, of
+ * which rows are filled. */
+typedef struct {
+    double *first, *second;
+    int64_t capacity, rows;
+} signal_columns;
+
+static int is_blank(char c) { return c == ' ' || c == '\t'; }
+
+/* The header: printable ASCII, and a '\r' only before its '\n'. */
+static int signal_header(void *ctx, const char *p, int64_t len)
+{
+    (void)ctx;
+    if (len && p[len - 1] == '\r')
+        len--;
+    for (const char *q = p; q < p + len; q++)
+        if ((unsigned char)*q < 0x20 || (unsigned char)*q > 0x7e)
+            return -1;
+    return 0;
+}
+
+/* One body line into the next sample pair of the signal_columns ctx unless
+ * it is blank: two finite cells that csv_cell takes, separated, and perhaps
+ * surrounded, by spaces and tabs. Any other byte falls in a cell, which
+ * csv_cell then refuses. */
+static int signal_line(void *ctx, const char *p, int64_t len)
+{
+    signal_columns *s = ctx;
+    const char *q = p, *end = p + len;
+    double pair[2];
+    int k = 0;
+    if (q < end && end[-1] == '\r')
+        end--;
     for (;;) {
-        ssize_t got = pread(fd, buf + have, CSV_BLOCK, at);
-        if (got < 0) {
-            if (errno == EINTR)
-                continue;
-            goto refuse;
-        }
-        char *p = buf, *end = buf + have + got;
-        if (at == 0 && got >= 3 && memcmp(buf, "\xef\xbb\xbf", 3) == 0)
-            p += 3;
-        at += got;
-        if (got == 0) {  /* the last line, which has no '\n' */
-            if (have == 0)
-                break;
-            if (end[-1] == '\r')
-                goto refuse;
-            *end++ = '\n';
-        }
-        for (char *nl; (nl = memchr(p, '\n', (size_t)(end - p))); p = nl + 1) {
-            if (nl + 1 - p > limit)
-                goto refuse;
-            if (header) {
-                for (const char *q = p; q < nl; q++)
-                    if (*q == '"' || (*q == '\r' && q + 1 < nl))
-                        goto refuse;
-                header = 0;
-            } else if (scan_line(p, nl - p, &t)) {
-                goto refuse;
-            }
-        }
-        if (got == 0)
+        while (q < end && is_blank(*q))
+            q++;
+        if (q == end)
             break;
-        have = end - p;
-        if (have > longest)
-            goto refuse;
-        memmove(buf, p, (size_t)have);
+        const char *cell = q;
+        while (q < end && !is_blank(*q))
+            q++;
+        if (k == 2 || csv_cell(cell, q - cell, &pair[k]) || !isfinite(pair[k]))
+            return -1;
+        k++;
     }
-    free(buf);
-    return t.rows;
-refuse:
-    free(buf);
-    return -1;
+    if (k == 0)
+        return 0;
+    if (k != 2 || s->rows == s->capacity)
+        return -1;
+    s->first[s->rows] = pair[0];
+    s->second[s->rows++] = pair[1];
+    return 0;
+}
+
+/* Parse the body of the signal file open on fd into first and second,
+ * capacity samples each, one pair per line after the header. Blank lines
+ * are skipped. Returns the pairs filled, or -1, also where there are none. */
+int64_t signal_scan(int fd, double *first, double *second, int64_t capacity)
+{
+    signal_columns s = {first, second, capacity, 0};
+    if (for_each_line(fd, MAX_LINE, signal_header, signal_line, &s) || s.rows == 0)
+        return -1;
+    return s.rows;
 }

@@ -5,11 +5,11 @@ Each ``cmd_*`` does its work and returns the paths it read and wrote.
 ``main`` is the one runner around them: it times the command, and when the
 command wrote files it writes a JSON manifest next to the first of them
 (``<out>.manifest.json``) echoing the command, all flag values, the seed,
-input/output paths, wall-clock duration, and the library version; for
-``train`` and ``bench`` also the training-loop path that ran
-(``kernel_path``, ``"c"`` or ``"numpy"``) and, when the compiled loops could
-not be used, why (``kernel_fallback``). A report sent to stdout gets no
-manifest.
+input/output paths, wall-clock duration, and the library version; when
+the process loaded the compiled library or fell back from it (every
+command but ``gen`` does, to train or to read its inputs), also the path
+that ran (``kernel_path``, ``"c"`` or ``"numpy"``) and, on a fallback, why
+(``kernel_fallback``). A report sent to stdout gets no manifest.
 
 ``main`` is also the one place where errors become exit codes: 0 success,
 2 bad flags or parameter values, 3 data errors (missing, unreadable or
@@ -90,7 +90,7 @@ def _write_manifest(args: argparse.Namespace, inputs: list[str],
         "duration_seconds": round(duration, 3),
         "version": __version__,
     }
-    if args.command in ("train", "bench"):
+    if _kernels._loaded is not None:  # load() ran in this process
         manifest["kernel_path"] = _kernels.ACTIVE_PATH
         if _kernels.FALLBACK_REASON is not None:
             manifest["kernel_fallback"] = _kernels.FALLBACK_REASON

@@ -22,16 +22,24 @@ product with a (frequency x 7) 0/1 mask. A single segment is the k = 1 case
 of the same kernel. Every path to the kernel (a SegmentSignal, segment_signal,
 a recording of signals_to_dataset or of a signal file) cuts its windows with
 _windows, the one check of the sampling rate and of the channels' shapes.
+
+A signal file is read by the compiled scanner of ``_kernels`` where the
+library loads and the file is plain, and by ``np.loadtxt`` or a line parser
+otherwise (``read_signal_file``); ``signal_files_to_dataset`` loads the
+library before it forks its workers, so that they share one build.
 """
 
+import codecs
 import math
 import os
+import stat
 from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
+from . import _kernels
 from ._parallel import ordered_map
 from .dataset import Dataset, _class_ids, _loadtxt
 from .errors import DimensionError, EmptyInputError, ParameterError, ParseError, open_utf8
@@ -176,6 +184,10 @@ def extract_features(seg: SegmentSignal) -> np.ndarray:
     return _featurize(seg.c3[None], seg.c4[None], seg.fs)[0]
 
 
+# The parser that read the last signal file in this process: "scanner" (the
+# compiled one), "loadtxt" or "lines"; None before the first.
+SIGNAL_PARSER = None
+
 # Characters other than "\n" at which str.splitlines breaks a line; np.loadtxt
 # reads them as whitespace instead. Text read in universal-newline mode holds
 # no "\r", but the set stays complete.
@@ -192,11 +204,25 @@ def read_signal_file(path) -> tuple[float, np.ndarray, np.ndarray]:
     Line 1 holds the sampling rate (``fs=<value>`` or a bare number, finite
     and > 0); every following non-empty line holds two finite samples (first
     channel, second channel), whitespace separated. Lines are those of
-    ``str.splitlines``. The body of a file np.loadtxt may read again is parsed
-    in one call of it; when that cannot run, fails or gives no finite (n, 2)
-    array, the line parser runs once and either returns the same arrays or
-    names the bad line.
+    ``str.splitlines``. Three parsers are tried in turn, and
+    ``SIGNAL_PARSER`` names the one that read the file:
+
+    1. the compiled scanner (``_kernels.scan_signal``), on a regular file,
+       reads the file once and takes it only when every parser agrees on it:
+       an ASCII header, then lines of two plain decimals (see ``_loops.c``).
+       Only the header line is then decoded in Python;
+    2. otherwise the text is read whole, which checks that it is UTF-8, and
+       the body of a file np.loadtxt may read again is parsed in one call of
+       it;
+    3. when that cannot run, fails or gives no finite (n, 2) array, the line
+       parser runs once and either returns the same arrays or names the bad
+       line.
     """
+    global SIGNAL_PARSER
+    scanned = _scan_signal_file(path)
+    if scanned is not None:
+        SIGNAL_PARSER = "scanner"
+        return scanned
     with open_utf8(path) as fh:
         text = fh.read()
         seekable = fh.seekable()
@@ -206,7 +232,7 @@ def read_signal_file(path) -> tuple[float, np.ndarray, np.ndarray]:
     head = text.partition("\n")[0]
     fs = _parse_rate(head.splitlines()[0] if head else head)
     name = os.fsdecode(path)
-    samples = None
+    samples, parser = None, "loadtxt"
     if (seekable and not any(ch in text for ch in _EXTRA_LINE_BREAKS)
             and not (name.endswith(_DATASOURCE_SUFFIXES) or "://" in name)):
         # Given the path, np.loadtxt reads the file again in chunks and
@@ -214,8 +240,29 @@ def read_signal_file(path) -> tuple[float, np.ndarray, np.ndarray]:
         # open file, or of the text, in Python. A pipe cannot be read again.
         samples = _load_samples_fast(name)
     if samples is None:
-        samples = _parse_sample_lines(text.splitlines()[1:])
+        samples, parser = _parse_sample_lines(text.splitlines()[1:]), "lines"
+    SIGNAL_PARSER = parser
     return (fs, *samples)
+
+
+def _scan_signal_file(path) -> tuple[float, np.ndarray, np.ndarray] | None:
+    """read_signal_file's result from the compiled scanner, or None where it
+    does not take the file. A file it takes has a printable ASCII header,
+    which is decoded and checked as the other parsers check it, with the
+    same errors."""
+    try:
+        # Opening a pipe would wait for, and then take, its writer's text.
+        if not stat.S_ISREG(os.stat(path).st_mode):
+            return None
+        fh = open(path, "rb")
+    except (OSError, ValueError):
+        return None  # the text reader raises its own error
+    with fh:
+        samples = _kernels.scan_signal(fh.fileno())
+        if samples is None:
+            return None
+        head = fh.readline().removeprefix(codecs.BOM_UTF8).rstrip(b"\r\n")
+    return (_parse_rate(head.decode("ascii")), *samples)
 
 
 def _parse_rate(head: str) -> float:
@@ -357,5 +404,6 @@ def signal_files_to_dataset(paths, class_labels_per_file, jobs: int = 1) -> Data
     paths, labels = list(paths), list(class_labels_per_file)
     if len(labels) != len(paths):
         raise ParameterError(f"{len(paths)} signal files but {len(labels)} class labels")
+    _kernels.load()  # once, before the workers fork
     feats = ordered_map(_file_features, enumerate(paths, start=1), jobs)
     return _recordings_dataset(feats, labels)

@@ -6,13 +6,15 @@ import threading
 import urllib.request
 import weakref
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from pairnet import eeg_features
+from pairnet import _kernels, eeg_features
+from pairnet.cli import main
 from pairnet.eeg_features import (
     DEFAULT_BANDS,
     BandSpec,
@@ -536,7 +538,7 @@ class TestSignalReaderEdges:
         finally:
             writer.join(timeout=10)
         assert not writer.is_alive()
-        assert fs == 100.0
+        assert fs == 100.0 and eeg_features.SIGNAL_PARSER == "lines"
         np.testing.assert_array_equal(c3, [1.0, 3.0])
         np.testing.assert_array_equal(c4, [2.0, 4.0])
 
@@ -651,3 +653,213 @@ class TestSignalReaderProperties:
         assert got_fs == fs
         assert c3.tobytes() == want[:, 0].tobytes()
         assert c4.tobytes() == want[:, 1].tobytes()
+
+
+def compiled_scanner():
+    if _kernels.load() is None:
+        pytest.skip(f"compiled library unavailable: {_kernels.FALLBACK_REASON}")
+
+
+def each_path(run, *args):
+    """run(*args) and the SIGNAL_PARSER it leaves, first with the compiled
+    library loaded, then with it unloaded, as where it does not build."""
+    compiled_scanner()
+    got = []
+    for loaded in (_kernels._loaded, False):
+        with mock.patch.object(_kernels, "_loaded", loaded), \
+                mock.patch.object(eeg_features, "SIGNAL_PARSER", None):
+            got.append((run(*args), eeg_features.SIGNAL_PARSER))
+    return got
+
+
+def exact_outcome(path):
+    """read_signal_file(path)'s arrays, or its exact error."""
+    try:
+        fs, c3, c4 = read_signal_file(path)
+    except ParseError as exc:
+        return ("error", str(exc))
+    return ("ok", fs, c3.dtype, c3.tobytes(), c4.dtype, c4.tobytes())
+
+
+def line_parser_outcome(text):
+    """exact_outcome of a file holding text, from the rate and line parsers."""
+    lines = text.removeprefix("\ufeff").splitlines()
+    c3, c4 = eeg_features._parse_sample_lines(lines[1:])
+    return ("ok", eeg_features._parse_rate(lines[0]), c3.dtype, c3.tobytes(),
+            c4.dtype, c4.tobytes())
+
+
+_repr_cells = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+# The fixed-width cells of perfbench's recordings, and a negative zero.
+_fixed_cells = st.one_of(
+    st.integers(-999_999, 999_999).map(
+        lambda v: f"{'-' if v < 0 else '+'}{abs(v) // 1000:03d}.{abs(v) % 1000:03d}"),
+    st.just("-000.000"))
+
+
+@st.composite
+def scanned_texts(draw):
+    """Signal files of the scanner's grammar: an optional BOM, a rate, then
+    lines of two cells (float reprs or fixed-width decimals) with spaces and
+    tabs between and around them, blank lines among them, each line ended
+    by \\n or \\r\\n, the last perhaps by nothing."""
+    cells = draw(st.sampled_from([_repr_cells, _fixed_cells]))
+    pad, sep = st.sampled_from(["", " ", "\t", " \t"]), st.sampled_from([" ", "\t", " \t "])
+    eol = st.sampled_from(["\n", "\r\n"])
+    text = draw(st.sampled_from(["", "\ufeff"])) + "fs=100" + draw(eol)
+    for _ in range(draw(st.integers(1, 12))):
+        if draw(st.integers(0, 4)) == 0:
+            text += draw(pad) + draw(eol)
+        text += draw(pad) + draw(cells) + draw(sep) + draw(cells) + draw(pad) + draw(eol)
+    return text if draw(st.booleans()) else text.rstrip("\r\n")
+
+
+# One 10-second segment at 50 Hz, as extract reads it.
+_SEGMENT_LINES = [f"{k % 7 - 3}.25 {(k * k) % 11 / 8!r}" for k in range(500)]
+
+# Lines the scanner refuses, each in the middle of a one-segment body; the
+# parsers after it decide, as they do where the library does not load.
+REFUSED_LINES = {
+    "non-ASCII blank": "1 2\u00a0",
+    "non-ASCII digit": "\u0661 2",
+    "NUL": "1\x00 2",
+    "vertical tab": "1 2\x0b3 4",
+    "form feed": "1\x0c2",
+    "group separator": "1\x1d2",
+    "lone CR": "1 2\r3 4",
+    "underscore": "1_0 2",
+    "comment": "1 2 # note",
+    "nan": "nan 2",
+    "inf": "1 inf",
+    "overflow": "1e999 2",
+    "hex": "0x10 2",
+    "one cell": "1",
+    "three cells": "1 2 3",
+    "pipe character": "1|2",
+}
+# Whole files the scanner refuses.
+REFUSED_FILES = {
+    "empty": b"",
+    "header only": b"fs=50\n\n",
+    "tab in the header": b"fs=50\t\n" + "\n".join(_SEGMENT_LINES).encode(),
+    "bad rate, bad UTF-8 body": b"fs=abc\n1 2\n\xff 3\n",
+    "lone CR at the end": b"fs=50\n" + "\n".join(_SEGMENT_LINES).encode() + b"\r",
+}
+
+
+def refused_file(tmp_path, case):
+    path = tmp_path / "sig.txt"
+    if case in REFUSED_FILES:
+        path.write_bytes(REFUSED_FILES[case])
+    else:
+        lines = _SEGMENT_LINES[:250] + [REFUSED_LINES[case]] + _SEGMENT_LINES[250:]
+        path.write_text("fs=50\n" + "\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+def extract_outcome(capsys, path, out):
+    """extract's exit code, error message and output bytes on the file at
+    path, given twice, as two classes."""
+    out.unlink(missing_ok=True)
+    code = main(["extract", str(path), str(path), "--classes", "1,2", "--out", str(out)])
+    err = capsys.readouterr().err
+    return code, err, out.read_bytes() if out.exists() else None
+
+
+class TestSignalScanner:
+    """The compiled scanner reads a signal file as np.loadtxt and the line
+    parser do, bit for bit, and leaves every other file to them."""
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=scanned_texts())
+    def test_scanner_loadtxt_and_line_parser_agree(self, tmp_path, text):
+        path = tmp_path / "sig.txt"
+        path.write_bytes(text.encode("utf-8"))
+        want = line_parser_outcome(text)
+        assert each_path(exact_outcome, path) == [(want, "scanner"), (want, "loadtxt")]
+
+    @pytest.mark.parametrize("text", [
+        "\ufefffs=100\n1 2\n3 4\n",
+        "fs=100\r\n1 2\r\n3 4\r\n",
+        "fs=100\n1 2\n3 4",
+        "fs=100\r\n1 2\r\n3 4",
+        "fs=100\n\n1 2\n\n \t \n3 4\n\n",
+        "fs=100\n1\t2\n\t3\t \t4\t\n",
+        "  100  \n+1.5 -2e3\n+.5E-2 1e+2\n-0.0 +0\n1. .5\n",
+        "fs=100\n1e308 -1e308\n1.7976931348623157e308 5e-324\n",
+        "fs=100\n0.1234567890123456789012345 12345678901234567890e-5\n",
+    ])
+    def test_edge_files(self, tmp_path, text):
+        path = tmp_path / "sig.txt"
+        path.write_bytes(text.encode("utf-8"))
+        want = line_parser_outcome(text)
+        assert each_path(exact_outcome, path) == [(want, "scanner"), (want, "loadtxt")]
+
+    @pytest.mark.parametrize("bom", ["", "\ufeff"])
+    @pytest.mark.parametrize("eol", ["\n", "\r\n"])
+    def test_line_across_a_block(self, tmp_path, bom, eol):
+        # The scanner reads 64 KiB blocks; a line that runs from one block
+        # into the next is carried over whole.
+        rows = [f"{k * 0.1!r} {-k / 3!r}{eol}" for k in range(6000)]
+        for head in ("fs=100", "fs=100.0", "fs=100.00"):  # no line may end at a block end
+            text = bom + head + eol + "".join(rows)
+            ends = set(np.cumsum([len(line.encode()) for line in text.splitlines(True)]).tolist())
+            if not {1 << 16, 2 << 16} & ends:
+                break
+        assert max(ends) > 2 << 16 and not {1 << 16, 2 << 16} & ends
+        path = tmp_path / "blocks.txt"
+        path.write_bytes(text.encode("utf-8"))
+        want = line_parser_outcome(text)
+        assert each_path(exact_outcome, path) == [(want, "scanner"), (want, "loadtxt")]
+        assert read_signal_file(path)[1].tolist() == [k * 0.1 for k in range(6000)]
+
+    @pytest.mark.parametrize("case", sorted(REFUSED_LINES) + sorted(REFUSED_FILES))
+    def test_refused_files_read_as_without_the_library(self, tmp_path, capsys, case):
+        path = refused_file(tmp_path, case)
+        (scanned, parser), (unloaded, _) = each_path(exact_outcome, path)
+        assert parser != "scanner"
+        assert scanned == unloaded
+        (scanned, _), (unloaded, _) = each_path(
+            extract_outcome, capsys, path, tmp_path / "feats.csv")
+        assert scanned == unloaded
+
+    @pytest.mark.parametrize("head", ["fs=abc", "", "fs=nan", " 1e999 ", "fs=10", "fs=-5"])
+    def test_a_bad_rate_fails_as_without_the_library(self, tmp_path, capsys, head):
+        # The scanner takes the body; the rate then fails as it does on
+        # every other path.
+        path = tmp_path / "sig.txt"
+        path.write_text(head + "\n" + "\n".join(_SEGMENT_LINES) + "\n")
+        (scanned, _), (unloaded, _) = each_path(
+            extract_outcome, capsys, path, tmp_path / "feats.csv")
+        assert scanned == unloaded and scanned[0] != 0
+
+    def test_exit_codes_and_messages(self, tmp_path, capsys):
+        # Spot checks of what the parsers after the scanner decide.
+        got = {}
+        for case in ("nan", "one cell", "form feed", "vertical tab", "non-ASCII blank",
+                     "bad rate, bad UTF-8 body", "header only"):
+            code, err, _ = extract_outcome(capsys, refused_file(tmp_path, case),
+                                           tmp_path / "feats.csv")
+            got[case] = code, err.strip()
+        assert got == {
+            "nan": (3, "pairnet: line 252: non-finite sample in 'nan 2'"),
+            "one cell": (3, "pairnet: line 252: expected 2 samples per line, found 1"),
+            "form feed": (3, "pairnet: line 252: expected 2 samples per line, found 1"),
+            "vertical tab": (0, ""),
+            "non-ASCII blank": (0, ""),
+            "bad rate, bad UTF-8 body": (
+                3, "pairnet: not UTF-8 text: invalid start byte at byte 11"),
+            "header only": (3, "pairnet: recording 1 is shorter than one 10-second segment"),
+        }
+
+    @pytest.mark.parametrize("name", ["sig.gz", "http://host/sig.txt"])
+    def test_names_numpy_would_open_otherwise(self, tmp_path, monkeypatch, name):
+        # The scanner reads the bytes the file holds, as the line parser
+        # does; np.loadtxt would decompress or fetch it.
+        monkeypatch.chdir(tmp_path)
+        Path(name).parent.mkdir(parents=True, exist_ok=True)
+        text = "fs=100\n1 2\n3 4\n"
+        Path(name).write_text(text)
+        want = line_parser_outcome(text)
+        assert each_path(exact_outcome, name) == [(want, "scanner"), (want, "lines")]

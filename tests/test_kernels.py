@@ -16,10 +16,12 @@ where the rounding of each BLAS call decides signs near zero, the compiled
 loops must match the numpy loops bit for bit instead.
 
 The compiled library's CSV cell conversion (``csv_cell``) is checked against
-``float()`` bit for bit, and each fallback cause against the CSV path too.
+``float()`` bit for bit, and each fallback cause against the CSV and
+signal-file paths too.
 """
 
 import ctypes
+import hashlib
 import itertools
 import json
 import math
@@ -37,7 +39,7 @@ from hypothesis import strategies as st
 
 import pairnet
 from pairnet import Dataset, TrainConfig, derive_pair_seed, train_pairwise, train_pocket
-from pairnet import _kernels, dataset, load_csv
+from pairnet import _kernels, dataset, eeg_features, load_csv, save_csv
 from pairnet._kernels import (epochs, lm_loop, lm_loop_c, lm_loop_numpy, pocket_loop,
                               pocket_loop_c, pocket_loop_numpy, visit_order)
 from pairnet.cli import main
@@ -718,6 +720,127 @@ class TestPathChoice:
         assert sorted(os.listdir(package)) == before
         assert sorted(os.listdir(tmp_path)) == sorted(
             ["cache", "m.txt", "m.txt.manifest.json"])
+
+
+    @pytest.mark.parametrize("cause", sorted(FALLBACKS))
+    def test_each_fallback_extracts_the_same_dataset(self, monkeypatch, tmp_path,
+                                                     signal_files, path_signals,
+                                                     fresh_pick, cause):
+        *want, parser = path_signals
+        if parser != "scanner" and cause != "other BLAS":
+            pytest.skip(f"compiled library unavailable: {_kernels.FALLBACK_REASON}")
+        force, reason = FALLBACKS[cause]
+        force(monkeypatch, tmp_path)
+        assert read_signals(signal_files) == (*want, "loadtxt")
+        assert _kernels.ACTIVE_PATH == "numpy"
+        assert _kernels.FALLBACK_REASON.startswith(reason)
+        assert not fresh_pick.is_dir() or os.listdir(fresh_pick) == []
+
+    def test_extract_falls_back_with_the_same_bytes(self, monkeypatch, tmp_path, capsys,
+                                                    signal_files, fresh_pick):
+        def extract(out):
+            code = main(["extract", *map(str, signal_files[0]), "--classes",
+                         ",".join(signal_files[1]), "--out", str(out)])
+            assert code == 0, capsys.readouterr().err
+            digest = hashlib.sha256(out.read_bytes()).hexdigest()
+            return digest, json.loads(Path(f"{out}.manifest.json").read_text())
+
+        own, manifest = extract(tmp_path / "own.csv")
+        if manifest["kernel_path"] != "c":
+            pytest.skip(f"compiled library unavailable: {_kernels.FALLBACK_REASON}")
+        assert "kernel_fallback" not in manifest
+        monkeypatch.setattr(_kernels, "_loaded", None)
+        # An empty cache: a build that is there needs no compiler.
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "empty"))
+        FALLBACKS["no compiler"][0](monkeypatch, tmp_path)
+        fallback, manifest = extract(tmp_path / "fallback.csv")
+        assert manifest["kernel_path"] == "numpy"
+        assert manifest["kernel_fallback"].startswith("no C compiler")
+        assert own == fallback == extract_sha256(signal_files, tmp_path)
+
+    def test_extract_builds_once_for_its_workers(self, tmp_path, signal_files):
+        compiled_loops()
+        cache = tmp_path / "cache"
+        out = tmp_path / "feats.csv"
+        package = Path(pairnet.__file__).parent
+        env = {**os.environ, "XDG_CACHE_HOME": str(cache),
+               "PYTHONPATH": os.pathsep.join(
+                   p for p in (str(package.parent), os.environ.get("PYTHONPATH")) if p)}
+        # Two workers, however many CPUs the machine has.
+        boot = "import pairnet.cli as cli; cli.default_jobs = lambda: 2; cli.entry()"
+        proc = subprocess.run(
+            [sys.executable, "-c", boot, "extract", *map(str, signal_files[0]),
+             "--classes", ",".join(signal_files[1]), "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=300, cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+        assert manifest["kernel_path"] == "c" and "kernel_fallback" not in manifest
+        built = os.listdir(cache / "pairnet")
+        assert len(built) == 1 and built[0].startswith("_loops-") and built[0].endswith(".so")
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == extract_sha256(
+            signal_files, tmp_path)
+
+
+# The sha256 of the feature CSV that extract writes from signal_files, by the
+# kernel that numpy's scipy-openblas64 picks for the CPU: a recording's band
+# sums are one dgemm, whose rounding differs between kernels. These are all
+# the kernels of scipy-openblas64 0.3.31, which numpy 2.4 bundles.
+EXTRACT_SHA256 = {
+    "SkylakeX": "07912f82a0702a10ed89bc273bdeadb4ab210b1b511c347f6d2f2c7fd3ebf80d",
+    "Haswell": "271b011214aadcc756fa23946c24da06e1ad11cd57942c69edeb2bd2c6cacc1e",
+    "Sandybridge": "271b011214aadcc756fa23946c24da06e1ad11cd57942c69edeb2bd2c6cacc1e",
+    "Nehalem": "fb19f7c2b61470e4ba62c9d67d34b0b1aa1ebc33ea4b7e46c82670ef41ac8baa",
+    "Katmai": "e83e3c56ef009887b35040e2ff3fc2a971e5a0d8e98f23110099a821221feb47",
+}
+
+
+def extract_sha256(files, tmp_path):
+    """The sha256 that extract must write from files: that of the features of
+    the samples as float() reads them, which must be the one pinned for this
+    CPU's BLAS kernel."""
+    recordings = []
+    for path in files[0]:
+        head, *lines = path.read_text().splitlines()
+        samples = np.array([[float(cell) for cell in line.split()] for line in lines])
+        recordings.append((float(head.removeprefix("fs=")), *samples.T))
+    out = tmp_path / "reference.csv"
+    save_csv(eeg_features.signals_to_dataset(recordings, files[1]), out)
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    corename = _kernels._numpy_blas(ctypes).scipy_openblas_get_corename64_
+    corename.restype = ctypes.c_char_p
+    assert digest == EXTRACT_SHA256[corename().decode()]
+    return digest
+
+
+@pytest.fixture(scope="module")
+def signal_files(tmp_path_factory):
+    """Three recordings of two 10-second segments, at 50, 64 and 100 Hz, as
+    fixed-width sample pairs, and their class labels."""
+    base = tmp_path_factory.mktemp("signals")
+    rng = np.random.default_rng(21)
+    paths = []
+    for k, fs in enumerate((50, 64, 100)):
+        t = np.arange(20 * fs) / fs
+        c3 = 20 * np.sin(2 * np.pi * (6 + 2 * k) * t) + rng.normal(0, 5, t.size)
+        c4 = 0.5 * c3 + rng.normal(0, 5, t.size)
+        paths.append(base / f"rec{k}.txt")
+        paths[-1].write_text(f"fs={fs}\n" + "".join(
+            f"{a:+08.3f} {b:+08.3f}\n" for a, b in zip(c3.tolist(), c4.tolist())))
+    return paths, ["35", "39", "35"]
+
+
+def read_signals(files):
+    """signal_files_to_dataset's arrays and labels for files, and the parser
+    that read the last file."""
+    ds = eeg_features.signal_files_to_dataset(*files)
+    return (ds.X.tobytes(), ds.y.tolist(), ds.records.tolist(), ds.class_labels,
+            eeg_features.SIGNAL_PARSER)
+
+
+@pytest.fixture(scope="module")
+def path_signals(signal_files):
+    """read_signals of signal_files on this process's own pick."""
+    return read_signals(signal_files)
 
 
 def read_csv(path):
