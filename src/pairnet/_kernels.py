@@ -21,8 +21,8 @@ implementations that make the same decisions bit for bit:
   or int before any comparison. Full-set accuracy evaluations and weight
   updates stay whole-array operations.
 
-``load()``, which the first loop or scanner calls, picks the path once per
-process and names it in ``ACTIVE_PATH``. It builds ``_loops.c``
+``load()``, which the first loop, scanner or writer calls, picks the path
+once per process and names it in ``ACTIVE_PATH``. It builds ``_loops.c``
 at first use with the system C compiler and ``-ffp-contract=off`` (no FMA:
 ``pi + (c*t)*x`` must round twice, as numpy does) into
 ``$XDG_CACHE_HOME/pairnet`` (default ``~/.cache/pairnet``), under a name keyed
@@ -40,7 +40,10 @@ The same library holds two scanners: ``csv_scan``, which
 text read and ``np.loadtxt`` through ``scan_signal``. Both read a file in
 64 KiB blocks through one line reader and convert each cell with
 ``csv_cell``. Where ``load()`` falls back, so do both readers, to
-``np.loadtxt``.
+``np.loadtxt``. It also holds the CSV writer, ``csv_write``, which
+``dataset.save_csv`` tries before its Python rows through ``write_csv``: it
+formats each float as ``repr`` does, with Ryu's shortest-digit algorithm,
+and writes 64 KiB blocks to the file descriptor.
 
 Each loop visits every index its visit order holds (its length is the
 budget) until the pocket reaches accuracy 1.0, and returns the four fields
@@ -65,7 +68,7 @@ from pathlib import Path
 import numpy as np
 
 # The loop implementation this process runs: "numpy" until load() picks,
-# then "c" or "numpy". The manifests of train and bench record it.
+# then "c" or "numpy". The manifests of the commands that load it record it.
 ACTIVE_PATH = "numpy"
 # Why the compiled loops are not in use, once load() has fallen back.
 FALLBACK_REASON = None
@@ -175,6 +178,52 @@ def scan_signal(fd):
         return None
     rows = loops.lib.signal_scan(fd, first.ctypes.data, second.ctypes.data, capacity)
     return None if rows < 0 else (first[:rows], second[:rows])
+
+
+def write_csv(fd, X, y, records, labels):
+    """Write the rows of a dataset to the file open on fd with the compiled
+    writer, and return True; or return False, having written nothing, where
+    the compiled library is not loaded.
+
+    Row i is X[i] as repr writes each float, then labels[y[i] - 1] (a str,
+    already quoted as csv.writer quotes it), then records[i], separated by
+    ',' and ended by "\r\n": the bytes csv.writer writes for the row. A
+    failed write raises OSError, after the rows before it are written."""
+    loops = load()
+    if loops is None:
+        return False
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    y = np.ascontiguousarray(y, dtype=np.int64)
+    records = np.ascontiguousarray(records, dtype=np.int64)
+    if not (X.ndim == 2 and y.shape == records.shape == X.shape[:1]):
+        raise ValueError(f"one class and one record per row of X; got {X.shape} rows, "
+                         f"{y.shape} classes and {records.shape} records")
+    n, m = X.shape
+    if n and not (y.min() >= 1 and y.max() <= len(labels)):
+        raise IndexError(f"class id out of range 1..{len(labels)}")
+    cells = [label.encode("utf-8") for label in labels]
+    ends = np.cumsum([0] + [len(cell) for cell in cells], dtype=np.int64)
+    pow5, pow5_inv = _ryu_tables()
+    if loops.lib.csv_write(fd, X.ctypes.data, n, m, y.ctypes.data,
+                           records.ctypes.data, b"".join(cells), ends.ctypes.data,
+                           pow5.ctypes.data, pow5_inv.ctypes.data) < 0:
+        err = loops.get_errno()
+        raise OSError(err, os.strerror(err))
+    return True
+
+
+@functools.cache
+def _ryu_tables():
+    """The tables of Ryu's d2s (see _loops.c), as {low, high} uint64 pairs:
+    5^i cut or padded to 125 bits for i < 326, and 2^(bit_length(5^i) + 124)
+    // 5^i + 1 for i < 342. Made on the first save_csv, so that no command
+    that writes no CSV pays for them."""
+    def pairs(values):
+        return np.array([(v & (2**64 - 1), v >> 64) for v in values], dtype=np.uint64)
+
+    powers = [5**i for i in range(342)]
+    return (pairs((p << 125) >> p.bit_length() for p in powers[:326]),
+            pairs((1 << (p.bit_length() + 124)) // p + 1 for p in powers))
 
 
 def pocket_loop_c(loops, xb, targets, stretches, c):
@@ -388,7 +437,8 @@ def _load_compiled():
             raise _Unavailable(f"symbol {name} missing") from None
     path = _build()
     try:
-        lib = ctypes.CDLL(str(path))
+        # use_errno: csv_write reports a failed write through errno.
+        lib = ctypes.CDLL(str(path), use_errno=True)
     except OSError as exc:
         raise _Unavailable(f"cannot load {path}: {exc}") from None
 
@@ -415,8 +465,14 @@ def _load_compiled():
     lib.csv_scan.restype = i64
     lib.signal_scan.argtypes = [ctypes.c_int, ptr, ptr, i64]
     lib.signal_scan.restype = i64
-    # byref travels along, so that only load() imports ctypes.
-    return types.SimpleNamespace(lib=lib, State=State, byref=ctypes.byref)
+    lib.csv_write.argtypes = [ctypes.c_int, ptr, i64, i64, ptr, ptr, ctypes.c_char_p, ptr,
+                              ptr, ptr]
+    lib.csv_write.restype = i64
+    lib.double_repr.argtypes = [f64, ctypes.c_char_p, ptr, ptr]  # for the tests
+    lib.double_repr.restype = i64
+    # byref and get_errno travel along, so that only load() imports ctypes.
+    return types.SimpleNamespace(lib=lib, State=State, byref=ctypes.byref,
+                                 get_errno=ctypes.get_errno)
 
 
 def _numpy_blas(ctypes):

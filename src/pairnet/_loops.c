@@ -1,5 +1,5 @@
-/* Compiled pocket and linear-machine visit loops, and the CSV-body and
- * signal-file scanners, for pairnet._kernels.
+/* Compiled pocket and linear-machine visit loops, the CSV-body and
+ * signal-file scanners, and the CSV writer, for pairnet._kernels.
  *
  * Each loop runs the visits of one stretch of the visit order. The weights,
  * the pocket, a scratch buffer and the loop_state belong to the caller and
@@ -153,7 +153,8 @@ static const double EXACT_POW10[] = {
     1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11,
     1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22};
 
-#ifdef __SIZEOF_INT128__
+/* gcc and clang have it on every 64-bit target, the only ones numpy's
+ * scipy-openblas64 exists for; without it the build fails and falls back. */
 typedef unsigned __int128 u128;
 
 static int bit_length(u128 n)
@@ -197,7 +198,6 @@ static double scaled_by_pow10(uint64_t w, int e)
     u128 n = (u128)w << shift, q = n / p;
     return round_to_double(q, -shift, n != q * p);
 }
-#endif
 
 static int is_digit(char c) { return c >= '0' && c <= '9'; }
 
@@ -257,10 +257,8 @@ int csv_cell(const char *s, int64_t len, double *out)
     } else if (digits <= 19 && w <= (1ULL << 53) && e10 >= -22 && e10 <= 22) {
         /* Clinger's fast path: both operands are exact, so one rounding */
         v = e10 < 0 ? (double)w / EXACT_POW10[-e10] : (double)w * EXACT_POW10[e10];
-#ifdef __SIZEOF_INT128__
     } else if (digits <= 18 && e10 >= -19 && e10 <= 19) {
         v = scaled_by_pow10(w, (int)e10);
-#endif
     } else {
         char *stop;
         v = strtod(mantissa, &stop);
@@ -491,4 +489,298 @@ int64_t signal_scan(int fd, double *first, double *second, int64_t capacity)
     if (for_each_line(fd, MAX_LINE, signal_header, signal_line, &s) || s.rows == 0)
         return -1;
     return s.rows;
+}
+
+/* The CSV writer, for pairnet.dataset.save_csv. A float cell is written as
+ * Python's repr writes it: its shortest digits that read back as the same
+ * double, the nearest of them to its value, found by Ryu's d2s (Ulf Adams,
+ * "Ryu: fast float-to-string conversion", PLDI 2018), and laid out as repr
+ * lays them out. Ryu's two tables, of 5^i and of 2^k / 5^i to 125 bits,
+ * come from pairnet._kernels as {low, high} 64-bit pairs. */
+
+enum { POW5_BITS = 125, WRITE_BLOCK = 1 << 16, CELL_MAX = 32 };
+
+static const char DIGIT_PAIRS[] =
+    "00010203040506070809101112131415161718192021222324252627282930313233343536373839"
+    "40414243444546474849505152535455565758596061626364656667686970717273747576777879"
+    "8081828384858687888990919293949596979899";
+
+/* The decimal digits * 10^exponent. */
+typedef struct {
+    uint64_t digits;
+    int32_t exponent;
+} decimal;
+
+/* bit_length(5^e), for 0 <= e <= 3528 */
+static int32_t pow5_bits(int32_t e) { return ((e * 1217359) >> 19) + 1; }
+/* floor(log10(2^e)), for 0 <= e <= 1650 */
+static int32_t log10_pow2(int32_t e) { return (e * 78913) >> 18; }
+/* floor(log10(5^e)), for 0 <= e <= 2620 */
+static int32_t log10_pow5(int32_t e) { return (e * 732923) >> 20; }
+
+/* Whether 5^p divides v, for v > 0 */
+static int multiple_of_pow5(uint64_t v, int32_t p)
+{
+    int32_t count = 0;
+    for (; v % 5 == 0; v /= 5)
+        count++;
+    return count >= p;
+}
+
+/* (m * mul) >> j, for the 128-bit table entry mul = {low, high} and j >= 64 */
+static uint64_t mul_shift(uint64_t m, const uint64_t *mul, int32_t j)
+{
+    u128 low = (u128)m * mul[0], high = (u128)m * mul[1];
+    return (uint64_t)(((low >> 64) + high) >> (j - 64));
+}
+
+/* The shortest decimal that reads back as the positive finite double of
+ * biased exponent e and mantissa bits f, and of those the nearest to it. */
+static decimal shortest(uint64_t f, int32_t e, const uint64_t *pow5,
+                        const uint64_t *pow5_inv)
+{
+    /* The double is mv * 2^e2 with mv = 4 * m2: the two more bits hold its
+     * bounds halfway to its neighbours, mp = mv + 2 above and
+     * mm = mv - 1 - mm_shift below, as the gap below is half as wide at a
+     * power of two. Every decimal strictly between mm and mp (times 2^e2)
+     * reads back as the double, and so do the bounds when m2 is even, as
+     * reading rounds ties to even. vr, vp and vm are mv, mp and mm times
+     * 10^-e10, rounded down. */
+    int32_t e2 = (e ? e : 1) - 1023 - 52 - 2;
+    uint64_t m2 = e ? f | (1ULL << 52) : f;
+    int even = (m2 & 1) == 0;
+    uint64_t mv = 4 * m2;
+    uint32_t mm_shift = f != 0 || e <= 1;
+    uint64_t vr, vp, vm;
+    int32_t e10;
+    /* whether the digits of vm, and of vr, dropped so far are all 0 */
+    int vm_zeros = 0, vr_zeros = 0;
+    if (e2 >= 0) {
+        int32_t q = log10_pow2(e2) - (e2 > 3);
+        int32_t j = -e2 + q + POW5_BITS + pow5_bits(q) - 1;
+        const uint64_t *mul = pow5_inv + 2 * q;
+        e10 = q;
+        vr = mul_shift(4 * m2, mul, j);
+        vp = mul_shift(4 * m2 + 2, mul, j);
+        vm = mul_shift(4 * m2 - 1 - mm_shift, mul, j);
+        if (q <= 21) {
+            /* At most one of mv, mp and mm is a multiple of 5. */
+            if (mv % 5 == 0)
+                vr_zeros = multiple_of_pow5(mv, q);
+            else if (even)
+                vm_zeros = multiple_of_pow5(mv - 1 - mm_shift, q);
+            else
+                vp -= multiple_of_pow5(mv + 2, q);
+        }
+    } else {
+        int32_t q = log10_pow5(-e2) - (-e2 > 1);
+        int32_t i = -e2 - q;
+        int32_t j = q - (pow5_bits(i) - POW5_BITS);
+        const uint64_t *mul = pow5 + 2 * i;
+        e10 = q + e2;
+        vr = mul_shift(4 * m2, mul, j);
+        vp = mul_shift(4 * m2 + 2, mul, j);
+        vm = mul_shift(4 * m2 - 1 - mm_shift, mul, j);
+        if (q <= 1) {
+            /* mv has two trailing zero bits, mm one iff mm_shift is 1. */
+            vr_zeros = 1;
+            if (even)
+                vm_zeros = mm_shift == 1;
+            else
+                vp--;
+        } else if (q < 63) {
+            vr_zeros = (mv & ((1ULL << q) - 1)) == 0;
+        }
+    }
+    /* Drop digits while the interval still holds a shorter decimal. */
+    int32_t removed = 0;
+    int last = 0;  /* the last digit dropped from vr */
+    while (vp / 10 > vm / 10) {
+        vm_zeros &= vm % 10 == 0;
+        vr_zeros &= last == 0;
+        last = (int)(vr % 10);
+        vr /= 10;
+        vp /= 10;
+        vm /= 10;
+        removed++;
+    }
+    if (vm_zeros) {  /* mm itself is in the interval: it may end in zeros */
+        while (vm % 10 == 0) {
+            vr_zeros &= last == 0;
+            last = (int)(vr % 10);
+            vr /= 10;
+            vp /= 10;
+            vm /= 10;
+            removed++;
+        }
+    }
+    if (vr_zeros && last == 5 && vr % 2 == 0)
+        last = 4;  /* an exact tie rounds to even */
+    /* vr + 1 if vr is out of the interval or rounds up */
+    decimal d = {vr + ((vr == vm && (!even || !vm_zeros)) || last >= 5), e10 + removed};
+    return d;
+}
+
+/* x as repr writes it, at p; returns the end, at most 24 bytes on. */
+static char *put_double(char *p, double x, const uint64_t *pow5,
+                        const uint64_t *pow5_inv)
+{
+    uint64_t bits;
+    memcpy(&bits, &x, sizeof bits);
+    uint64_t f = bits & ((1ULL << 52) - 1);
+    int32_t e = (int32_t)(bits >> 52) & 0x7ff;
+    if (e == 0x7ff && f) {
+        memcpy(p, "nan", 3);
+        return p + 3;
+    }
+    if (bits >> 63)
+        *p++ = '-';
+    if (e == 0x7ff) {
+        memcpy(p, "inf", 3);
+        return p + 3;
+    }
+    if (e == 0 && f == 0) {
+        memcpy(p, "0.0", 3);
+        return p + 3;
+    }
+    decimal d = shortest(f, e, pow5, pow5_inv);
+    char buf[20], *digits = buf + sizeof buf;
+    uint64_t v = d.digits;
+    for (; v >= 10; v /= 100)
+        memcpy(digits -= 2, DIGIT_PAIRS + 2 * (v % 100), 2);
+    if (v)
+        *--digits = (char)('0' + v);
+    int32_t n = (int32_t)(buf + sizeof buf - digits);
+    int32_t point = n + d.exponent;  /* x is 0.digits * 10^point */
+    if (point > -4 && point <= 16) {
+        if (point <= 0) {  /* 0.000ddd */
+            memcpy(p, "0.000", (size_t)(2 - point));
+            p += 2 - point;
+            memcpy(p, digits, (size_t)n);
+            p += n;
+        } else if (point < n) {  /* dd.ddd */
+            memcpy(p, digits, (size_t)point);
+            p += point;
+            *p++ = '.';
+            memcpy(p, digits + point, (size_t)(n - point));
+            p += n - point;
+        } else {  /* ddd00.0 */
+            memcpy(p, digits, (size_t)n);
+            p += n;
+            memset(p, '0', (size_t)(point - n));
+            p += point - n;
+            memcpy(p, ".0", 2);
+            p += 2;
+        }
+        return p;
+    }
+    *p++ = digits[0];
+    if (n > 1) {
+        *p++ = '.';
+        memcpy(p, digits + 1, (size_t)(n - 1));
+        p += n - 1;
+    }
+    int32_t exp10 = point - 1;
+    *p++ = 'e';
+    *p++ = exp10 < 0 ? '-' : '+';
+    if (exp10 < 0)
+        exp10 = -exp10;
+    if (exp10 >= 100)
+        *p++ = (char)('0' + exp10 / 100);
+    *p++ = (char)('0' + exp10 / 10 % 10);
+    *p++ = (char)('0' + exp10 % 10);
+    return p;
+}
+
+/* repr(x) at out, which has room for CELL_MAX bytes; returns its length.
+ * The tests call it; csv_write formats each cell the same way. */
+int64_t double_repr(double x, char *out, const uint64_t *pow5, const uint64_t *pow5_inv)
+{
+    return put_double(out, x, pow5, pow5_inv) - out;
+}
+
+/* A block of output on its way to fd. */
+typedef struct {
+    int fd;
+    char *buf;
+    size_t used;
+} writer;
+
+/* Write the block out whole, looping on partial writes. Returns 0, or -1
+ * with errno set. */
+static int flush_block(writer *w)
+{
+    for (size_t done = 0; done < w->used;) {
+        ssize_t put = write(w->fd, w->buf + done, w->used - done);
+        if (put < 0) {
+            if (errno == EINTR)
+                continue;
+            return -1;
+        }
+        done += (size_t)put;
+    }
+    w->used = 0;
+    return 0;
+}
+
+/* Room for CELL_MAX bytes in the block: 0, or -1 with errno set. */
+static int make_room(writer *w)
+{
+    return w->used > WRITE_BLOCK - CELL_MAX ? flush_block(w) : 0;
+}
+
+/* Write the n rows of a dataset to fd: row i is the m features X[i * m ..]
+ * as repr writes them, then the class label of y[i] (1-based) and the
+ * record id records[i], separated by ',' and ended by "\r\n". Label k is
+ * labels[ends[k - 1] .. ends[k]), with ends[0] == 0, already quoted as
+ * csv.writer quotes it. The file is written in blocks of WRITE_BLOCK bytes.
+ * Returns 0, or -1 with errno set. */
+int64_t csv_write(int fd, const double *X, int64_t n, int64_t m, const int64_t *y,
+                  const int64_t *records, const char *labels, const int64_t *ends,
+                  const uint64_t *pow5, const uint64_t *pow5_inv)
+{
+    writer w = {fd, malloc(WRITE_BLOCK), 0};
+    int status = -1;
+    if (w.buf == NULL)
+        return -1;
+    for (int64_t i = 0; i < n; i++) {
+        for (const double *x = X + i * m, *end = x + m; x < end; x++) {
+            if (make_room(&w))
+                goto done;
+            char *p = put_double(w.buf + w.used, *x, pow5, pow5_inv);
+            *p++ = ',';
+            w.used = (size_t)(p - w.buf);
+        }
+        const char *label = labels + ends[y[i] - 1], *stop = labels + ends[y[i]];
+        while (label < stop) {
+            if (w.used == WRITE_BLOCK && flush_block(&w))
+                goto done;
+            size_t part = WRITE_BLOCK - w.used;
+            if (part > (size_t)(stop - label))
+                part = (size_t)(stop - label);
+            memcpy(w.buf + w.used, label, part);
+            w.used += part;
+            label += part;
+        }
+        if (make_room(&w))
+            goto done;
+        /* ',', the record id and "\r\n": at most 23 bytes */
+        char digits[20], *d = digits + sizeof digits;
+        uint64_t rec = records[i] < 0 ? -(uint64_t)records[i] : (uint64_t)records[i];
+        do
+            *--d = (char)('0' + rec % 10);
+        while (rec /= 10);
+        if (records[i] < 0)
+            *--d = '-';
+        char *p = w.buf + w.used;
+        *p++ = ',';
+        memcpy(p, d, (size_t)(digits + sizeof digits - d));
+        p += digits + sizeof digits - d;
+        memcpy(p, "\r\n", 2);
+        w.used = (size_t)(p + 2 - w.buf);
+    }
+    status = flush_block(&w);
+done:
+    free(w.buf);
+    return status;
 }

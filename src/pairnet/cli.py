@@ -7,9 +7,10 @@ command wrote files it writes a JSON manifest next to the first of them
 (``<out>.manifest.json``) echoing the command, all flag values, the seed,
 input/output paths, wall-clock duration, and the library version; when
 the process loaded the compiled library or fell back from it (every
-command but ``gen`` does, to train or to read its inputs), also the path
-that ran (``kernel_path``, ``"c"`` or ``"numpy"``) and, on a fallback, why
-(``kernel_fallback``). A report sent to stdout gets no manifest.
+command that writes files does, to train, to read its inputs or to write a
+CSV), also the path that ran (``kernel_path``, ``"c"`` or ``"numpy"``) and,
+on a fallback, why (``kernel_fallback``). A report sent to stdout gets no
+manifest.
 
 ``main`` is also the one place where errors become exit codes: 0 success,
 2 bad flags or parameter values, 3 data errors (missing, unreadable or

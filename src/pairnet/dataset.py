@@ -28,6 +28,9 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 # The parser that read the file load_csv returned last: "scanner" (the
 # compiled one), "loadtxt" or "csv"; None before the first.
 CSV_PARSER = None
+# The writer of the rows of the file save_csv wrote last: "compiled" or
+# "python"; None before the first.
+CSV_WRITER = None
 
 
 @dataclass(frozen=True)
@@ -417,24 +420,35 @@ def _csv_cell(text: str) -> str:
 
 
 def save_csv(ds: Dataset, path) -> None:
-    """Write a dataset back out in the standard schema (full float precision)."""
-    # The rows are the bytes csv.writer would write: it formats a float cell
-    # with repr, the shortest round-trip form, an int with str, and ends a
-    # row with "\r\n"; only the class labels can need quoting, so each is
-    # quoted once. tolist() hands over Python floats a few rows at a time:
-    # larger chunks were no faster and raised peak memory by the chunk's
-    # Python objects.
+    """Write a dataset back out in the standard schema (full float precision).
+
+    The bytes are those csv.writer writes: each float as repr writes it, the
+    shortest form that reads back as the same float, each int with str, and
+    "\r\n" after each row. The compiled writer (``_kernels.write_csv``)
+    writes the rows where the compiled library is loaded, else Python does.
+    """
+    global CSV_WRITER
+    # Only the class labels can need quoting, so each is quoted once.
     labels = [_csv_cell(label) for label in ds.class_labels]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh).writerow(list(ds.feature_names) + ["class", "record"])
-        for s in range(0, len(ds), _CSV_CHUNK_ROWS):
-            rows = ds.X[s : s + _CSV_CHUNK_ROWS].tolist()
-            ys = ds.y[s : s + _CSV_CHUNK_ROWS].tolist()
-            recs = ds.records[s : s + _CSV_CHUNK_ROWS].tolist()
-            fh.write("".join(
-                f"{','.join(map(repr, row))},{labels[y - 1]},{rec}\r\n"
-                for row, y, rec in zip(rows, ys, recs)
-            ))
+        fh.flush()
+        if _kernels.write_csv(fh.fileno(), ds.X, ds.y, ds.records, labels):
+            writer = "compiled"
+        else:
+            # tolist() hands over Python floats a few rows at a time: larger
+            # chunks were no faster and raised peak memory by the chunk's
+            # Python objects.
+            writer = "python"
+            for s in range(0, len(ds), _CSV_CHUNK_ROWS):
+                rows = ds.X[s : s + _CSV_CHUNK_ROWS].tolist()
+                ys = ds.y[s : s + _CSV_CHUNK_ROWS].tolist()
+                recs = ds.records[s : s + _CSV_CHUNK_ROWS].tolist()
+                fh.write("".join(
+                    f"{','.join(map(repr, row))},{labels[y - 1]},{rec}\r\n"
+                    for row, y, rec in zip(rows, ys, recs)
+                ))
+    CSV_WRITER = writer
 
 
 def screen_outliers(ds: Dataset, k: float = 3.0) -> tuple[Dataset, ScreeningReport]:

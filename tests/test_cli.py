@@ -693,15 +693,12 @@ class TestRunner:
         code, _, err = run(capsys, *argv)
         assert code == 0, err
         manifest = json.loads((tmp_path / (outputs[0] + ".manifest.json")).read_text())
-        if argv[0] != "gen":
-            # Every command but gen loads the compiled library, to train or
-            # to parse its inputs: the path that ran, and why, when it is
-            # the fallback.
-            fallback = {"kernel_fallback"} if manifest["kernel_path"] == "numpy" else set()
-            assert set(manifest) == MANIFEST_KEYS | {"kernel_path"} | fallback
-            assert manifest["kernel_path"] == pairnet._kernels.ACTIVE_PATH
-        else:
-            assert set(manifest) == MANIFEST_KEYS
+        # Every command that writes files loads the compiled library, to
+        # train, to parse its inputs or to write a CSV: the path that ran,
+        # and why, when it is the fallback.
+        fallback = {"kernel_fallback"} if manifest["kernel_path"] == "numpy" else set()
+        assert set(manifest) == MANIFEST_KEYS | {"kernel_path"} | fallback
+        assert manifest["kernel_path"] == pairnet._kernels.ACTIVE_PATH
         assert manifest["command"] == argv[0]
         assert manifest["inputs"] == inputs
         assert manifest["outputs"] == outputs

@@ -1,4 +1,5 @@
 import csv
+import errno
 import os
 import threading
 import tracemalloc
@@ -138,33 +139,6 @@ class TestLoadCsv:
         np.testing.assert_array_equal(back.records, ds.records)
         assert back.feature_names == ds.feature_names
         assert back.class_labels == ds.class_labels
-
-    def test_writer_bytes_match_per_cell_repr(self, tmp_path):
-        # The per-row writer that save_csv replaced: one repr per cell.
-        def reference_save_csv(ds, path):
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(list(ds.feature_names) + ["class", "record"])
-                for i in range(len(ds)):
-                    row = [repr(float(v)) for v in ds.X[i]]
-                    row.append(ds.class_labels[ds.y[i] - 1])
-                    row.append(str(int(ds.records[i])))
-                    writer.writerow(row)
-
-        rng = np.random.default_rng(3)
-        n = 2 * 1024 + 5  # crosses chunk boundaries
-        X = rng.normal(size=(n, 4)) * 10.0 ** rng.integers(-300, 300, size=(n, 4))
-        X[0] = [-0.0, 5e-324, 1e308, -1.7976931348623157e308]
-        X[1] = [0.1, 1e16, 123456789.0, 2.0**-1074]
-        y = rng.integers(1, 4, size=n)
-        y[:3] = [1, 2, 3]
-        ds = Dataset(X, y, y * 1000 + 7, ("a", "b c", 'q"x', "d,e"), ('a,"b', "7", " sp "))
-        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
-        save_csv(ds, new)
-        reference_save_csv(ds, old)
-        assert new.read_bytes() == old.read_bytes()
-        back = load_csv(new)
-        np.testing.assert_array_equal(back.X, ds.X)
 
     def test_bom_is_not_part_of_the_first_column(self, tmp_path):
         path = tmp_path / "bom.csv"
@@ -587,21 +561,106 @@ def saved_datasets(draw):
                    ("a", "b c", 'q"x,é')[:m], labels)
 
 
+@pytest.fixture(params=["compiled", "python"])
+def writer(request, monkeypatch):
+    """The writer of save_csv's rows: the compiled one, or Python's, which
+    runs where the compiled library does not load."""
+    if request.param == "compiled":
+        if _kernels.load() is None:
+            pytest.skip(f"compiled library unavailable: {_kernels.FALLBACK_REASON}")
+    else:
+        monkeypatch.setattr(_kernels, "_loaded", False)
+    return request.param
+
+
 class TestSaveCsv:
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(ds=saved_datasets())
-    def test_bytes_match_csv_writer_and_load_round_trips(self, tmp_path, ds):
+    def test_bytes_match_csv_writer_and_load_round_trips(self, tmp_path, writer, ds):
         new, old = tmp_path / "new.csv", tmp_path / "old.csv"
         save_csv(ds, new)
         reference_save_csv(ds, old)
         assert new.read_bytes() == old.read_bytes()
+        assert dataset.CSV_WRITER == writer
         back = load_csv(new)
         assert back.X.view(np.int64).tolist() == ds.X.view(np.int64).tolist()
         assert back.records.tolist() == ds.records.tolist()
         assert back.feature_names == ds.feature_names
         assert [back.class_labels[c - 1] for c in back.y] == [
             ds.class_labels[c - 1].strip() for c in ds.y]
+
+    def test_writer_bytes_match_per_cell_repr(self, tmp_path, writer):
+        # The per-row writer that save_csv replaced: one repr per cell.
+        def reference_save_csv(ds, path):
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(list(ds.feature_names) + ["class", "record"])
+                for i in range(len(ds)):
+                    row = [repr(float(v)) for v in ds.X[i]]
+                    row.append(ds.class_labels[ds.y[i] - 1])
+                    row.append(str(int(ds.records[i])))
+                    writer.writerow(row)
+
+        rng = np.random.default_rng(3)
+        n = 2 * 1024 + 5  # crosses chunk boundaries
+        X = rng.normal(size=(n, 4)) * 10.0 ** rng.integers(-300, 300, size=(n, 4))
+        X[0] = [-0.0, 5e-324, 1e308, -1.7976931348623157e308]
+        X[1] = [0.1, 1e16, 123456789.0, 2.0**-1074]
+        y = rng.integers(1, 4, size=n)
+        y[:3] = [1, 2, 3]
+        ds = Dataset(X, y, y * 1000 + 7, ("a", "b c", 'q"x', "d,e"), ('a,"b', "7", " sp "))
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        save_csv(ds, new)
+        reference_save_csv(ds, old)
+        assert new.read_bytes() == old.read_bytes()
+        assert dataset.CSV_WRITER == writer
+        back = load_csv(new)
+        np.testing.assert_array_equal(back.X, ds.X)
+
+    def test_no_rows_writes_the_header_alone(self, tmp_path, writer):
+        ds = Dataset(np.empty((0, 2)), [], [], ("a", "b"), ("x", "y"))
+        save_csv(ds, tmp_path / "empty.csv")
+        assert (tmp_path / "empty.csv").read_bytes() == b"a,b,class,record\r\n"
+        assert dataset.CSV_WRITER == writer
+
+    def test_rows_and_labels_longer_than_a_block(self, tmp_path, writer):
+        # 3,000 features of 18-24 bytes each, and a label of 70,000: each
+        # row spans two 64 KiB blocks or more.
+        rng = np.random.default_rng(8)
+        X = rng.normal(size=(5, 3000)) * 10.0 ** rng.integers(-300, 300, size=(5, 3000))
+        ds = Dataset(X, [1, 2, 1, 2, 2], [1, 2, 3, 4, 4],
+                     tuple(f"f{k}" for k in range(3000)), ("a" * 70_000, 'b"'))
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        save_csv(ds, new)
+        reference_save_csv(ds, old)
+        assert new.stat().st_size > 2 * 70_000
+        assert new.read_bytes() == old.read_bytes()
+        assert dataset.CSV_WRITER == writer
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_full_device_raises_the_same_error_on_both_paths(self, monkeypatch):
+        ds = make_dataset(np.ones((300, 40)), np.repeat([1, 2], 150), np.repeat([1, 2], 150))
+
+        def error():
+            with pytest.raises(OSError) as raised:
+                save_csv(ds, "/dev/full")
+            return type(raised.value), raised.value.errno, str(raised.value)
+
+        if _kernels.load() is None:
+            pytest.skip(f"compiled library unavailable: {_kernels.FALLBACK_REASON}")
+        compiled = error()
+        # The compiled writer's own failure, past a header that fitted.
+        fd = os.open("/dev/full", os.O_WRONLY)
+        try:
+            with pytest.raises(OSError) as raised:
+                _kernels.write_csv(fd, ds.X, ds.y, ds.records, ["1", "2"])
+        finally:
+            os.close(fd)
+        assert (type(raised.value), raised.value.errno, str(raised.value)) == compiled
+        monkeypatch.setattr(_kernels, "_loaded", False)
+        assert error() == compiled == (OSError, errno.ENOSPC,
+                                       f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}")
 
 
 class TestScreenOutliers:

@@ -16,8 +16,9 @@ where the rounding of each BLAS call decides signs near zero, the compiled
 loops must match the numpy loops bit for bit instead.
 
 The compiled library's CSV cell conversion (``csv_cell``) is checked against
-``float()`` bit for bit, and each fallback cause against the CSV and
-signal-file paths too.
+``float()`` bit for bit, its float formatting (``double_repr``, which the CSV
+writer uses) against ``repr`` byte for byte, and each fallback cause against
+the CSV and signal-file paths and save_csv too.
 """
 
 import ctypes
@@ -723,6 +724,20 @@ class TestPathChoice:
 
 
     @pytest.mark.parametrize("cause", sorted(FALLBACKS))
+    def test_each_fallback_saves_the_same_bytes(self, monkeypatch, tmp_path, path_saved,
+                                                fresh_pick, cause):
+        want, writer = path_saved
+        if writer != "compiled" and cause != "other BLAS":
+            pytest.skip(f"compiled library unavailable: {_kernels.FALLBACK_REASON}")
+        force, reason = FALLBACKS[cause]
+        force(monkeypatch, tmp_path)
+        out = tmp_path / "saved.csv"
+        save_csv(wide_range_dataset(), out)
+        assert (out.read_bytes(), dataset.CSV_WRITER) == (want, "python")
+        assert _kernels.FALLBACK_REASON.startswith(reason)
+        assert not fresh_pick.is_dir() or os.listdir(fresh_pick) == []
+
+    @pytest.mark.parametrize("cause", sorted(FALLBACKS))
     def test_each_fallback_extracts_the_same_dataset(self, monkeypatch, tmp_path,
                                                      signal_files, path_signals,
                                                      fresh_pick, cause):
@@ -827,6 +842,27 @@ def signal_files(tmp_path_factory):
         paths[-1].write_text(f"fs={fs}\n" + "".join(
             f"{a:+08.3f} {b:+08.3f}\n" for a, b in zip(c3.tolist(), c4.tolist())))
     return paths, ["35", "39", "35"]
+
+
+def wide_range_dataset():
+    """Features of every magnitude a double has, zeros of both signs, and
+    class labels that csv.writer quotes."""
+    rng = np.random.default_rng(13)
+    X = rng.normal(size=(300, 6)) * 10.0 ** rng.integers(-320, 300, size=(300, 6))
+    X[:2] = [[-0.0, 0.0, 5e-324, 1e16, 9e-05, -1.7976931348623157e308],
+             [1.0, 0.1, 1e22, 1e23, 123456789.0, 2.0**53]]
+    records = np.arange(300) // 7 + 1
+    return Dataset(X, records % 3 + 1, records,
+                   ("a", "b c", 'q"x', "d,e", "é", "f"), ('a,"b', "7", " sp "))
+
+
+@pytest.fixture(scope="module")
+def path_saved(tmp_path_factory):
+    """The bytes save_csv writes from wide_range_dataset on this process's
+    own pick, and the writer that wrote its rows."""
+    out = tmp_path_factory.mktemp("saved") / "saved.csv"
+    save_csv(wide_range_dataset(), out)
+    return out.read_bytes(), dataset.CSV_WRITER
 
 
 def read_signals(files):
@@ -951,3 +987,73 @@ class TestCsvCell:
                      "nan", "inf", "Infinity", " 1", "1 ", "0x10", "1.2.3", "1e5.0", "1,5",
                      "\t1", "\u0661"]:
             assert convert_cell(text) is None, text
+
+
+def compiled_repr(x):
+    """The compiled library's formatting of the float x."""
+    out = ctypes.create_string_buffer(32)
+    pow5, pow5_inv = _kernels._ryu_tables()
+    size = compiled_loops().lib.double_repr(x, out, pow5.ctypes.data, pow5_inv.ctypes.data)
+    return out.raw[:size].decode("ascii")
+
+
+def from_bits(bits):
+    return struct.unpack("<d", bits.to_bytes(8, "little"))[0]
+
+
+def crafted_doubles():
+    """Where the layout changes, the extreme doubles, integers up to 2^53,
+    values whose shortest form has 15, 16 and 17 digits, and doubles whose
+    value lies exactly halfway between two shortest candidates or whose
+    lower bound is itself a short decimal, so that the digits depend on
+    Ryu's record of the trailing zeros it drops."""
+    values = [1e16, 9999999999999998.0, 1234567890123456.8, 0.0001, 9e-05, -0.0, 0.0,
+              5e-324, 2.2250738585072014e-308, 2.225073858507201e-308,
+              1.7976931348623157e308, 2251799813685248.5, 1e22, 1e23, 9.5e-05, 1e-05,
+              0.001, 1e15, 1e17, 1.5e16, 12345678901234.5, 0.3333333333333333,
+              0.30000000000000004, 1e100, 1e-100, 1e300, 1e-300]
+    values += [float(k) for k in range(20_000)]
+    values += [float(2**k + d) for k in range(54) for d in (-1, 0, 1)]
+    values += [10.0**k for k in range(-30, 30)]
+    # 17-digit doubles in [2^50, 2^51) that end in .25 or .75: exact ties
+    # at the 17th digit, which round to the even digit.
+    values += [2.0**50 + k + f for k in range(0, 2**16, 193) for f in (0.25, 0.75)]
+    # Doubles near 2^54 to 2^69 with short mantissas: among them are those
+    # whose lower bound is a decimal with trailing zeros.
+    values += [2.0**k * (1 + j / 2**10) for k in range(50, 70) for j in range(0, 2**10, 4)]
+    return values + [-v for v in values]
+
+
+class TestDoubleRepr:
+    """The compiled writer formats a float as repr does, byte for byte: the
+    shortest digits that read back as the same double, the nearest of them,
+    in fixed notation when -4 < point <= 16 (x = 0.digits * 10^point), else
+    as d[.ddd]e±XX with at least two exponent digits."""
+
+    @settings(max_examples=2000, deadline=None)
+    @given(bits=st.integers(0, 2**64 - 1))
+    def test_any_finite_double(self, bits):
+        x = from_bits(bits)
+        assume(math.isfinite(x))
+        assert compiled_repr(x) == repr(x)
+
+    def test_every_binary_exponent_with_edge_mantissas(self):
+        mantissas = (0, 1, 2, 3, 2**51 - 1, 2**51, 2**51 + 1, 2**52 - 2, 2**52 - 1)
+        for exponent in range(2047):
+            for mantissa in mantissas:
+                for sign in (0, 1):
+                    x = from_bits(sign << 63 | exponent << 52 | mantissa)
+                    assert compiled_repr(x) == repr(x), (exponent, mantissa, sign)
+
+    def test_crafted_values(self):
+        for x in crafted_doubles():
+            assert compiled_repr(x) == repr(x), repr(x)
+
+    def test_crafted_values_have_the_lengths_they_claim(self):
+        # 15, 16 and 17 significant digits
+        assert [len(repr(x).replace(".", "").lstrip("0")) for x in (
+            12345678901234.5, 0.3333333333333333, 0.30000000000000004)] == [15, 16, 17]
+
+    def test_non_finite(self):
+        for x in (math.inf, -math.inf, math.nan, -math.nan):
+            assert compiled_repr(x) == repr(x)
