@@ -8,16 +8,16 @@ epoch of visits long, but processes serve both paths alike.
 
 The workers are forked, not spawned: each inherits the function it applies,
 and whatever dataset or configuration that closes over, from the parent's
-memory, with no fresh interpreter to start. Only the items and the results
-are pickled. The pool forks its workers before it starts a thread of its
-own, and OpenBLAS stops its thread pool around a fork; a caller that runs
-threads of its own should keep jobs=1, since a lock one of them holds at
-the fork stays held in the workers.
+memory, with no fresh interpreter to start. Each takes a fixed share of the
+items and sends back one pickle through a pipe: only its results and its
+first error cross. OpenBLAS stops its thread pool around a fork; a caller that
+runs threads of its own should keep jobs=1, since a lock one of them holds
+at the fork stays held in the workers.
 """
 
 import os
-import threading
-import time
+import pickle
+import signal
 
 from .errors import ParameterError
 
@@ -30,32 +30,6 @@ MAX_DEFAULT_JOBS = 2
 # Where the cgroup file systems are mounted: a CPU quota there caps the
 # default too, since the CPUs a process may run on do not show it.
 _CGROUP_ROOT = "/sys/fs/cgroup"
-
-# How often a worker checks that its parent is still alive, in seconds.
-_ORPHAN_POLL_S = 0.2
-
-# In a worker, the function it applies.
-_task = None
-
-
-def _install(fn, parent: int) -> None:
-    global _task
-    _task = fn
-    threading.Thread(target=_exit_when_orphaned, args=(parent,), daemon=True).start()
-
-
-def _exit_when_orphaned(parent: int) -> None:
-    # A parent killed outright (SIGKILL, or SIGTERM's default action) never
-    # shuts its pool down, and a worker waiting for its next task would wait
-    # for good: it holds the task queue's write end itself, so it never
-    # reads end-of-file.
-    while os.getppid() == parent:
-        time.sleep(_ORPHAN_POLL_S)
-    os._exit(1)
-
-
-def _run_task(item):
-    return _task(item)
 
 
 def _cpu_quota() -> int | None:
@@ -98,36 +72,69 @@ def check_jobs(jobs) -> None:
         raise ParameterError(f"jobs must be >= 1, got {jobs}")
 
 
+def _work(fn, share, parent: int, out: int) -> None:
+    """In a forked worker: fn over share, in turn, stopping at the first
+    item that fails, or before the next item once the parent is gone; then
+    (results, the exception or None) as one pickle to the pipe out."""
+    results, error = [], None
+    try:
+        for item in share:
+            if os.getppid() != parent:  # orphaned: no one reads the results
+                return
+            results.append(fn(item))
+    except Exception as exc:
+        error = exc
+    with open(out, "wb") as fh:
+        pickle.dump((results, error), fh, pickle.HIGHEST_PROTOCOL)
+
+
 def ordered_map(fn, items, jobs: int) -> list:
     """[fn(item) for item in items], computed by up to jobs worker processes.
 
-    Results come back in item order, and so do errors: the exception of the
-    first failing item is raised, whichever worker fails first. With one
-    worker, or where processes cannot be forked, fn runs in this process.
-    The workers are shut down and joined before this returns or raises; if
-    one dies (say, killed for memory), the call raises ParameterError
-    instead of waiting for its result. A worker whose parent dies exits.
+    Of k workers, worker w computes items[w::k] in turn. Results come back
+    in item order, and so do errors: once every worker has finished or
+    failed, the exception of the first failing item is raised, whichever
+    worker failed first. With one worker, or where processes cannot be
+    forked, fn runs in this process. The workers are killed and reaped
+    before this returns or raises; if one dies (say, killed for memory), the
+    call raises ParameterError instead of waiting for its result. A worker
+    whose parent dies exits before its next item.
     """
     check_jobs(jobs)
     items = list(items)
     workers = min(jobs, len(items))
     if workers <= 1 or not hasattr(os, "fork"):
         return list(map(fn, items))
-    # Imported here: they add about 2 MB and 20 ms to every command that
-    # runs inline.
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-
-    # Under fork, initargs reach the workers through the fork, unpickled.
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                               initializer=_install, initargs=(fn, os.getpid()))
+    parent, pids, pipes = os.getpid(), [], []
     try:
-        return list(pool.map(_run_task, items))
-    except BrokenProcessPool:
+        for w in range(workers):
+            read, write = os.pipe()
+            pipes.append(open(read, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    try:
+                        for fh in pipes:
+                            fh.close()
+                        _work(fn, items[w::workers], parent, write)
+                    finally:
+                        os._exit(0)
+                pids.append(pid)
+            finally:
+                os.close(write)  # in this process: a worker never leaves the block
+        shares = [pickle.load(fh) for fh in pipes]
+    except (EOFError, pickle.UnpicklingError):
         raise ParameterError(
             f"a worker process died before finishing its task (jobs={jobs}); "
             "if it ran out of memory, fewer jobs may fit"
         ) from None
     finally:
-        pool.shutdown(cancel_futures=True)
+        for fh in pipes:
+            fh.close()
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    failed = [w + workers * len(done) for w, (done, exc) in enumerate(shares) if exc is not None]
+    if failed:
+        raise shares[min(failed) % workers][1]
+    return [shares[k % workers][0][k // workers] for k in range(len(items))]

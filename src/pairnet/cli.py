@@ -19,9 +19,12 @@ malformed input files), 4 training or model errors.
 ``train`` and ``bench`` train the pairwise tests in up to ``--jobs`` forked
 worker processes, and ``extract`` reads and featurizes the signal files in
 as many as the default: the CPUs this process may use, capped by its
-cgroup's CPU quota and at most ``MAX_DEFAULT_JOBS``. The outputs do not
-depend on the number of workers, and the first failing pair or file, in
-order, decides the message and the exit code.
+cgroup's CPU quota and at most ``MAX_DEFAULT_JOBS``. Of N workers, worker w
+takes every Nth pair or file from the w-th on, a fixed share it works
+through in turn. The outputs do not depend on the number of workers, and
+the first failing pair or file, in order, decides the message and the exit
+code, once every worker has finished or failed. Workers whose command is
+killed exit before their next pair or file.
 """
 
 import argparse

