@@ -29,8 +29,6 @@ from .errors import (
 )
 from .feature_stats import (
     SignificanceReport,
-    class_mean_variance,
-    group_variance,
     sigma_intervals,
     significance,
 )
@@ -47,7 +45,6 @@ from .pairwise_net import (
     evaluate,
     net_classify,
     net_outputs,
-    permute_classes,
     train_pairwise,
 )
 from .synthgen import SynthConfig, default_config, generate
@@ -55,7 +52,6 @@ from .tlu import (
     PocketResult,
     TrainConfig,
     activation,
-    error_correct,
     tlu_output,
     train_pocket,
 )
@@ -79,8 +75,6 @@ __all__ = [
     "DimensionError",
     "TrainingError",
     "SignificanceReport",
-    "class_mean_variance",
-    "group_variance",
     "significance",
     "sigma_intervals",
     "LinearMachine",
@@ -99,7 +93,6 @@ __all__ = [
     "evaluate",
     "net_classify",
     "net_outputs",
-    "permute_classes",
     "train_pairwise",
     "SynthConfig",
     "default_config",
@@ -107,7 +100,6 @@ __all__ = [
     "PocketResult",
     "TrainConfig",
     "activation",
-    "error_correct",
     "tlu_output",
     "train_pocket",
     "__version__",

@@ -35,12 +35,12 @@ numpy itself would call other BLAS routines (one row, one feature column or
 one class), a loop runs its numpy version.
 
 The same library holds two scanners: ``csv_scan``, which
-``dataset.load_csv`` tries before ``np.loadtxt`` through ``scan_csv``, and
+``dataset.load_csv`` tries before the csv module through ``scan_csv``, and
 ``signal_scan``, which ``eeg_features.read_signal_file`` tries before its
-text read and ``np.loadtxt`` through ``scan_signal``. Both read a file in
+text read and line parser through ``scan_signal``. Both read a file in
 64 KiB blocks through one line reader and convert each cell with
-``csv_cell``. Where ``load()`` falls back, so do both readers, to
-``np.loadtxt``. It also holds the CSV writer, ``csv_write``, which
+``csv_cell``. Where ``load()`` falls back, so do both readers, to their
+Python parsers. It also holds the CSV writer, ``csv_write``, which
 ``dataset.save_csv`` tries before its Python rows through ``write_csv``: it
 formats each float as ``repr`` does, with Ryu's shortest-digit algorithm,
 and writes 64 KiB blocks to the file descriptor.
@@ -133,12 +133,13 @@ def _indices(stretches):
 def scan_csv(fd, row, offset, size, limit):
     """The body of the CSV file open on fd as an array of the structured
     dtype row, read by the compiled scanner; or None where the compiled
-    library is not loaded or the scanner leaves the file to np.loadtxt.
+    library is not loaded or the scanner leaves the file to the csv module.
 
     Cell k of a line fills the row at byte offset[k]: with a float, or,
     where size[k] > 0, with its text padded with NUL bytes to size[k]. A
     line longer than limit bytes, and any line not made of exactly
-    len(offset) plain cells, leaves the file to np.loadtxt (see _loops.c).
+    len(offset) plain cells, leaves the file to the csv module (see
+    _loops.c).
     The file offset of fd does not move."""
     loops = load()
     if loops is None:
@@ -164,8 +165,8 @@ def scan_csv(fd, row, offset, size, limit):
 def scan_signal(fd):
     """The two channels of the signal file open on fd, float64 arrays read by
     the compiled scanner past the header line; or None where the compiled
-    library is not loaded or the scanner leaves the file to np.loadtxt and
-    the line parser (see _loops.c). The file offset of fd does not move."""
+    library is not loaded or the scanner leaves the file to the line parser
+    (see _loops.c). The file offset of fd does not move."""
     loops = load()
     if loops is None:
         return None

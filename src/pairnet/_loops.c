@@ -138,9 +138,10 @@ int64_t lm_visits(const double *xb, const int64_t *labels, int64_t n, int64_t d,
 }
 
 /* The scanners: of a CSV body, for pairnet.dataset, and of a signal file,
- * for pairnet.eeg_features. Each takes only lines on which the parsers it
- * stands in for agree, and returns -1 at the first doubt, so that they
- * decide; the caller checks every value it returns as it checks theirs.
+ * for pairnet.eeg_features. Each takes only lines on which it agrees with
+ * the Python parser it stands in for, and returns -1 at the first doubt, so
+ * that the parser decides; the caller checks every value it returns as it
+ * checks the parser's.
  * Both read a file line by line through for_each_line, and convert a cell
  * with csv_cell. */
 
@@ -301,9 +302,9 @@ typedef int (*line_fn)(void *ctx, const char *p, int64_t len);
 /* Hand the first line of the file open on fd, after an optional UTF-8 BOM,
  * to header and every later line to body. The file is read in blocks of
  * READ_BLOCK bytes after the one partial line carried over, so that it is
- * never held whole; the last line needs no '\n', but may not end in '\r'.
- * No line may be longer than limit bytes, and the file offset does not
- * move. Returns 0, or -1 when a line is refused or the file cannot be read. */
+ * never held whole; the last line needs no '\n'. No line may be longer than
+ * limit bytes, and the file offset does not move. Returns 0, or -1 when a
+ * line is refused or the file cannot be read. */
 static int for_each_line(int fd, int64_t limit, line_fn header, line_fn body, void *ctx)
 {
     int64_t longest = limit < MAX_LINE ? limit : MAX_LINE;
@@ -328,8 +329,6 @@ static int for_each_line(int fd, int64_t limit, line_fn header, line_fn body, vo
         if (got == 0) {  /* the last line, which has no '\n' */
             if (have == 0)
                 break;
-            if (end[-1] == '\r')
-                goto done;
             *end++ = '\n';
         }
         for (char *nl; (nl = memchr(p, '\n', (size_t)(end - p))); p = nl + 1) {

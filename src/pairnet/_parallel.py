@@ -2,7 +2,7 @@
 
 The pairwise tests train independently of each other, and each signal file
 is featurized on its own, so both spread over processes. Threads would not
-help the numpy fallback: ``np.loadtxt`` and the numpy visit loops hold the
+help the fallback: the Python parsers and the numpy visit loops hold the
 GIL. The compiled visit loops release it for each ctypes call, at most one
 epoch of visits long, but processes serve both paths alike.
 
@@ -10,9 +10,10 @@ The workers are forked, not spawned: each inherits the function it applies,
 and whatever dataset or configuration that closes over, from the parent's
 memory, with no fresh interpreter to start. Each takes a fixed share of the
 items and sends back one pickle through a pipe: only its results and its
-first error cross. OpenBLAS stops its thread pool around a fork; a caller that
-runs threads of its own should keep jobs=1, since a lock one of them holds
-at the fork stays held in the workers.
+first error, with that error's traceback as text, cross. OpenBLAS stops its
+thread pool around a fork; a caller that runs threads of its own should
+keep jobs=1, since a lock one of them holds at the fork stays held in the
+workers.
 """
 
 import os
@@ -72,10 +73,15 @@ def check_jobs(jobs) -> None:
         raise ParameterError(f"jobs must be >= 1, got {jobs}")
 
 
+class _RemoteTraceback(Exception):
+    """A worker's traceback, as text: the cause of the exception it raised."""
+
+
 def _work(fn, share, parent: int, out: int) -> None:
     """In a forked worker: fn over share, in turn, stopping at the first
     item that fails, or before the next item once the parent is gone; then
-    (results, the exception or None) as one pickle to the pipe out."""
+    (results, None or the exception and its formatted traceback) as one
+    pickle to the pipe out."""
     results, error = [], None
     try:
         for item in share:
@@ -83,7 +89,9 @@ def _work(fn, share, parent: int, out: int) -> None:
                 return
             results.append(fn(item))
     except Exception as exc:
-        error = exc
+        import traceback  # only a failing worker pays for the import
+
+        error = exc, traceback.format_exc()
     with open(out, "wb") as fh:
         pickle.dump((results, error), fh, pickle.HIGHEST_PROTOCOL)
 
@@ -94,11 +102,12 @@ def ordered_map(fn, items, jobs: int) -> list:
     Of k workers, worker w computes items[w::k] in turn. Results come back
     in item order, and so do errors: once every worker has finished or
     failed, the exception of the first failing item is raised, whichever
-    worker failed first. With one worker, or where processes cannot be
-    forked, fn runs in this process. The workers are killed and reaped
-    before this returns or raises; if one dies (say, killed for memory), the
-    call raises ParameterError instead of waiting for its result. A worker
-    whose parent dies exits before its next item.
+    worker failed first, with the worker's traceback, as text, as its
+    cause. With one worker, or where processes cannot be forked, fn runs in
+    this process. The workers are killed and reaped before this returns or
+    raises; if one dies (say, killed for memory), the call raises
+    ParameterError instead of waiting for its result. A worker whose parent
+    dies exits before its next item.
     """
     check_jobs(jobs)
     items = list(items)
@@ -136,5 +145,7 @@ def ordered_map(fn, items, jobs: int) -> list:
             os.waitpid(pid, 0)
     failed = [w + workers * len(done) for w, (done, exc) in enumerate(shares) if exc is not None]
     if failed:
-        raise shares[min(failed) % workers][1]
+        exc, tb = shares[min(failed) % workers][1]
+        exc.__cause__ = _RemoteTraceback(f'\n"""\n{tb}"""')
+        raise exc
     return [shares[k % workers][0][k // workers] for k in range(len(items))]

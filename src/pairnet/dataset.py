@@ -21,12 +21,12 @@ from .errors import EmptyInputError, ParameterError, ParseError, SchemaError, ch
 
 RESERVED_COLUMNS = ("class", "record")
 _CSV_CHUNK_ROWS = 64
-# The fast CSV path reads class and record cells into this many bytes; a
-# cell that fills them may have been cut short and goes to the csv path.
+# The scanner reads class and record cells into this many bytes; a cell
+# that fills them may have been cut short and goes to the csv path.
 _TEXT_CELL_WIDTH = 32
 _INT64_MAX = int(np.iinfo(np.int64).max)
 # The parser that read the file load_csv returned last: "scanner" (the
-# compiled one), "loadtxt" or "csv"; None before the first.
+# compiled one) or "csv"; None before the first.
 CSV_PARSER = None
 # The writer of the rows of the file save_csv wrote last: "compiled" or
 # "python"; None before the first.
@@ -167,17 +167,6 @@ def _class_ids(raw) -> tuple[list[str], np.ndarray]:
     return distinct, np.array([rank[lab] for lab in raw], dtype=np.int64)
 
 
-def _loadtxt(lines, **kw) -> np.ndarray | None:
-    """np.loadtxt over lines, or None where it raises ValueError, which
-    leaves the input to the caller's line-by-line parser."""
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
-            return np.loadtxt(lines, comments=None, **kw)
-    except ValueError:
-        return None
-
-
 def load_csv(path) -> Dataset:
     """Read the standard CSV schema: feature columns plus `class` and `record`.
 
@@ -185,29 +174,20 @@ def load_csv(path) -> Dataset:
     when all labels are numeric); the original labels are preserved in
     class_labels. Row order is preserved. The file is UTF-8, with an
     optional byte-order mark. The body is parsed by the compiled scanner
-    (``_kernels.scan_csv``), or where it is not loaded or refuses the file,
-    in one ``np.loadtxt`` call; when neither takes a file or fails on it,
-    the csv module parses the file again and returns the same Dataset or
-    names the bad line.
+    (``_kernels.scan_csv``); where it is not loaded, refuses the file or
+    leaves a doubt, the csv module parses the file again and returns the
+    same Dataset or names the bad line.
     """
-    with open_utf8(path, newline="") as fh:
-        return _load_csv_stream(fh, str(path))
-
-
-def loads_csv(text: str) -> Dataset:
-    """load_csv over an in-memory string (used by tests)."""
-    return _load_csv_stream(io.StringIO(text, newline=""), "<string>")
-
-
-def _load_csv_stream(fh, name: str) -> Dataset:
     global CSV_PARSER
-    # The csv path reads the text again from the start, which a pipe cannot.
-    if fh.seekable():
-        ds = _load_csv_fast(fh, name)
-        if ds is not None:
-            return ds
-        fh.seek(0)
-    ds = _load_csv_rows(fh, name)
+    name = str(path)
+    with open_utf8(path, newline="") as fh:
+        # The csv path reads the text again from the start, which a pipe cannot.
+        if fh.seekable():
+            ds = _load_csv_fast(fh, name)
+            if ds is not None:
+                return ds
+            fh.seek(0)
+        ds = _load_csv_rows(fh, name)
     CSV_PARSER = "csv"
     return ds
 
@@ -251,30 +231,24 @@ def _read_header(rows: Iterator[list[str]], name: str) -> _Header:
 
 
 def _load_csv_fast(fh, name: str) -> Dataset | None:
-    """The body read by the compiled scanner or one np.loadtxt call, or None
-    when the csv module must decide.
+    """The body read by the compiled scanner, or None when the csv module
+    must decide.
 
     Feature cells are read straight into float64 and class and record cells
     into fixed-width bytes, so no line is split into Python strings (only
     the record ids pass through Python ints on their way to int64). The
-    scanner takes only files on which every parser agrees, and leaves any
-    other to np.loadtxt. Only lines that _plain_lines passes reach
-    np.loadtxt: on those it splits rows and cells, skips blank lines and
-    parses numbers as the csv path does. Every other doubt (a cell that may
-    have been cut to the width, a non-finite value, a record id that is 0 or
-    not 1 to 18 digits, fewer than two classes) returns None, so that the
-    csv path raises its own error.
+    scanner takes only files on which it and the csv module agree, and
+    refuses any other. Every other doubt (a cell that may have been cut to
+    the width, a non-finite value, a record id that is 0 or not 1 to 18
+    digits, fewer than two classes) returns None, so that the csv path
+    raises its own error.
     """
     global CSV_PARSER
     hd = _read_header(_csv_rows(csv.reader(fh)), name)
     width = _TEXT_CELL_WIDTH
     row = np.dtype([("X", np.float64, (len(hd.feature_names),))]
                    + [(col, f"S{width}") for col in RESERVED_COLUMNS])
-    table, parser = _scan(fh, hd, row), "scanner"
-    if table is None:
-        table, parser = _loadtxt(
-            _plain_lines(fh, hd.width), dtype=row, delimiter=",", usecols=hd.order, ndmin=1
-        ), "loadtxt"
+    table = _scan(fh.fileno(), hd, row)
     if table is None:
         return None
     X = table["X"]
@@ -295,17 +269,13 @@ def _load_csv_fast(fh, name: str) -> Dataset | None:
         return None
     y = ids[np.searchsorted(names, classes)]
     ds = Dataset(X, y, records, tuple(hd.feature_names), tuple(labels))
-    CSV_PARSER = parser
+    CSV_PARSER = "scanner"
     return ds
 
 
-def _scan(fh, hd: _Header, row: np.dtype) -> np.ndarray | None:
-    """The body as an array of row from the compiled scanner, or None where
-    fh has no file descriptor or the scanner does not take the file."""
-    try:
-        fd = fh.fileno()
-    except (OSError, ValueError):
-        return None
+def _scan(fd: int, hd: _Header, row: np.dtype) -> np.ndarray | None:
+    """The body of the file open on fd as an array of row from the compiled
+    scanner, or None where it is not loaded or does not take the file."""
     # Cell hd.order[j] of a line fills feature j, then class, then record.
     features, texts = hd.order[:-2], hd.order[-2:]
     offset = np.empty(hd.width, dtype=np.int64)
@@ -316,25 +286,6 @@ def _scan(fh, hd: _Header, row: np.dtype) -> np.ndarray | None:
         offset[col], size[col] = at, field.itemsize
     # Read, never set: the limit is process-wide.
     return _kernels.scan_csv(fd, row, offset, size, csv.field_size_limit())
-
-
-def _plain_lines(fh, width: int):
-    """The lines of fh, with a ValueError at the first one the fast path must
-    leave to the csv module: non-ASCII text, a quote, NUL (a bytes cell
-    drops it), one of the ASCII separators \\x1c-\\x1f (np.loadtxt and
-    str.strip read them as blanks, float() does not), more than width cells
-    (np.loadtxt drops the cells after its last usecols column), or a line
-    longer than the csv module's field limit (it may hold a cell that the
-    csv module rejects). Both parsers end a line at '\\n', '\\r\\n' or a
-    lone '\\r'."""
-    # Read, never set: the limit is process-wide.
-    limit = csv.field_size_limit()
-    for line in fh:
-        if (not line.isascii() or '"' in line or "\x00" in line or len(line) > limit
-                or line.count(",") >= width
-                or "\x1c" in line or "\x1d" in line or "\x1e" in line or "\x1f" in line):
-            raise ValueError("line left to the csv module")
-        yield line
 
 
 def _load_csv_rows(fh, name: str) -> Dataset:

@@ -24,9 +24,9 @@ a recording of signals_to_dataset or of a signal file) cuts its windows with
 _windows, the one check of the sampling rate and of the channels' shapes.
 
 A signal file is read by the compiled scanner of ``_kernels`` where the
-library loads and the file is plain, and by ``np.loadtxt`` or a line parser
-otherwise (``read_signal_file``); ``signal_files_to_dataset`` loads the
-library before it forks its workers, so that they share one build.
+library loads and the file is plain, and by a line parser otherwise
+(``read_signal_file``); ``signal_files_to_dataset`` loads the library before
+it forks its workers, so that they share one build.
 """
 
 import codecs
@@ -41,7 +41,7 @@ import numpy as np
 
 from . import _kernels
 from ._parallel import ordered_map
-from .dataset import Dataset, _class_ids, _loadtxt
+from .dataset import Dataset, _class_ids
 from .errors import DimensionError, EmptyInputError, ParameterError, ParseError, open_utf8
 
 SEGMENT_SECONDS = 10.0
@@ -185,17 +185,8 @@ def extract_features(seg: SegmentSignal) -> np.ndarray:
 
 
 # The parser that read the last signal file in this process: "scanner" (the
-# compiled one), "loadtxt" or "lines"; None before the first.
+# compiled one) or "lines"; None before the first.
 SIGNAL_PARSER = None
-
-# Characters other than "\n" at which str.splitlines breaks a line; np.loadtxt
-# reads them as whitespace instead. Text read in universal-newline mode holds
-# no "\r", but the set stays complete.
-_EXTRA_LINE_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
-# np.loadtxt opens a path through numpy's DataSource, which decompresses a
-# file by these suffixes and fetches a name holding "://" as a URL; a file
-# so named goes to the line parser.
-_DATASOURCE_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 
 
 def read_signal_file(path) -> tuple[float, np.ndarray, np.ndarray]:
@@ -204,19 +195,15 @@ def read_signal_file(path) -> tuple[float, np.ndarray, np.ndarray]:
     Line 1 holds the sampling rate (``fs=<value>`` or a bare number, finite
     and > 0); every following non-empty line holds two finite samples (first
     channel, second channel), whitespace separated. Lines are those of
-    ``str.splitlines``. Three parsers are tried in turn, and
-    ``SIGNAL_PARSER`` names the one that read the file:
+    ``str.splitlines``. ``SIGNAL_PARSER`` names the parser that read the
+    file:
 
     1. the compiled scanner (``_kernels.scan_signal``), on a regular file,
-       reads the file once and takes it only when every parser agrees on it:
-       an ASCII header, then lines of two plain decimals (see ``_loops.c``).
-       Only the header line is then decoded in Python;
+       reads the file once and takes it only when it and the line parser
+       agree on it: an ASCII header, then lines of two plain decimals (see
+       ``_loops.c``). Only the header line is then decoded in Python;
     2. otherwise the text is read whole, which checks that it is UTF-8, and
-       the body of a file np.loadtxt may read again is parsed in one call of
-       it;
-    3. when that cannot run, fails or gives no finite (n, 2) array, the line
-       parser runs once and either returns the same arrays or names the bad
-       line.
+       the line parser either returns the same arrays or names the bad line.
     """
     global SIGNAL_PARSER
     scanned = _scan_signal_file(path)
@@ -224,24 +211,12 @@ def read_signal_file(path) -> tuple[float, np.ndarray, np.ndarray]:
         SIGNAL_PARSER = "scanner"
         return scanned
     with open_utf8(path) as fh:
-        text = fh.read()
-        seekable = fh.seekable()
-    if not text:
+        lines = fh.read().splitlines()
+    if not lines:
         raise ParseError("signal file is empty", line=1)
-    # Line 1 ends at the first "\n", or before it at another str.splitlines break.
-    head = text.partition("\n")[0]
-    fs = _parse_rate(head.splitlines()[0] if head else head)
-    name = os.fsdecode(path)
-    samples, parser = None, "loadtxt"
-    if (seekable and not any(ch in text for ch in _EXTRA_LINE_BREAKS)
-            and not (name.endswith(_DATASOURCE_SUFFIXES) or "://" in name)):
-        # Given the path, np.loadtxt reads the file again in chunks and
-        # splits its lines in C: faster than iterating the lines of the
-        # open file, or of the text, in Python. A pipe cannot be read again.
-        samples = _load_samples_fast(name)
-    if samples is None:
-        samples, parser = _parse_sample_lines(text.splitlines()[1:]), "lines"
-    SIGNAL_PARSER = parser
+    fs = _parse_rate(lines[0])
+    samples = _parse_sample_lines(lines[1:])
+    SIGNAL_PARSER = "lines"
     return (fs, *samples)
 
 
@@ -276,16 +251,6 @@ def _parse_rate(head: str) -> float:
     if not (math.isfinite(fs) and fs > 0):
         raise ParseError(f"sampling rate must be finite and > 0, got '{head}'", line=1)
     return fs
-
-
-def _load_samples_fast(path) -> tuple[np.ndarray, np.ndarray] | None:
-    """Both channels of the file at path, read past its header line by
-    np.loadtxt, or None when the line parser must decide."""
-    data = _loadtxt(path, dtype=np.float64, ndmin=2, skiprows=1, encoding="utf-8-sig")
-    if data is None or data.shape[1] != 2 or not np.isfinite(data).all():
-        return None
-    c3, c4 = data.T.copy()
-    return c3, c4
 
 
 def _parse_sample_lines(lines: list[str]) -> tuple[np.ndarray, np.ndarray]:

@@ -50,25 +50,6 @@ def _class_blocks(ds: Dataset):
         yield class_id, block
 
 
-def class_mean_variance(ds: Dataset, j: int) -> tuple[float, np.ndarray]:
-    """Population variance (divisor r) of feature j's class means.
-
-    Returns (v, class_means) with class_means in class-id order.
-    """
-    means = np.asarray([block[:, j].mean() for _, block in _class_blocks(ds)])
-    return float(np.var(means)), means
-
-
-def group_variance(ds: Dataset, i: int, j: int) -> float:
-    """Population variance (divisor N_i) of feature j within class i."""
-    if not (1 <= i <= ds.r):
-        raise ParameterError(f"class id {i} out of range 1..{ds.r}")
-    block = ds.X[ds.y == i]
-    if block.shape[0] == 0:
-        raise EmptyInputError(f"class {i} has no examples")
-    return float(np.var(block[:, j]))
-
-
 def significance(ds: Dataset) -> SignificanceReport:
     """Score every feature and rank them by descending significance.
 

@@ -252,26 +252,3 @@ def evaluate(model, ds: Dataset) -> EvalMetrics:
         confusion=confusion,
         per_record_distributions=dists,
     )
-
-
-def permute_classes(net: PairwiseNetwork, perm: list[int]) -> PairwiseNetwork:
-    """Relabel a trained network's classes: old class k becomes perm[k-1].
-
-    Each test keeps its hyperplane; when the relabeled pair flips order the
-    weights are negated so the +1 side still points at the pair's first
-    class. The permuted network's output for class perm[k] equals the
-    original's for class k (up to the sign convention at activation 0).
-    """
-    if sorted(perm) != list(range(1, net.r + 1)):
-        raise ParameterError(f"perm must be a permutation of 1..{net.r}")
-    remapped = []
-    for t in net.tests:
-        a, b = perm[t.i - 1], perm[t.j - 1]
-        if a < b:
-            remapped.append(PairwiseTest(i=a, j=b, weights=t.weights))
-        else:
-            remapped.append(PairwiseTest(i=b, j=a, weights=-t.weights))
-    remapped.sort(key=lambda t: (t.i, t.j))
-    return PairwiseNetwork(
-        r=net.r, m=net.m, tests=tuple(remapped), standardization=net.standardization
-    )

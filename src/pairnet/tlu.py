@@ -114,25 +114,6 @@ def tlu_output(w: TluWeights, x: np.ndarray) -> int:
     return 1 if activation(w, x) > 0.0 else -1
 
 
-def error_correct(w: TluWeights, x: np.ndarray, target: int, c: float = 1.0) -> TluWeights:
-    """One error-correction step: w + c * target * extended(x).
-
-    Returns a new weight vector; the input is left unmodified. Meant to be
-    applied when the unit misclassifies x (target is the desired +/-1).
-    """
-    _check_c(c)
-    if target not in (1, -1):
-        raise ParameterError(f"target must be +1 or -1, got {target}")
-    w = np.asarray(w, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    if w.shape[0] != x.shape[0] + 1:
-        raise DimensionError(
-            f"weight length {w.shape} does not match feature length {x.shape}"
-        )
-    xt = np.concatenate([[1.0], x])
-    return w + c * target * xt
-
-
 def check_range(xb: np.ndarray, cfg: TrainConfig) -> None:
     """RangeError (a TrainingError) unless training on the extended rows xb
     stays within float64's range.

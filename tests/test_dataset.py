@@ -1,5 +1,6 @@
 import csv
 import errno
+import io
 import os
 import threading
 import tracemalloc
@@ -22,7 +23,6 @@ from pairnet import (
     standardize,
 )
 from pairnet import _kernels, dataset
-from pairnet.dataset import loads_csv
 from pairnet.synthgen import default_config, generate
 
 SMALL_CSV = """a,b,class,record
@@ -30,6 +30,12 @@ SMALL_CSV = """a,b,class,record
 3.5,-1.0,35,1
 0.25,4.0,37,2
 """
+
+
+def loads_csv(text: str) -> Dataset:
+    """The csv-module parser, which load_csv falls back to, over an
+    in-memory string."""
+    return dataset._load_csv_rows(io.StringIO(text, newline=""), "<string>")
 
 
 def make_dataset(X, y, records, r=None):
@@ -74,6 +80,10 @@ class TestDataset:
 
 
 class TestLoadCsv:
+    """The tests that call loads_csv check the csv-module parser on purpose:
+    it is the reference the scanner must agree with, and the parser that
+    names a bad line."""
+
     def test_smallest_well_formed(self):
         ds = loads_csv(SMALL_CSV)
         assert ds.m == 2
@@ -290,29 +300,27 @@ def csv_texts(draw):
     return draw(st.sampled_from(["", "\ufeff"])) + text
 
 
-@pytest.fixture(params=["scanner", "loadtxt"])
-def fast_parser(request, monkeypatch):
-    """The parser load_csv tries first: the compiled scanner, or np.loadtxt,
-    which runs where the compiled library does not load."""
+def compiled_scanner():
+    if _kernels.load() is None:
+        pytest.skip(f"compiled library unavailable: {_kernels.FALLBACK_REASON}")
+
+
+@pytest.fixture(params=["scanner", "unloaded"])
+def each_path(request, monkeypatch):
+    """load_csv with the compiled scanner, or with the library unloaded, as
+    where it does not build: then the csv-module parser reads every file."""
     if request.param == "scanner":
-        if _kernels.load() is None:
-            pytest.skip(f"compiled library unavailable: {_kernels.FALLBACK_REASON}")
+        compiled_scanner()
     else:
         monkeypatch.setattr(_kernels, "_loaded", False)
     return request.param
 
 
-@pytest.mark.usefixtures("fast_parser")
+@pytest.mark.usefixtures("each_path")
 class TestCsvPaths:
-    """load_csv parses the body with the compiled scanner or np.loadtxt and
-    hands anything they do not take to the csv-module parser; every path
-    must give the same result."""
-
-    @settings(max_examples=600, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(text=csv_texts())
-    def test_fast_path_matches_csv_module(self, tmp_path, text):
-        assert_paths_agree(tmp_path / "gen.csv", text)
+    """load_csv parses the body with the compiled scanner and hands anything
+    it does not take to the csv-module parser; both paths must give the same
+    result."""
 
     @pytest.mark.parametrize("body", [
         "1.0,35,1\r\n2.0,37,2\r\n",
@@ -347,6 +355,15 @@ class TestCsvPaths:
         " 1.5,35,1\n2.5 ,37,2\n",
         "1.0,35,1\n2.0,37,2",
         "1.0,35,1\r\n2.0,37,2\r",
+        # Each of these ends in a lone \r, which the scanner once refused
+        # outright; both paths must still agree.
+        "1.0,35,1\n2.0,35,2\r",
+        "1.0,35,1\n2.0,37\r",
+        "1.0,35,1\n2.0,37,2\n\r",
+        "1.0,35,1\n2.0,37,2\n  \r",
+        "1.0,35,1\n2.0,37,2\r\r",
+        "1.0,35,1\n2.0,37,x\r",
+        "\r",
         "\n1.0,35,1\r\n\r\n\n2.0,37,2\n\n",
         ".,35,1\n2.0,37,2\n",
         "1e,35,1\n2.0,37,2\n",
@@ -383,10 +400,40 @@ class TestCsvPaths:
         assert_paths_agree(path, header + "".join(rows))
         assert load_csv(path).X.shape == (2, m)
 
+    def test_pipe_is_read_by_the_csv_module(self, tmp_path):
+        fifo = tmp_path / "data.fifo"
+        os.mkfifo(fifo)
+        text = 'f1,class,record\r\n1.0,"3,5",1\r\n2.0,37,2\r\n'
+        writer = threading.Thread(target=fifo.write_text, args=(text,))
+        writer.start()
+        try:
+            ds = load_csv(fifo)
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert ds.class_labels == ("3,5", "37")
+        assert ds.X[:, 0].tolist() == [1.0, 2.0]
+
+
+class TestCsvScanner:
+    """The compiled scanner takes the files on which it and the csv-module
+    parser agree and leaves each other file to the csv module, which then
+    decides as before."""
+
+    @pytest.fixture(autouse=True)
+    def scanner(self):
+        compiled_scanner()
+
+    @settings(max_examples=600, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=csv_texts())
+    def test_matches_csv_module(self, tmp_path, text):
+        assert_paths_agree(tmp_path / "gen.csv", text)
+
     @pytest.mark.parametrize("at", [None, 0, 20], ids=["save_csv", "first", "between"])
-    def test_fast_path_holds_one_copy_of_the_features(self, tmp_path, at):
-        # numpy reports its buffers to tracemalloc. The structured table read
-        # by np.loadtxt, plus the C-ordered X that Dataset copies out of it,
+    def test_holds_one_copy_of_the_features(self, tmp_path, at):
+        # numpy reports its buffers to tracemalloc. The structured table the
+        # scanner fills, plus the C-ordered X that Dataset copies out of it,
         # bound the peak: the features are taken from the table as a view,
         # and a second copy would add another X.nbytes. at is the column
         # before which class and record sit (None: last, as save_csv writes).
@@ -413,32 +460,6 @@ class TestCsvPaths:
         table_bytes = n * (8 * m + 2 * dataset._TEXT_CELL_WIDTH)
         assert peak < table_bytes + ds.X.nbytes + ds.X.nbytes // 2
 
-    def test_pipe_is_read_by_the_csv_module(self, tmp_path):
-        fifo = tmp_path / "data.fifo"
-        os.mkfifo(fifo)
-        text = 'f1,class,record\r\n1.0,"3,5",1\r\n2.0,37,2\r\n'
-        writer = threading.Thread(target=fifo.write_text, args=(text,))
-        writer.start()
-        try:
-            ds = load_csv(fifo)
-        finally:
-            writer.join(timeout=10)
-        assert not writer.is_alive()
-        assert ds.class_labels == ("3,5", "37")
-        assert ds.X[:, 0].tolist() == [1.0, 2.0]
-
-    def test_save_csv_output_takes_the_fast_path(self, tmp_path, monkeypatch):
-        ds = generate(default_config(seed=3, scale=0.02))
-        path = tmp_path / "data.csv"
-        save_csv(ds, path)
-
-        def no_csv_module(fh, name):
-            raise AssertionError(f"{name} took the csv-module path")
-
-        monkeypatch.setattr(dataset, "_load_csv_rows", no_csv_module)
-        back = load_csv(path)
-        assert back.X.shape == ds.X.shape and back.class_labels == ds.class_labels
-
     def test_save_load_round_trip_is_bit_exact(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(11)
         n = 300
@@ -451,23 +472,13 @@ class TestCsvPaths:
         ds = Dataset(X, y, records, ("a", "b", "c", "d", "e"), ("1.5", "2", "wake"))
         path = tmp_path / "exact.csv"
         save_csv(ds, path)
-        monkeypatch.setattr(dataset, "_load_csv_rows", None)  # fast path only
+        monkeypatch.setattr(dataset, "_load_csv_rows", None)  # the scanner only
         back = load_csv(path)
         assert back.X.view(np.int64).tolist() == ds.X.view(np.int64).tolist()
         assert back.y.tolist() == ds.y.tolist()
         assert back.records.tolist() == ds.records.tolist()
         assert back.feature_names == ds.feature_names
         assert back.class_labels == ds.class_labels
-
-
-class TestCsvScanner:
-    """The compiled scanner takes the files on which every parser agrees and
-    leaves each other file to np.loadtxt, which then decides as before."""
-
-    @pytest.fixture(autouse=True)
-    def scanner(self):
-        if _kernels.load() is None:
-            pytest.skip(f"compiled library unavailable: {_kernels.FALLBACK_REASON}")
 
     @pytest.mark.parametrize("text", [
         "f1,class,record\n1.,35,1\n.5,37,2\n",
@@ -479,8 +490,10 @@ class TestCsvScanner:
         "f1,class,record\r\n\r\n1.0,35,1\r\n\n2.0,37,2\r\n\r\n",
         "\ufeffrecord,f1,class\n1,1.0,35\n2,2.0,37\n",
         "f\xe9,class,record\n1.0,35,1\n2.0,37,2\n",
+        "f1,class,record\n1.0,35,1\n2.0,37,2\r",
+        "f1,class,record\r\n1.0,35,1\r\n2.0,37,2\r",
     ], ids=["point", "sign", "range", "digits", "text-spaces", "no-final-newline",
-            "blank-lines", "bom", "non-ascii-header"])
+            "blank-lines", "bom", "non-ascii-header", "final-cr", "crlf-final-cr"])
     def test_takes_plain_files(self, tmp_path, text):
         assert_paths_agree(tmp_path / "plain.csv", text)
         assert dataset.CSV_PARSER == "scanner"
@@ -488,24 +501,22 @@ class TestCsvScanner:
     @pytest.mark.parametrize("text", [
         "f1,class,record\n 1.5,35,1\n2.5 ,37,2\n",
         "f1,class,record\r1.0,35,1\r2.0,37,2\r",
-        "f1,class,record\n1.0,35,1\n2.0,37,2\r",
         "f1,class,record\n1.0,\tt,1\n2.0,37,2\n",
         "f1,class,record\n1.0,35,1\n2.0,\xe9,2\n",
         "f1,class,record\n1_0,35,1\n2.0,37,2\n",
         "f1,class,record\n1.0,35,1\n2.0,37,2\n\n  \n",
         '"f1",class,record\n1.0,35,1\n2.0,37,2\n',
-    ], ids=["number-spaces", "cr", "final-cr", "tab", "non-ascii", "underscore",
+    ], ids=["number-spaces", "cr", "tab", "non-ascii", "underscore",
             "spaces-line", "quoted-header"])
     def test_leaves_other_files_to_the_next_parser(self, tmp_path, monkeypatch, text):
         monkeypatch.setattr(dataset, "CSV_PARSER", None)
         assert_paths_agree(tmp_path / "other.csv", text)
-        assert dataset.CSV_PARSER in (None, "loadtxt", "csv")  # None: load_csv raised
+        assert dataset.CSV_PARSER in (None, "csv")  # None: load_csv raised
 
     def test_save_csv_output_takes_the_scanner(self, tmp_path, monkeypatch):
         ds = generate(default_config(seed=3, scale=0.02))
         path = tmp_path / "data.csv"
         save_csv(ds, path)
-        monkeypatch.setattr(dataset, "_loadtxt", None)
         monkeypatch.setattr(dataset, "_load_csv_rows", None)
         assert load_csv(path).X.tobytes() == ds.X.tobytes()
         assert dataset.CSV_PARSER == "scanner"

@@ -505,13 +505,13 @@ class TestSignalReaderEdges:
         assert exc.value.line == 5
 
     def test_form_feed_breaks_a_line(self, tmp_path):
-        # str.splitlines breaks at \x0c; loadtxt would read one 2-column row
+        # str.splitlines breaks at \x0c
         with pytest.raises(ParseError, match="found 1") as exc:
             read_signal_file(self.read(tmp_path, "fs=100\n1\x0c2\n"))
         assert exc.value.line == 2
 
     def test_vertical_tab_breaks_a_line(self, tmp_path):
-        # loadtxt would read one 4-column row
+        # str.splitlines breaks at \x0b too
         fs, c3, c4 = read_signal_file(self.read(tmp_path, "fs=100\n1 2\x0b3 4\n"))
         np.testing.assert_array_equal(c3, [1.0, 3.0])
         np.testing.assert_array_equal(c4, [2.0, 4.0])
@@ -562,14 +562,15 @@ class TestSignalReaderEdges:
         path = self.read(tmp_path, text)
         c3, c4 = eeg_features._parse_sample_lines(text.splitlines()[1:])
         if fast:
+            compiled_scanner()
             monkeypatch.setattr(eeg_features, "_parse_sample_lines", None)
         fs, r3, r4 = read_signal_file(path)
         assert fs == 100.0
         assert (r3.dtype, r3.tobytes(), r4.dtype, r4.tobytes()) == (
             c3.dtype, c3.tobytes(), c4.dtype, c4.tobytes())
 
-    # Given the name, numpy's loader would decompress the .gz to .lzma files
-    # and fetch the last one over the network.
+    # The bytes of the file are read as they are, whatever the name: no .gz
+    # to .lzma file is decompressed, and no name is fetched as a URL.
     @pytest.mark.parametrize("name", ["sig.txt", "sig.gz", "sig.bz2", "sig.xz", "sig.lzma",
                                       "http://host/sig.txt"])
     def test_every_path_form_is_read_as_text(self, tmp_path, monkeypatch, name):
@@ -716,7 +717,7 @@ def scanned_texts(draw):
 _SEGMENT_LINES = [f"{k % 7 - 3}.25 {(k * k) % 11 / 8!r}" for k in range(500)]
 
 # Lines the scanner refuses, each in the middle of a one-segment body; the
-# parsers after it decide, as they do where the library does not load.
+# line parser decides, as it does where the library does not load.
 REFUSED_LINES = {
     "non-ASCII blank": "1 2\u00a0",
     "non-ASCII digit": "\u0661 2",
@@ -741,7 +742,6 @@ REFUSED_FILES = {
     "header only": b"fs=50\n\n",
     "tab in the header": b"fs=50\t\n" + "\n".join(_SEGMENT_LINES).encode(),
     "bad rate, bad UTF-8 body": b"fs=abc\n1 2\n\xff 3\n",
-    "lone CR at the end": b"fs=50\n" + "\n".join(_SEGMENT_LINES).encode() + b"\r",
 }
 
 
@@ -765,23 +765,25 @@ def extract_outcome(capsys, path, out):
 
 
 class TestSignalScanner:
-    """The compiled scanner reads a signal file as np.loadtxt and the line
-    parser do, bit for bit, and leaves every other file to them."""
+    """The compiled scanner reads a signal file as the line parser does, bit
+    for bit, and leaves every other file to it."""
 
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(text=scanned_texts())
-    def test_scanner_loadtxt_and_line_parser_agree(self, tmp_path, text):
+    def test_scanner_and_line_parser_agree(self, tmp_path, text):
         path = tmp_path / "sig.txt"
         path.write_bytes(text.encode("utf-8"))
         want = line_parser_outcome(text)
-        assert each_path(exact_outcome, path) == [(want, "scanner"), (want, "loadtxt")]
+        assert each_path(exact_outcome, path) == [(want, "scanner"), (want, "lines")]
 
     @pytest.mark.parametrize("text", [
         "\ufefffs=100\n1 2\n3 4\n",
         "fs=100\r\n1 2\r\n3 4\r\n",
         "fs=100\n1 2\n3 4",
         "fs=100\r\n1 2\r\n3 4",
+        "fs=100\n1 2\n3 4\r",
+        "fs=100\r\n1 2\r\n3 4\r",
         "fs=100\n\n1 2\n\n \t \n3 4\n\n",
         "fs=100\n1\t2\n\t3\t \t4\t\n",
         "  100  \n+1.5 -2e3\n+.5E-2 1e+2\n-0.0 +0\n1. .5\n",
@@ -792,7 +794,7 @@ class TestSignalScanner:
         path = tmp_path / "sig.txt"
         path.write_bytes(text.encode("utf-8"))
         want = line_parser_outcome(text)
-        assert each_path(exact_outcome, path) == [(want, "scanner"), (want, "loadtxt")]
+        assert each_path(exact_outcome, path) == [(want, "scanner"), (want, "lines")]
 
     @pytest.mark.parametrize("bom", ["", "\ufeff"])
     @pytest.mark.parametrize("eol", ["\n", "\r\n"])
@@ -809,7 +811,7 @@ class TestSignalScanner:
         path = tmp_path / "blocks.txt"
         path.write_bytes(text.encode("utf-8"))
         want = line_parser_outcome(text)
-        assert each_path(exact_outcome, path) == [(want, "scanner"), (want, "loadtxt")]
+        assert each_path(exact_outcome, path) == [(want, "scanner"), (want, "lines")]
         assert read_signal_file(path)[1].tolist() == [k * 0.1 for k in range(6000)]
 
     @pytest.mark.parametrize("case", sorted(REFUSED_LINES) + sorted(REFUSED_FILES))
@@ -817,6 +819,29 @@ class TestSignalScanner:
         path = refused_file(tmp_path, case)
         (scanned, parser), (unloaded, _) = each_path(exact_outcome, path)
         assert parser != "scanner"
+        assert scanned == unloaded
+        (scanned, _), (unloaded, _) = each_path(
+            extract_outcome, capsys, path, tmp_path / "feats.csv")
+        assert scanned == unloaded
+
+    @pytest.mark.parametrize("text", [
+        "fs=50\n" + "\n".join(_SEGMENT_LINES) + "\r",
+        "fs=50\n1 2\n3\r",
+        "fs=50\n1 2\n3 4\n\r",
+        "fs=50\n1 2\n3 4\n \t\r",
+        "fs=50\n1 2\n3 4\r\r",
+        "fs=50\n1 2\n3 nan\r",
+        "fs=50\r",
+        "\ufefffs=abc\r\n1 2\r",
+    ], ids=["segment", "one-cell", "blank", "blanks", "two-cr", "nan", "header-only",
+            "bad-rate"])
+    def test_a_final_lone_cr_reads_as_without_the_library(self, tmp_path, capsys, text):
+        # The scanner once refused every file whose last line ends in a
+        # lone \r; it now takes them as it takes \r\n, or refuses them for
+        # another reason, and the outcome stays the unloaded path's.
+        path = tmp_path / "sig.txt"
+        path.write_bytes(text.encode("utf-8"))
+        (scanned, _), (unloaded, _) = each_path(exact_outcome, path)
         assert scanned == unloaded
         (scanned, _), (unloaded, _) = each_path(
             extract_outcome, capsys, path, tmp_path / "feats.csv")
@@ -833,7 +858,7 @@ class TestSignalScanner:
         assert scanned == unloaded and scanned[0] != 0
 
     def test_exit_codes_and_messages(self, tmp_path, capsys):
-        # Spot checks of what the parsers after the scanner decide.
+        # Spot checks of what the line parser decides after the scanner.
         got = {}
         for case in ("nan", "one cell", "form feed", "vertical tab", "non-ASCII blank",
                      "bad rate, bad UTF-8 body", "header only"):
@@ -852,9 +877,9 @@ class TestSignalScanner:
         }
 
     @pytest.mark.parametrize("name", ["sig.gz", "http://host/sig.txt"])
-    def test_names_numpy_would_open_otherwise(self, tmp_path, monkeypatch, name):
+    def test_compressed_and_url_names_are_read_as_text(self, tmp_path, monkeypatch, name):
         # The scanner reads the bytes the file holds, as the line parser
-        # does; np.loadtxt would decompress or fetch it.
+        # does.
         monkeypatch.chdir(tmp_path)
         Path(name).parent.mkdir(parents=True, exist_ok=True)
         text = "fs=100\n1 2\n3 4\n"

@@ -3,8 +3,6 @@ import pytest
 
 from pairnet import (
     Dataset,
-    class_mean_variance,
-    group_variance,
     sigma_intervals,
     significance,
 )
@@ -41,33 +39,6 @@ def significance_oracle(X, y):
     with np.errstate(divide="ignore", invalid="ignore"):
         d = np.where(s_sum > 1e-12, 100.0 * v / s_sum, np.where(v > 1e-12, np.inf, 0.0))
     return v, s_sum, d
-
-
-class TestClassMeanVariance:
-    def test_two_class_means(self):
-        ds = make_dataset([[1.0], [1.0], [5.0], [5.0]], [1, 1, 2, 2])
-        v, means = class_mean_variance(ds, 0)
-        np.testing.assert_allclose(means, [1.0, 5.0])
-        assert v == pytest.approx(4.0)
-
-    def test_equal_means_zero_variance(self):
-        ds = make_dataset([[2.0], [2.0], [2.0]], [1, 1, 2])
-        v, _ = class_mean_variance(ds, 0)
-        assert v == 0.0
-
-
-class TestGroupVariance:
-    def test_direct_arithmetic(self):
-        ds = make_dataset([[0.0], [2.0], [9.0]], [1, 1, 2])
-        assert group_variance(ds, 1, 0) == pytest.approx(1.0)
-
-    def test_single_example_class(self):
-        ds = make_dataset([[0.0], [2.0], [9.0]], [1, 1, 2])
-        assert group_variance(ds, 2, 0) == 0.0
-
-    def test_constant_class(self):
-        ds = make_dataset([[3.0], [3.0], [1.0]], [1, 1, 2])
-        assert group_variance(ds, 1, 0) == 0.0
 
 
 class TestSignificance:

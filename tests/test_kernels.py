@@ -670,7 +670,7 @@ class TestPathChoice:
             pytest.skip(f"compiled library unavailable: {_kernels.FALLBACK_REASON}")
         force, reason = FALLBACKS[cause]
         force(monkeypatch, tmp_path)
-        assert read_csv(cli_csv) == (*want, "loadtxt")
+        assert read_csv(cli_csv) == (*want, "csv")
         assert _kernels.ACTIVE_PATH == "numpy"
         assert _kernels.FALLBACK_REASON.startswith(reason)
         assert not fresh_pick.is_dir() or os.listdir(fresh_pick) == []
@@ -746,7 +746,7 @@ class TestPathChoice:
             pytest.skip(f"compiled library unavailable: {_kernels.FALLBACK_REASON}")
         force, reason = FALLBACKS[cause]
         force(monkeypatch, tmp_path)
-        assert read_signals(signal_files) == (*want, "loadtxt")
+        assert read_signals(signal_files) == (*want, "lines")
         assert _kernels.ACTIVE_PATH == "numpy"
         assert _kernels.FALLBACK_REASON.startswith(reason)
         assert not fresh_pick.is_dir() or os.listdir(fresh_pick) == []

@@ -20,7 +20,6 @@ from pairnet import (
     generate,
     net_classify,
     net_outputs,
-    permute_classes,
     split_by_record,
     standardize,
     train_pairwise,
@@ -294,25 +293,6 @@ class TestTraining:
             if 3 in (t_a.i, t_a.j):
                 continue
             np.testing.assert_array_equal(t_a.weights, t_b.weights)
-
-
-class TestPermutation:
-    def test_permuting_trained_network_permutes_outputs(self):
-        rng = np.random.default_rng(9)
-        net = random_network(5, 3, seed=9)
-        perm = [3, 5, 1, 2, 4]  # old class k -> perm[k-1]
-        permuted = permute_classes(net, perm)
-        for _ in range(50):
-            x = rng.normal(size=3)
-            g_old = net_outputs(net, x)
-            g_new = net_outputs(permuted, x)
-            for k in range(5):
-                assert g_new[perm[k] - 1] == g_old[k]
-
-    def test_bad_permutation(self):
-        net = random_network(3, 2)
-        with pytest.raises(ParameterError):
-            permute_classes(net, [1, 1, 2])
 
 
 class TestRecordClassification:

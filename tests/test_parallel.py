@@ -1,12 +1,15 @@
+import errno
 import os
 import signal
 import time
+import traceback
 
 import pytest
 
-from pairnet import _parallel
+from pairnet import _parallel, cli
 from pairnet._parallel import ordered_map
-from pairnet.errors import ParameterError, ParseError
+from pairnet.errors import (DimensionError, EmptyInputError, ParameterError, ParseError,
+                            RangeError, SchemaError, TrainingError)
 
 
 @pytest.mark.parametrize("jobs", [1, 2, 3, 8])
@@ -62,6 +65,69 @@ def test_first_failing_item_decides_the_error(jobs, items):
         ordered_map(_sleep_then_fail, items, jobs)
     assert exc.value.line == 7
     assert str(exc.value) == "line 7: the error of the item at line 7"
+    # Inline or in a worker, the traceback shows the frame that raised.
+    assert "in _sleep_then_fail" in "".join(traceback.format_exception(exc.value))
+
+
+def test_unexpected_worker_error_shows_the_worker_frame():
+    with pytest.raises(ZeroDivisionError) as exc:
+        ordered_map(lambda k: 1 // (k - 3), range(6), 2)
+    assert isinstance(exc.value.__cause__, _parallel._RemoteTraceback)
+    shown = "".join(traceback.format_exception(exc.value))
+    assert "in _work" in shown and "in <lambda>" in shown
+    assert "1 // (k - 3)" in str(exc.value.__cause__)
+
+
+# The errors cli.main maps to exit codes, as the commands raise them.
+MAPPED_ERRORS = {
+    "schema": (lambda: SchemaError("class 2 has no records"), 3),
+    "parse-with-line": (lambda: ParseError("expected 2 cells, found 1", line=12), 3),
+    "parse": (lambda: ParseError("not UTF-8 text: invalid start byte at byte 4"), 3),
+    "empty-input": (lambda: EmptyInputError("no segments to featurize"), 3),
+    "file-not-found": (lambda: FileNotFoundError(errno.ENOENT, "No such file or directory",
+                                                 "rec1.txt"), 3),
+    "permission": (lambda: PermissionError(errno.EACCES, "Permission denied", "out.csv"), 3),
+    "parameter": (lambda: ParameterError("--c must be finite and > 0, got nan"), 2),
+    "dimension": (lambda: DimensionError("x has 3 features, the model 4"), 4),
+    "training": (lambda: TrainingError("class 2 has no training rows"), 4),
+    "range": (lambda: RangeError("the training input is not finite"), 4),
+}
+
+
+def _error_at_item_two(make):
+    def fn(k):
+        if k == 2:
+            raise make()
+        return k
+    return fn
+
+
+def _exception_state(exc):
+    return (type(exc), exc.args, str(exc), vars(exc), getattr(exc, "errno", None),
+            getattr(exc, "strerror", None), getattr(exc, "filename", None))
+
+
+@pytest.mark.parametrize("case", list(MAPPED_ERRORS))
+def test_mapped_errors_keep_their_messages_and_exit_codes(monkeypatch, capsys, case):
+    # Raised in a worker, an error reaches the caller, and cli.main's exit
+    # code and message, as it does raised in this process.
+    make, code = MAPPED_ERRORS[case]
+    fn = _error_at_item_two(make)
+    state = {}
+    for jobs in (1, 3):
+        with pytest.raises(type(make())) as exc:
+            ordered_map(fn, range(6), jobs)
+        state[jobs] = _exception_state(exc.value)
+        assert (exc.value.__cause__ is None) == (jobs == 1)
+
+        def command(args, jobs=jobs):
+            ordered_map(fn, range(6), jobs)
+            return [], []
+
+        monkeypatch.setattr(cli, "cmd_gen", command)
+        assert cli.main(["gen", "--out", "unused.csv"]) == code
+        assert capsys.readouterr().err == f"pairnet: {make()}\n"
+    assert state[3] == state[1] == _exception_state(make())
 
 
 def _timed_out(signum, frame):

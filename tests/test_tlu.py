@@ -8,7 +8,6 @@ from pairnet import (
     TrainConfig,
     TrainingError,
     activation,
-    error_correct,
     tlu_output,
     train_pocket,
 )
@@ -38,52 +37,6 @@ class TestTluOutput:
 
     def test_zero_activation_is_negative(self):
         assert tlu_output(np.zeros(2), np.array([5.0])) == -1
-
-
-class TestErrorCorrect:
-    def test_zero_start(self):
-        w = error_correct(np.zeros(3), np.array([1.0, 0.0]), target=1, c=1.0)
-        np.testing.assert_array_equal(w, [1.0, 1.0, 0.0])
-
-    def test_exact_cancellation(self):
-        w = error_correct(np.array([1.0, 1.0, 0.0]), np.array([1.0, 0.0]), target=-1, c=1.0)
-        np.testing.assert_array_equal(w, [0.0, 0.0, 0.0])
-
-    def test_linear_in_c(self):
-        x = np.array([2.0, -3.0])
-        full = error_correct(np.zeros(3), x, 1, c=1.0)
-        half = error_correct(np.zeros(3), x, 1, c=0.5)
-        np.testing.assert_allclose(half, full / 2)
-
-    def test_input_unmodified(self):
-        w = np.array([1.0, 2.0])
-        error_correct(w, np.array([3.0]), -1, c=1.0)
-        np.testing.assert_array_equal(w, [1.0, 2.0])
-
-    def test_bad_c(self):
-        with pytest.raises(ParameterError):
-            error_correct(np.zeros(2), np.array([1.0]), 1, c=0.0)
-
-    @pytest.mark.parametrize("c", [-1.0, float("nan"), float("inf"), np.float64("inf"),
-                                   "1.0", None])
-    def test_c_must_be_finite_and_positive(self, c):
-        with pytest.raises(ParameterError, match="finite number > 0"):
-            error_correct(np.zeros(2), np.array([1.0]), 1, c=c)
-
-    def test_margin_gain(self):
-        # each correction moves target*activation up by exactly c*(1 + |x|^2)
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            m = rng.integers(1, 6)
-            w = rng.normal(size=m + 1)
-            x = rng.normal(size=m)
-            target = int(rng.choice([-1, 1]))
-            c = float(rng.uniform(0.1, 2.0))
-            before = target * activation(w, x)
-            after = target * activation(error_correct(w, x, target, c), x)
-            gain = c * (1.0 + float(x @ x))
-            assert after > before
-            assert after - before == pytest.approx(gain, rel=1e-9)
 
 
 class TestTrainPocket:
