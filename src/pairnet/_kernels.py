@@ -39,8 +39,9 @@ The same library holds two scanners: ``csv_scan``, which
 ``signal_scan``, which ``eeg_features.read_signal_file`` tries before its
 text read and line parser through ``scan_signal``. Both read a file in
 64 KiB blocks through one line reader and convert each cell with
-``csv_cell``. Where ``load()`` falls back, so do both readers, to their
-Python parsers. It also holds the CSV writer, ``csv_write``, which
+``csv_cell``, except that ``signal_scan`` reads lines of two short plain
+decimals in a fused loop of its own, to the same bits. Where ``load()``
+falls back, so do both readers, to their Python parsers. It also holds the CSV writer, ``csv_write``, which
 ``dataset.save_csv`` tries before its Python rows through ``write_csv``: it
 formats each float as ``repr`` does, with Ryu's shortest-digit algorithm,
 and writes 64 KiB blocks to the file descriptor.
@@ -166,7 +167,13 @@ def scan_signal(fd):
     """The two channels of the signal file open on fd, float64 arrays read by
     the compiled scanner past the header line; or None where the compiled
     library is not loaded or the scanner leaves the file to the line parser
-    (see _loops.c). The file offset of fd does not move."""
+    (see _loops.c). The file offset of fd does not move.
+
+    The channels are sized by a first pass that counts the file's lines. A
+    line of two plain cells, [+-]?d+(.d*)? of at most 15 digits, separated
+    and perhaps surrounded by spaces and tabs, goes straight into them: its
+    digits spell an integer below 2^53, and one division by a power of ten
+    rounds it as float() does. Every other line goes through csv_cell."""
     loops = load()
     if loops is None:
         return None
@@ -503,9 +510,6 @@ def _cache_dir() -> Path:
 def _build() -> Path:
     """The path of the compiled loops, built first unless the cache holds them."""
     import hashlib
-    import shutil
-    import subprocess
-    import tempfile
 
     try:
         source = _SOURCE.read_bytes()
@@ -516,6 +520,12 @@ def _build() -> Path:
     path = cache / f"_loops-{key}.so"
     if path.is_file():
         return path
+    # Only a build imports these: subprocess alone adds milliseconds to
+    # every command.
+    import shutil
+    import subprocess
+    import tempfile
+
     cc = next(filter(None, map(shutil.which, _COMPILERS)), None)
     if cc is None:
         raise _Unavailable("no C compiler")

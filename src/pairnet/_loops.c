@@ -143,7 +143,9 @@ int64_t lm_visits(const double *xb, const int64_t *labels, int64_t n, int64_t d,
  * that the parser decides; the caller checks every value it returns as it
  * checks the parser's.
  * Both read a file line by line through for_each_line, and convert a cell
- * with csv_cell. */
+ * with csv_cell; the signal scanner first gives each block to a fused loop
+ * that reads lines of two short plain decimals, as recordings are written,
+ * straight into the channels, and leaves any other line to signal_line. */
 
 /* Read size, and the longest line carried from one block into the next: a
  * longer line is refused, so that no file is ever held whole. */
@@ -299,13 +301,21 @@ int64_t csv_newlines(int fd)
  * on, or -1 to refuse the file. */
 typedef int (*line_fn)(void *ctx, const char *p, int64_t len);
 
+/* A scanner's fused loop over the whole lines p[0..stop), where stop
+ * follows a '\n': it takes the lines it can, each at most MAX_LINE bytes
+ * long, and returns the start of the first one it leaves to line_fn, or
+ * stop. */
+typedef const char *(*lines_fn)(void *ctx, const char *p, const char *stop);
+
 /* Hand the first line of the file open on fd, after an optional UTF-8 BOM,
- * to header and every later line to body. The file is read in blocks of
- * READ_BLOCK bytes after the one partial line carried over, so that it is
- * never held whole; the last line needs no '\n'. No line may be longer than
- * limit bytes, and the file offset does not move. Returns 0, or -1 when a
- * line is refused or the file cannot be read. */
-static int for_each_line(int fd, int64_t limit, line_fn header, line_fn body, void *ctx)
+ * to header and every later line to body, after fast, where given, has
+ * taken what it can. The file is read in blocks of READ_BLOCK bytes after
+ * the one partial line carried over, so that it is never held whole; the
+ * last line needs no '\n'. No line may be longer than limit bytes, and the
+ * file offset does not move. Returns 0, or -1 when a line is refused or the
+ * file cannot be read. */
+static int for_each_line(int fd, int64_t limit, line_fn header, line_fn body,
+                         lines_fn fast, void *ctx)
 {
     int64_t longest = limit < MAX_LINE ? limit : MAX_LINE;
     char *buf = malloc((size_t)(longest + READ_BLOCK + 1));
@@ -322,16 +332,23 @@ static int for_each_line(int fd, int64_t limit, line_fn header, line_fn body, vo
                 continue;
             goto done;
         }
-        char *p = buf, *end = buf + have + got;
+        const char *p = buf, *end = buf + have + got, *stop = end;
         if (at == 0 && got >= 3 && memcmp(buf, "\xef\xbb\xbf", 3) == 0)
             p += 3;
         at += got;
         if (got == 0) {  /* the last line, which has no '\n' */
             if (have == 0)
                 break;
-            *end++ = '\n';
+            buf[have] = '\n';
+            stop = ++end;
         }
-        for (char *nl; (nl = memchr(p, '\n', (size_t)(end - p))); p = nl + 1) {
+        while (fast && stop > p && stop[-1] != '\n')
+            stop--;
+        for (const char *nl;; p = nl + 1) {
+            if (fast && line == body)
+                p = fast(ctx, p, stop);
+            if ((nl = memchr(p, '\n', (size_t)(end - p))) == NULL)
+                break;
             if (nl + 1 - p > limit || line(ctx, p, nl - p))
                 goto done;
             line = body;
@@ -350,8 +367,8 @@ done:
 }
 
 /* The CSV-body scanner. Where each cell of a row goes: cell k is a float at
- * offset[k] of the row, or, when size[k] > 0, text padded with NUL to
- * size[k] bytes there. */
+ * offset[k] of the row, or, when size[k] > 0, text shorter than size[k]
+ * bytes, padded with NUL to size[k] bytes there. */
 typedef struct {
     int64_t width;
     const int64_t *offset, *size;
@@ -422,7 +439,7 @@ int64_t csv_scan(int fd, int64_t width, const int64_t *offset, const int64_t *si
                  int64_t limit, char *table, int64_t itemsize, int64_t capacity)
 {
     csv_layout t = {width, offset, size, table, itemsize, capacity, 0};
-    return for_each_line(fd, limit, csv_header, csv_line, &t) ? -1 : t.rows;
+    return for_each_line(fd, limit, csv_header, csv_line, NULL, &t) ? -1 : t.rows;
 }
 
 /* The signal-file scanner. Its two channels hold capacity samples each, of
@@ -479,13 +496,73 @@ static int signal_line(void *ctx, const char *p, int64_t len)
     return 0;
 }
 
+/* A plain cell at q: [+-]?d+(.d*)? with at most 15 digits, f of them
+ * after the point, into *out. Its digits spell an integer w < 10^15 < 2^53
+ * and f <= 15, so w / 10^f is csv_cell's Clinger branch, bit for bit.
+ * Returns the byte after the cell, or NULL where q holds no plain cell. The
+ * line must end in '\n', which stops every loop here. */
+static inline const char *plain_cell(const char *q, double *out)
+{
+    static const double SIGN[2] = {1.0, -1.0};
+    int neg = *q == '-';
+    q += (*q == '-') | (*q == '+');
+    const char *first = q;
+    uint64_t w = 0, d;
+    for (; (d = (uint64_t)(unsigned char)*q - '0') < 10; q++)
+        w = w * 10 + d;
+    int64_t digits = q - first, f = 0;
+    if (digits == 0)
+        return NULL;
+    if (*q == '.') {
+        const char *fraction = ++q;
+        for (; (d = (uint64_t)(unsigned char)*q - '0') < 10; q++)
+            w = w * 10 + d;
+        f = q - fraction;
+    }
+    if (digits + f > 15)
+        return NULL;
+    /* the sign by a product, exact, as a branch on it would be mispredicted */
+    *out = (double)(int64_t)w / EXACT_POW10[f] * SIGN[neg];
+    return q;
+}
+
+/* The fused loop: each line of two plain cells, separated, and perhaps
+ * surrounded, by spaces and tabs, and ended by '\n' or "\r\n", straight into
+ * the signal_columns ctx. */
+static const char *plain_lines(void *ctx, const char *p, const char *stop)
+{
+    signal_columns *s = ctx;
+    while (p < stop && s->rows < s->capacity) {
+        const char *q = p;
+        double a, b;
+        while (is_blank(*q))
+            q++;
+        if ((q = plain_cell(q, &a)) == NULL || !is_blank(*q))
+            break;
+        while (is_blank(*q))
+            q++;
+        if ((q = plain_cell(q, &b)) == NULL)
+            break;
+        while (is_blank(*q))
+            q++;
+        q += *q == '\r';
+        if (*q != '\n' || q + 1 - p > MAX_LINE)
+            break;
+        s->first[s->rows] = a;
+        s->second[s->rows++] = b;
+        p = q + 1;
+    }
+    return p;
+}
+
 /* Parse the body of the signal file open on fd into first and second,
  * capacity samples each, one pair per line after the header. Blank lines
  * are skipped. Returns the pairs filled, or -1, also where there are none. */
 int64_t signal_scan(int fd, double *first, double *second, int64_t capacity)
 {
     signal_columns s = {first, second, capacity, 0};
-    if (for_each_line(fd, MAX_LINE, signal_header, signal_line, &s) || s.rows == 0)
+    if (for_each_line(fd, MAX_LINE, signal_header, signal_line, plain_lines, &s)
+        || s.rows == 0)
         return -1;
     return s.rows;
 }

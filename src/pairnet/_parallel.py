@@ -77,6 +77,21 @@ class _RemoteTraceback(Exception):
     """A worker's traceback, as text: the cause of the exception it raised."""
 
 
+class WorkerError(Exception):
+    """A worker's exception that a pickle cannot carry back, or that does
+    not load from one: its type's qualified name and its message."""
+
+
+def _portable(exc: Exception) -> Exception:
+    """exc, where it loads back from its pickle as the parent will load it;
+    else a WorkerError that stands in for it."""
+    try:
+        pickle.loads(pickle.dumps(exc, pickle.HIGHEST_PROTOCOL))
+        return exc
+    except Exception:
+        return WorkerError(f"{type(exc).__qualname__}: {exc}")
+
+
 def _work(fn, share, parent: int, out: int) -> None:
     """In a forked worker: fn over share, in turn, stopping at the first
     item that fails, or before the next item once the parent is gone; then
@@ -91,7 +106,7 @@ def _work(fn, share, parent: int, out: int) -> None:
     except Exception as exc:
         import traceback  # only a failing worker pays for the import
 
-        error = exc, traceback.format_exc()
+        error = _portable(exc), traceback.format_exc()
     with open(out, "wb") as fh:
         pickle.dump((results, error), fh, pickle.HIGHEST_PROTOCOL)
 
@@ -103,11 +118,13 @@ def ordered_map(fn, items, jobs: int) -> list:
     in item order, and so do errors: once every worker has finished or
     failed, the exception of the first failing item is raised, whichever
     worker failed first, with the worker's traceback, as text, as its
-    cause. With one worker, or where processes cannot be forked, fn runs in
-    this process. The workers are killed and reaped before this returns or
-    raises; if one dies (say, killed for memory), the call raises
-    ParameterError instead of waiting for its result. A worker whose parent
-    dies exits before its next item.
+    cause; an exception that a pickle cannot carry back arrives as a
+    WorkerError that names its type and holds its message. With one
+    worker, or where processes cannot be forked, fn runs in this process.
+    The workers are killed and reaped before this returns or raises; if
+    one dies (say, killed for memory), the call raises ParameterError
+    instead of waiting for its result. A worker whose parent dies exits
+    before its next item.
     """
     check_jobs(jobs)
     items = list(items)

@@ -21,8 +21,8 @@ from .errors import EmptyInputError, ParameterError, ParseError, SchemaError, ch
 
 RESERVED_COLUMNS = ("class", "record")
 _CSV_CHUNK_ROWS = 64
-# The scanner reads class and record cells into this many bytes; a cell
-# that fills them may have been cut short and goes to the csv path.
+# The scanner reads class and record cells into this many bytes; it leaves
+# a file with a cell that would fill them to the csv path.
 _TEXT_CELL_WIDTH = 32
 _INT64_MAX = int(np.iinfo(np.int64).max)
 # The parser that read the file load_csv returned last: "scanner" (the
@@ -238,23 +238,20 @@ def _load_csv_fast(fh, name: str) -> Dataset | None:
     into fixed-width bytes, so no line is split into Python strings (only
     the record ids pass through Python ints on their way to int64). The
     scanner takes only files on which it and the csv module agree, and
-    refuses any other. Every other doubt (a cell that may have been cut to
-    the width, a non-finite value, a record id that is 0 or not 1 to 18
-    digits, fewer than two classes) returns None, so that the csv path
-    raises its own error.
+    refuses any other, among them a class or record cell that fills its
+    width. Every other doubt (a non-finite value, a record id that is 0 or
+    not 1 to 18 digits, fewer than two classes) returns None, so that the
+    csv path raises its own error.
     """
     global CSV_PARSER
     hd = _read_header(_csv_rows(csv.reader(fh)), name)
-    width = _TEXT_CELL_WIDTH
     row = np.dtype([("X", np.float64, (len(hd.feature_names),))]
-                   + [(col, f"S{width}") for col in RESERVED_COLUMNS])
+                   + [(col, f"S{_TEXT_CELL_WIDTH}") for col in RESERVED_COLUMNS])
     table = _scan(fh.fileno(), hd, row)
     if table is None:
         return None
     X = table["X"]
     if len(X) == 0 or not np.isfinite(X).all():
-        return None
-    if max(np.char.str_len(table[col]).max() for col in RESERVED_COLUMNS) >= width:
         return None
     records = np.char.strip(table["record"])
     if not (np.char.isdigit(records).all() and np.char.str_len(records).max() <= 18):

@@ -513,6 +513,20 @@ class TestCsvScanner:
         assert_paths_agree(tmp_path / "other.csv", text)
         assert dataset.CSV_PARSER in (None, "csv")  # None: load_csv raised
 
+    @pytest.mark.parametrize("n", [31, 32, 33])
+    @pytest.mark.parametrize("column", ["class", "record"])
+    def test_text_cells_that_fill_their_width_go_to_the_csv_module(
+            self, tmp_path, monkeypatch, each_path, column, n):
+        # The scanner reads class and record cells into 32 bytes, and
+        # leaves a file with a cell of 32 bytes or more to the csv module.
+        if column == "class":
+            body = f"1.0,{'a' * n},1\n2.0,{'b' * n},2\n"
+        else:
+            body = f"1.0,35,{' ' * (n - 1)}1\n2.0,37,{' ' * (n - 1)}2\n"
+        monkeypatch.setattr(dataset, "CSV_PARSER", None)
+        assert_paths_agree(tmp_path / "wide.csv", "f1,class,record\n" + body)
+        assert dataset.CSV_PARSER == ("scanner" if each_path == "scanner" and n < 32 else "csv")
+
     def test_save_csv_output_takes_the_scanner(self, tmp_path, monkeypatch):
         ds = generate(default_config(seed=3, scale=0.02))
         path = tmp_path / "data.csv"

@@ -713,6 +713,44 @@ def scanned_texts(draw):
     return text if draw(st.booleans()) else text.rstrip("\r\n")
 
 
+@st.composite
+def plain_cells(draw):
+    """Cells of the fused loop's grammar, [+-]?d+(.d*)?, of 1 to 17 digits:
+    it takes those of 15 digits or fewer and hands the others to csv_cell."""
+    n = draw(st.integers(1, 17))
+    digits = draw(st.text("0123456789", min_size=n, max_size=n))
+    whole = draw(st.integers(1, n))
+    point = "." if whole < n or draw(st.booleans()) else ""
+    return draw(st.sampled_from(["", "+", "-"])) + digits[:whole] + point + digits[whole:]
+
+
+_plain_cells = st.one_of(plain_cells(), st.sampled_from(["-0.000", "-0", "+0.", "5.", "007"]))
+# Lines that leave the fused loop: csv_cell takes the first three (two
+# 16-digit cells that (double)w / 10^f would round wrong), the scanner
+# refuses the others.
+_HANDED_ON = ["1e-3 -2.5E+2", ".5 -.25", "96.48064786969077 -943.4607133838363"]
+_REFUSED_ON = ["1 2 3", "1 2\r 3 4"]
+
+
+@st.composite
+def long_plain_texts(draw):
+    """Signal files whose body, of more than 64 KiB, repeats a few lines of
+    two plain cells, with lines that leave the fused loop at drawn places;
+    and whether one of those is a line the scanner refuses."""
+    pad, sep = st.sampled_from(["", " ", "\t", " \t"]), st.sampled_from([" ", "\t", " \t "])
+    eol = st.sampled_from(["\n", "\r\n"])
+    pattern = draw(st.lists(st.tuples(pad, _plain_cells, sep, _plain_cells, pad, eol).map(
+        "".join), min_size=1, max_size=30))
+    lines = pattern * (1 + (1 << 16) // len("".join(pattern)))
+    refused = False
+    for _ in range(draw(st.integers(0, 4))):
+        line = draw(st.sampled_from(_HANDED_ON + _REFUSED_ON))
+        refused |= line in _REFUSED_ON
+        lines.insert(draw(st.integers(0, len(lines))), line + draw(eol))
+    text = draw(st.sampled_from(["", "\ufeff"])) + "fs=100" + draw(eol) + "".join(lines)
+    return (text if draw(st.booleans()) else text.rstrip("\r\n")), refused
+
+
 # One 10-second segment at 50 Hz, as extract reads it.
 _SEGMENT_LINES = [f"{k % 7 - 3}.25 {(k * k) % 11 / 8!r}" for k in range(500)]
 
@@ -777,6 +815,21 @@ class TestSignalScanner:
         want = line_parser_outcome(text)
         assert each_path(exact_outcome, path) == [(want, "scanner"), (want, "lines")]
 
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(drawn=long_plain_texts())
+    def test_fused_loop_and_line_parser_agree(self, tmp_path, drawn):
+        text, refused = drawn
+        path = tmp_path / "sig.txt"
+        path.write_bytes(text.encode("utf-8"))
+        got = each_path(exact_outcome, path)
+        if refused:
+            (scanned, parser), (unloaded, _) = got
+            assert parser != "scanner" and scanned == unloaded
+        else:
+            want = line_parser_outcome(text)
+            assert got == [(want, "scanner"), (want, "lines")]
+
     @pytest.mark.parametrize("text", [
         "\ufefffs=100\n1 2\n3 4\n",
         "fs=100\r\n1 2\r\n3 4\r\n",
@@ -789,6 +842,8 @@ class TestSignalScanner:
         "  100  \n+1.5 -2e3\n+.5E-2 1e+2\n-0.0 +0\n1. .5\n",
         "fs=100\n1e308 -1e308\n1.7976931348623157e308 5e-324\n",
         "fs=100\n0.1234567890123456789012345 12345678901234567890e-5\n",
+        "fs=100\n-0.000 +000.000\n-0 5.\n123456789012.345 -0.00000000000001\n",
+        "fs=100\n96.48064786969077 -943.4607133838363\n1 2\n",
     ])
     def test_edge_files(self, tmp_path, text):
         path = tmp_path / "sig.txt"

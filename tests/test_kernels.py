@@ -723,6 +723,20 @@ class TestPathChoice:
             ["cache", "m.txt", "m.txt.manifest.json"])
 
 
+    def test_a_warm_cache_imports_no_build_tools(self):
+        # subprocess, and the selectors it imports, cost every command
+        # milliseconds; only a build needs them.
+        compiled_loops()
+        package = Path(pairnet.__file__).parent
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (str(package.parent), os.environ.get("PYTHONPATH")) if p)}
+        code = ("import sys; from pairnet import _kernels; "
+                "print(_kernels.load() is not None, 'subprocess' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["True", "False"]
+
     @pytest.mark.parametrize("cause", sorted(FALLBACKS))
     def test_each_fallback_saves_the_same_bytes(self, monkeypatch, tmp_path, path_saved,
                                                 fresh_pick, cause):

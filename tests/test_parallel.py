@@ -175,3 +175,27 @@ def test_default_jobs_honours_a_cpu_quota(monkeypatch, tmp_path, files, want):
     monkeypatch.setattr(_parallel, "MAX_DEFAULT_JOBS", 64)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
     assert _parallel.default_jobs() == want
+
+
+class _TwoArgumentError(Exception):
+    """Its pickle calls __init__ with its args, one argument short."""
+
+    def __init__(self, what, where):
+        super().__init__(f"{what} at {where}")
+
+
+@pytest.mark.parametrize("make,kind,message", [
+    # The worker's dump fails: a lambda does not pickle.
+    (lambda: ValueError(lambda: 0), "ValueError", "<function "),
+    # The dump succeeds, but loading it calls __init__ with one argument.
+    (lambda: _TwoArgumentError("bad cell", "line 3"), "_TwoArgumentError",
+     "bad cell at line 3"),
+], ids=["dump-fails", "load-fails"])
+def test_errors_that_do_not_survive_a_pickle_arrive_as_a_stand_in(make, kind, message):
+    with pytest.raises(_parallel.WorkerError) as exc:
+        ordered_map(_error_at_item_two(make), range(4), 2)
+    assert str(exc.value).startswith(f"{kind}: {message}")
+    # The traceback, as text, still shows the frame that raised.
+    cause = str(exc.value.__cause__)
+    assert isinstance(exc.value.__cause__, _parallel._RemoteTraceback)
+    assert "in fn" in cause and "raise make()" in cause and kind in cause
