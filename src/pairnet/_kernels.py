@@ -38,10 +38,10 @@ The same library holds two scanners: ``csv_scan``, which
 ``dataset.load_csv`` tries before the csv module through ``scan_csv``, and
 ``signal_scan``, which ``eeg_features.read_signal_file`` tries before its
 text read and line parser through ``scan_signal``. Both read a file in
-64 KiB blocks through one line reader and convert each cell with
-``csv_cell``, except that ``signal_scan`` reads lines of two short plain
-decimals in a fused loop of its own, to the same bits. Where ``load()``
-falls back, so do both readers, to their Python parsers. It also holds the CSV writer, ``csv_write``, which
+64 KiB blocks through one line reader, which hands them a block's whole
+lines at a time, and read each number cell once, with one decimal reader
+(``csv_cell`` is that reader on one cell). Where ``load()`` falls back, so
+do both readers, to their Python parsers. It also holds the CSV writer, ``csv_write``, which
 ``dataset.save_csv`` tries before its Python rows through ``write_csv``: it
 formats each float as ``repr`` does, with Ryu's shortest-digit algorithm,
 and writes 64 KiB blocks to the file descriptor.
@@ -169,11 +169,10 @@ def scan_signal(fd):
     library is not loaded or the scanner leaves the file to the line parser
     (see _loops.c). The file offset of fd does not move.
 
-    The channels are sized by a first pass that counts the file's lines. A
-    line of two plain cells, [+-]?d+(.d*)? of at most 15 digits, separated
-    and perhaps surrounded by spaces and tabs, goes straight into them: its
-    digits spell an integer below 2^53, and one division by a power of ten
-    rounds it as float() does. Every other line goes through csv_cell."""
+    The channels are sized by a first pass that counts the file's lines.
+    The second pass reads each line in one sweep, each cell straight into
+    its channel, correctly rounded as float() does: most cells by one
+    division of the integer their digits spell by a power of ten."""
     loops = load()
     if loops is None:
         return None

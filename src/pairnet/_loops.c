@@ -142,10 +142,8 @@ int64_t lm_visits(const double *xb, const int64_t *labels, int64_t n, int64_t d,
  * the Python parser it stands in for, and returns -1 at the first doubt, so
  * that the parser decides; the caller checks every value it returns as it
  * checks the parser's.
- * Both read a file line by line through for_each_line, and convert a cell
- * with csv_cell; the signal scanner first gives each block to a fused loop
- * that reads lines of two short plain decimals, as recordings are written,
- * straight into the channels, and leaves any other line to signal_line. */
+ * Both read a file through for_each_line, which hands them a block's whole
+ * lines at a time, and read each number cell once, with read_decimal. */
 
 /* Read size, and the longest line carried from one block into the next: a
  * longer line is refused, so that no file is ever held whole. */
@@ -204,72 +202,76 @@ static double scaled_by_pow10(uint64_t w, int e)
 
 static int is_digit(char c) { return c >= '0' && c <= '9'; }
 
-/* The cell s[0..len) as the double nearest its value, ties to even, in
- * *out. Returns 0, or -1 unless the cell matches
- * [+-]?(d+(.d*)?|.d+)([eE][+-]?d+)? or strtod, which converts what the
- * exact tiers cannot, stops short of its end (as in a locale whose decimal
- * point is ','). The byte s[len] must be readable and not a digit. */
-int csv_cell(const char *s, int64_t len, double *out)
+/* The decimal [+-]?(d+(.d*)?|.d+)([eE][+-]?d+)? at the start of s, read as
+ * far as it goes, as the double nearest its value, ties to even, in *out.
+ * Returns the byte after it, or NULL where s holds none or strtod, which
+ * converts what the exact tiers cannot, stops short of it (as in a locale
+ * whose decimal point is ','). Inlined by force: as a call, it costs the
+ * signal scanner about a sixth of its time. */
+static inline __attribute__((always_inline)) const char *
+read_decimal(const char *s, double *out)
 {
-    const char *p = s, *end = s + len;
-    int neg = p < end && *p == '-';
-    if (p < end && (*p == '+' || *p == '-'))
-        p++;
+    static const double SIGN[2] = {1.0, -1.0};
+    const char *p = s;
+    /* no branch on the sign, as it would be mispredicted on a signal's cells */
+    int neg = *p == '-';
+    p += (*p == '-') | (*p == '+');
+    /* The value is w * 10^e10, w exact while it has 19 significant digits
+     * or fewer: leading zeros add nothing to it. */
     const char *mantissa = p;
-    while (p < end && *p == '0')
-        p++;
-    /* The value is w * 10^e10, w exact while it has 19 digits or fewer. */
-    uint64_t w = 0;
-    const char *first = p;
-    for (; p < end && is_digit(*p); p++)
-        w = w * 10 + (uint64_t)(*p - '0');
-    int64_t digits = p - first, e10 = 0;
-    int any = p > mantissa;
-    if (p < end && *p == '.') {
+    uint64_t w = 0, d;
+    for (; (d = (uint64_t)(unsigned char)*p - '0') < 10; p++)
+        w = w * 10 + d;
+    int64_t digits = p - mantissa, e10 = 0;
+    if (*p == '.') {
         const char *fraction = ++p;
-        if (digits == 0)  /* zeros before the first significant digit */
-            while (p < end && *p == '0')
-                p++;
-        first = p;
-        for (; p < end && is_digit(*p); p++)
-            w = w * 10 + (uint64_t)(*p - '0');
-        digits += p - first;
+        for (; (d = (uint64_t)(unsigned char)*p - '0') < 10; p++)
+            w = w * 10 + d;
         e10 = fraction - p;
-        any |= p > fraction;
+        digits -= e10;
     }
-    if (!any)
-        return -1;
-    if (p < end && (*p == 'e' || *p == 'E')) {
+    if (digits == 0)
+        return NULL;
+    /* digits counts leading zeros so far; past 18, where that would change
+     * the tier below, they are taken off */
+    for (const char *q = mantissa; digits > 18 && (*q == '0' || *q == '.'); q++)
+        digits -= *q == '0';
+    if (*p == 'e' || *p == 'E') {
         p++;
-        int eneg = p < end && *p == '-';
-        if (p < end && (*p == '+' || *p == '-'))
-            p++;
-        if (p == end || !is_digit(*p))
-            return -1;
+        int eneg = *p == '-';
+        p += (*p == '-') | (*p == '+');
+        if (!is_digit(*p))
+            return NULL;
         int64_t e = 0;
-        for (; p < end && is_digit(*p); p++)
+        for (; is_digit(*p); p++)
             if (e < 100000)  /* past any double; strtod reads the digits */
                 e = e * 10 + (*p - '0');
         e10 += eneg ? -e : e;
     }
-    if (p != end)
-        return -1;
     double v;
-    if (digits == 0) {
-        v = 0.0;
-    } else if (digits <= 19 && w <= (1ULL << 53) && e10 >= -22 && e10 <= 22) {
+    if (digits <= 19 && w <= (1ULL << 53) && e10 >= -22 && e10 <= 22) {
         /* Clinger's fast path: both operands are exact, so one rounding */
         v = e10 < 0 ? (double)w / EXACT_POW10[-e10] : (double)w * EXACT_POW10[e10];
+    } else if (w == 0 && digits <= 19) {  /* zero, with a far exponent */
+        v = 0.0;
     } else if (digits <= 18 && e10 >= -19 && e10 <= 19) {
         v = scaled_by_pow10(w, (int)e10);
     } else {
         char *stop;
         v = strtod(mantissa, &stop);
-        if (stop != end)
-            return -1;
+        if (stop != p)
+            return NULL;
     }
-    *out = neg ? -v : v;
-    return 0;
+    *out = v * SIGN[neg];
+    return p;
+}
+
+/* The cell s[0..len), a decimal and nothing else, into *out as
+ * read_decimal reads it. Returns 0, or -1 where it is no decimal. The byte
+ * s[len] must be readable, and no digit, sign, point or exponent mark. */
+int csv_cell(const char *s, int64_t len, double *out)
+{
+    return read_decimal(s, out) == s + len ? 0 : -1;
 }
 
 /* The number of '\n' bytes in the file open on fd, or -1 if it cannot be
@@ -301,27 +303,23 @@ int64_t csv_newlines(int fd)
  * on, or -1 to refuse the file. */
 typedef int (*line_fn)(void *ctx, const char *p, int64_t len);
 
-/* A scanner's fused loop over the whole lines p[0..stop), where stop
- * follows a '\n': it takes the lines it can, each at most MAX_LINE bytes
- * long, and returns the start of the first one it leaves to line_fn, or
- * stop. */
-typedef const char *(*lines_fn)(void *ctx, const char *p, const char *stop);
+/* What a scanner does with the whole lines p[0..stop), where stop follows a
+ * '\n': 0 to go on, or -1 to refuse the file. */
+typedef int (*lines_fn)(void *ctx, const char *p, const char *stop);
 
 /* Hand the first line of the file open on fd, after an optional UTF-8 BOM,
- * to header and every later line to body, after fast, where given, has
- * taken what it can. The file is read in blocks of READ_BLOCK bytes after
- * the one partial line carried over, so that it is never held whole; the
- * last line needs no '\n'. No line may be longer than limit bytes, and the
- * file offset does not move. Returns 0, or -1 when a line is refused or the
- * file cannot be read. */
-static int for_each_line(int fd, int64_t limit, line_fn header, line_fn body,
-                         lines_fn fast, void *ctx)
+ * to header, and the later lines, a block's whole lines at a time, to body.
+ * The file is read in blocks of READ_BLOCK bytes after the one partial line
+ * carried over, so that it is never held whole; the last line needs no
+ * '\n'. No line carried over may be longer than limit bytes, nor the header
+ * line; body checks its own. The file offset does not move. Returns 0, or
+ * -1 when a line is refused or the file cannot be read. */
+static int for_each_line(int fd, int64_t limit, line_fn header, lines_fn body, void *ctx)
 {
     int64_t longest = limit < MAX_LINE ? limit : MAX_LINE;
     char *buf = malloc((size_t)(longest + READ_BLOCK + 1));
     int64_t have = 0;  /* the carried partial line, at buf[0..have) */
     off_t at = 0;
-    line_fn line = header;
     int status = -1;
     if (buf == NULL)
         return -1;
@@ -332,33 +330,34 @@ static int for_each_line(int fd, int64_t limit, line_fn header, line_fn body,
                 continue;
             goto done;
         }
-        const char *p = buf, *end = buf + have + got, *stop = end;
+        const char *p = buf, *stop = buf + have + got;
         if (at == 0 && got >= 3 && memcmp(buf, "\xef\xbb\xbf", 3) == 0)
             p += 3;
-        at += got;
         if (got == 0) {  /* the last line, which has no '\n' */
             if (have == 0)
                 break;
             buf[have] = '\n';
-            stop = ++end;
+            stop++;
         }
-        while (fast && stop > p && stop[-1] != '\n')
+        const char *end = stop;
+        while (stop > p && stop[-1] != '\n')
             stop--;
-        for (const char *nl;; p = nl + 1) {
-            if (fast && line == body)
-                p = fast(ctx, p, stop);
-            if ((nl = memchr(p, '\n', (size_t)(end - p))) == NULL)
-                break;
-            if (nl + 1 - p > limit || line(ctx, p, nl - p))
+        if (header && stop > p) {
+            const char *nl = memchr(p, '\n', (size_t)(stop - p));
+            if (nl + 1 - p > limit || header(ctx, p, nl - p))
                 goto done;
-            line = body;
+            header = NULL;  /* read */
+            p = nl + 1;
         }
+        if (stop > p && body(ctx, p, stop))
+            goto done;
         if (got == 0)
             break;
-        have = end - p;
+        at += got;
+        have = end - stop;
         if (have > longest)
             goto done;
-        memmove(buf, p, (size_t)have);
+        memmove(buf, stop, (size_t)have);
     }
     status = 0;
 done:
@@ -373,7 +372,7 @@ typedef struct {
     int64_t width;
     const int64_t *offset, *size;
     char *table;
-    int64_t itemsize, capacity, rows;
+    int64_t itemsize, capacity, rows, limit;
 } csv_layout;
 
 /* The header may hold no '"' and no '\r' but before its '\n'. */
@@ -430,6 +429,18 @@ static int csv_line(void *ctx, const char *p, int64_t len)
     return 0;
 }
 
+/* The lines p[0..stop), each at most limit bytes long, through csv_line. */
+static int csv_lines(void *ctx, const char *p, const char *stop)
+{
+    csv_layout *t = ctx;
+    for (const char *nl; p < stop; p = nl + 1) {
+        nl = memchr(p, '\n', (size_t)(stop - p));
+        if (nl + 1 - p > t->limit || csv_line(ctx, p, nl - p))
+            return -1;
+    }
+    return 0;
+}
+
 /* Parse the body of the CSV file open on fd into table, capacity rows of
  * itemsize bytes laid out as offset and size say, one row per line of
  * width cells. The header, the first line, is skipped, and so are blank
@@ -438,8 +449,8 @@ static int csv_line(void *ctx, const char *p, int64_t len)
 int64_t csv_scan(int fd, int64_t width, const int64_t *offset, const int64_t *size,
                  int64_t limit, char *table, int64_t itemsize, int64_t capacity)
 {
-    csv_layout t = {width, offset, size, table, itemsize, capacity, 0};
-    return for_each_line(fd, limit, csv_header, csv_line, NULL, &t) ? -1 : t.rows;
+    csv_layout t = {width, offset, size, table, itemsize, capacity, 0, limit};
+    return for_each_line(fd, limit, csv_header, csv_lines, &t) ? -1 : t.rows;
 }
 
 /* The signal-file scanner. Its two channels hold capacity samples each, of
@@ -463,96 +474,45 @@ static int signal_header(void *ctx, const char *p, int64_t len)
     return 0;
 }
 
-/* One body line into the next sample pair of the signal_columns ctx unless
- * it is blank: two finite cells that csv_cell takes, separated, and perhaps
- * surrounded, by spaces and tabs. Any other byte falls in a cell, which
- * csv_cell then refuses. */
-static int signal_line(void *ctx, const char *p, int64_t len)
+static const char *skip_blanks(const char *q)
 {
-    signal_columns *s = ctx;
-    const char *q = p, *end = p + len;
-    double pair[2];
-    int k = 0;
-    if (q < end && end[-1] == '\r')
-        end--;
-    for (;;) {
-        while (q < end && is_blank(*q))
-            q++;
-        if (q == end)
-            break;
-        const char *cell = q;
-        while (q < end && !is_blank(*q))
-            q++;
-        if (k == 2 || csv_cell(cell, q - cell, &pair[k]) || !isfinite(pair[k]))
-            return -1;
-        k++;
-    }
-    if (k == 0)
-        return 0;
-    if (k != 2 || s->rows == s->capacity)
-        return -1;
-    s->first[s->rows] = pair[0];
-    s->second[s->rows++] = pair[1];
-    return 0;
-}
-
-/* A plain cell at q: [+-]?d+(.d*)? with at most 15 digits, f of them
- * after the point, into *out. Its digits spell an integer w < 10^15 < 2^53
- * and f <= 15, so w / 10^f is csv_cell's Clinger branch, bit for bit.
- * Returns the byte after the cell, or NULL where q holds no plain cell. The
- * line must end in '\n', which stops every loop here. */
-static inline const char *plain_cell(const char *q, double *out)
-{
-    static const double SIGN[2] = {1.0, -1.0};
-    int neg = *q == '-';
-    q += (*q == '-') | (*q == '+');
-    const char *first = q;
-    uint64_t w = 0, d;
-    for (; (d = (uint64_t)(unsigned char)*q - '0') < 10; q++)
-        w = w * 10 + d;
-    int64_t digits = q - first, f = 0;
-    if (digits == 0)
-        return NULL;
-    if (*q == '.') {
-        const char *fraction = ++q;
-        for (; (d = (uint64_t)(unsigned char)*q - '0') < 10; q++)
-            w = w * 10 + d;
-        f = q - fraction;
-    }
-    if (digits + f > 15)
-        return NULL;
-    /* the sign by a product, exact, as a branch on it would be mispredicted */
-    *out = (double)(int64_t)w / EXACT_POW10[f] * SIGN[neg];
+    while (is_blank(*q))
+        q++;
     return q;
 }
 
-/* The fused loop: each line of two plain cells, separated, and perhaps
- * surrounded, by spaces and tabs, and ended by '\n' or "\r\n", straight into
- * the signal_columns ctx. */
-static const char *plain_lines(void *ctx, const char *p, const char *stop)
+/* Whether q is at the end of its line, a '\n' or "\r\n". */
+static int ends_line(const char *q)
+{
+    return *q == '\n' || (*q == '\r' && q[1] == '\n');
+}
+
+/* The body lines p[0..stop), each at most MAX_LINE bytes long, into the
+ * signal_columns ctx: a line is two finite decimals, separated, and perhaps
+ * surrounded, by spaces and tabs, and ends in '\n' or "\r\n"; a blank line
+ * is skipped. Any other byte, a lone '\r' too, ends no decimal, so the line
+ * is refused. */
+static int signal_lines(void *ctx, const char *p, const char *stop)
 {
     signal_columns *s = ctx;
-    while (p < stop && s->rows < s->capacity) {
-        const char *q = p;
+    for (const char *q; p < stop; p = q + 1) {
         double a, b;
-        while (is_blank(*q))
-            q++;
-        if ((q = plain_cell(q, &a)) == NULL || !is_blank(*q))
-            break;
-        while (is_blank(*q))
-            q++;
-        if ((q = plain_cell(q, &b)) == NULL)
-            break;
-        while (is_blank(*q))
-            q++;
+        q = skip_blanks(p);
+        if (!ends_line(q)) {
+            if ((q = read_decimal(q, &a)) == NULL || !is_blank(*q)
+                || (q = read_decimal(skip_blanks(q), &b)) == NULL)
+                return -1;
+            q = skip_blanks(q);
+            if (!ends_line(q) || !isfinite(a) || !isfinite(b) || s->rows == s->capacity)
+                return -1;
+            s->first[s->rows] = a;
+            s->second[s->rows++] = b;
+        }
         q += *q == '\r';
-        if (*q != '\n' || q + 1 - p > MAX_LINE)
-            break;
-        s->first[s->rows] = a;
-        s->second[s->rows++] = b;
-        p = q + 1;
+        if (q + 1 - p > MAX_LINE)
+            return -1;
     }
-    return p;
+    return 0;
 }
 
 /* Parse the body of the signal file open on fd into first and second,
@@ -561,8 +521,7 @@ static const char *plain_lines(void *ctx, const char *p, const char *stop)
 int64_t signal_scan(int fd, double *first, double *second, int64_t capacity)
 {
     signal_columns s = {first, second, capacity, 0};
-    if (for_each_line(fd, MAX_LINE, signal_header, signal_line, plain_lines, &s)
-        || s.rows == 0)
+    if (for_each_line(fd, MAX_LINE, signal_header, signal_lines, &s) || s.rows == 0)
         return -1;
     return s.rows;
 }

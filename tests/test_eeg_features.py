@@ -715,9 +715,10 @@ def scanned_texts(draw):
 
 @st.composite
 def plain_cells(draw):
-    """Cells of the fused loop's grammar, [+-]?d+(.d*)?, of 1 to 17 digits:
-    it takes those of 15 digits or fewer and hands the others to csv_cell."""
-    n = draw(st.integers(1, 17))
+    """Cells [+-]?d+(.d*)? of 1 to 20 digits, so that each conversion tier
+    is crossed: one division where the digits spell an integer of at most
+    2^53, 128-bit arithmetic for 16 to 18 digits, strtod past them."""
+    n = draw(st.integers(1, 20))
     digits = draw(st.text("0123456789", min_size=n, max_size=n))
     whole = draw(st.integers(1, n))
     point = "." if whole < n or draw(st.booleans()) else ""
@@ -725,18 +726,18 @@ def plain_cells(draw):
 
 
 _plain_cells = st.one_of(plain_cells(), st.sampled_from(["-0.000", "-0", "+0.", "5.", "007"]))
-# Lines that leave the fused loop: csv_cell takes the first three (two
-# 16-digit cells that (double)w / 10^f would round wrong), the scanner
-# refuses the others.
-_HANDED_ON = ["1e-3 -2.5E+2", ".5 -.25", "96.48064786969077 -943.4607133838363"]
+# Lines of other cells: the scanner reads the first three (exponents, a
+# leading point, two 16-digit cells that (double)w / 10^f would round
+# wrong) and refuses the others.
+_OTHER_LINES = ["1e-3 -2.5E+2", ".5 -.25", "96.48064786969077 -943.4607133838363"]
 _REFUSED_ON = ["1 2 3", "1 2\r 3 4"]
 
 
 @st.composite
 def long_plain_texts(draw):
     """Signal files whose body, of more than 64 KiB, repeats a few lines of
-    two plain cells, with lines that leave the fused loop at drawn places;
-    and whether one of those is a line the scanner refuses."""
+    two plain cells, with lines of other cells at drawn places; and whether
+    one of those is a line the scanner refuses."""
     pad, sep = st.sampled_from(["", " ", "\t", " \t"]), st.sampled_from([" ", "\t", " \t "])
     eol = st.sampled_from(["\n", "\r\n"])
     pattern = draw(st.lists(st.tuples(pad, _plain_cells, sep, _plain_cells, pad, eol).map(
@@ -744,7 +745,7 @@ def long_plain_texts(draw):
     lines = pattern * (1 + (1 << 16) // len("".join(pattern)))
     refused = False
     for _ in range(draw(st.integers(0, 4))):
-        line = draw(st.sampled_from(_HANDED_ON + _REFUSED_ON))
+        line = draw(st.sampled_from(_OTHER_LINES + _REFUSED_ON))
         refused |= line in _REFUSED_ON
         lines.insert(draw(st.integers(0, len(lines))), line + draw(eol))
     text = draw(st.sampled_from(["", "\ufeff"])) + "fs=100" + draw(eol) + "".join(lines)
@@ -764,6 +765,8 @@ REFUSED_LINES = {
     "form feed": "1\x0c2",
     "group separator": "1\x1d2",
     "lone CR": "1 2\r3 4",
+    "lone CR before a blank": "1 2\r 3 4",
+    "lone CR between the cells": "1\r2",
     "underscore": "1_0 2",
     "comment": "1 2 # note",
     "nan": "nan 2",

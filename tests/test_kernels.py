@@ -993,7 +993,8 @@ class TestCsvCell:
         for text in ["1.", ".5", "+1", "-0.0", "-0", "0e999", "1e999", "-1e999", "5e-324",
                      "2e-324", "3e-324", "1e-400", "2.2250738585072014e-308",
                      "1.7976931348623157e308", "1" * 20, "0." + "0" * 30 + "1",
-                     "1" * 400 + "e-400"]:
+                     "1" * 400 + "e-400", "0." + "0" * 30, "18446744073709551616",
+                     "18446744073709551616e-30", "0" * 30 + "1.5", "0." + "0" * 17 + "123"]:
             self.check(text)
 
     def test_refuses_other_cells(self):
