@@ -426,12 +426,6 @@ def epochs(n: int, max_iters: int, seed: int):
     return draw(max_iters)
 
 
-def visit_order(n: int, max_iters: int, seed: int):
-    """The example index visited at each of max_iters iterations, as Python
-    ints: the epochs of ``epochs(n, max_iters, seed)`` one after another."""
-    return _indices(epochs(n, max_iters, seed))
-
-
 def _load_compiled():
     import ctypes
 

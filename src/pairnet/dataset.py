@@ -6,6 +6,7 @@ class. Arrays are frozen after construction, so datasets can be shared
 freely across threads.
 """
 
+import array
 import csv
 import io
 import math
@@ -286,17 +287,21 @@ def _scan(fd: int, hd: _Header, row: np.dtype) -> np.ndarray | None:
 
 
 def _load_csv_rows(fh, name: str) -> Dataset:
-    """The csv-module parser: one Python string per cell, and an error that
-    names the file line and the column of the first bad cell."""
+    """The csv-module parser. Each row's feature cells are converted with
+    float() as the row is read, into 8 bytes a cell; an error names the file
+    line and the column of the first bad cell. A row of the wrong width
+    anywhere wins over a non-numeric cell on an earlier row."""
     reader = csv.reader(fh)
     rows_in = _csv_rows(reader)
     hd = _read_header(rows_in, name)
-    rows: list[list[str]] = []
+    features = hd.order[:-2]
+    values = array.array("d")
     class_raw: list[str] = []
     record_raw: list[str] = []
     # The file line of each kept row: blank rows and cells that span lines
     # make it differ from the row's index.
     line_nums: list[int] = []
+    non_numeric = None  # the error of the first non-numeric cell
     for row in rows_in:
         if not row:
             continue
@@ -304,19 +309,21 @@ def _load_csv_rows(fh, name: str) -> Dataset:
             raise ParseError(
                 f"expected {hd.width} cells, found {len(row)}", line=reader.line_num
             )
-        *cells, label, rec = (row[i] for i in hd.order)
-        rows.append(cells)
-        class_raw.append(label.strip())
-        record_raw.append(rec.strip())
+        if non_numeric is None:
+            try:
+                values.extend([float(row[i]) for i in features])
+            except ValueError:
+                non_numeric = _non_numeric(row, hd, reader.line_num)
+        class_raw.append(row[hd.order[-2]].strip())
+        record_raw.append(row[hd.order[-1]].strip())
         line_nums.append(reader.line_num)
-    if not rows:
+    if not line_nums:
         raise EmptyInputError(f"{name}: no data rows")
+    if non_numeric is not None:
+        raise non_numeric
 
     feature_names = hd.feature_names
-    try:
-        X = np.asarray(rows, dtype=np.float64)
-    except ValueError:
-        X = _parse_cells_slow(rows, feature_names, line_nums)
+    X = np.frombuffer(values, dtype=np.float64).reshape(len(line_nums), len(features))
     if not np.all(np.isfinite(X)):
         bad = np.argwhere(~np.isfinite(X))[0]
         raise ParseError(
@@ -343,21 +350,13 @@ def _load_csv_rows(fh, name: str) -> Dataset:
     return Dataset(X, y, records, tuple(feature_names), tuple(labels))
 
 
-def _parse_cells_slow(
-    rows: list[list[str]], feature_names: list[str], line_nums: list[int]
-) -> np.ndarray:
-    """Per-cell fallback that pins a parse failure to its line and column."""
-    X = np.empty((len(rows), len(feature_names)))
-    for i, (row, line) in enumerate(zip(rows, line_nums)):
-        for j, cell in enumerate(row):
-            try:
-                X[i, j] = float(cell)
-            except ValueError:
-                raise ParseError(
-                    f"non-numeric value '{cell}' in column '{feature_names[j]}'",
-                    line=line,
-                ) from None
-    return X
+def _non_numeric(row: list[str], hd: _Header, line: int) -> ParseError:
+    """The error of the first feature cell of row that float() refuses."""
+    for i, feature in zip(hd.order, hd.feature_names):
+        try:
+            float(row[i])
+        except ValueError:
+            return ParseError(f"non-numeric value '{row[i]}' in column '{feature}'", line=line)
 
 
 def _csv_cell(text: str) -> str:

@@ -46,16 +46,6 @@ class LinearMachine:
                          X, self.m, self.standardization)
 
 
-def lm_discriminants(lm: LinearMachine, x: np.ndarray) -> np.ndarray:
-    """Raw discriminant values g_1..g_r for a single example."""
-    return lm.discriminants_batch(np.atleast_2d(x))[0]
-
-
-def lm_classify(lm: LinearMachine, x: np.ndarray) -> int:
-    """Winner-take-all class id for a single example."""
-    return int(lm.classify_batch(np.atleast_2d(x))[0])
-
-
 def lm_train_pocket(
     ds: Dataset, cfg: TrainConfig, standardization: Standardization | None = None
 ) -> tuple[LinearMachine, PocketResult]:

@@ -48,7 +48,7 @@ class TrainConfig:
         if (
             not isinstance(self.max_iterations, numbers.Integral)
             or isinstance(self.max_iterations, bool)
-            or not 1 <= self.max_iterations < 2**63  # the most itertools.islice takes
+            or not 1 <= self.max_iterations < 2**63  # the C loops count runs in int64
         ):
             raise ParameterError(
                 f"max_iterations must be an integer >= 1 and < 2**63, got {self.max_iterations}"
@@ -96,22 +96,6 @@ def blockwise(fn, X: np.ndarray, m: int, standardization=None) -> np.ndarray:
             block = standardization.apply(block)
         parts.append(fn(extend(block)))
     return np.concatenate(parts)
-
-
-def activation(w: TluWeights, x: np.ndarray) -> float:
-    """Raw linear test value w[0] + sum(w[1:] * x)."""
-    w = np.asarray(w, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or w.ndim != 1 or w.shape[0] != x.shape[0] + 1:
-        raise DimensionError(
-            f"weight length {w.shape} does not match feature length {x.shape}"
-        )
-    return float(w[0] + w[1:] @ x)
-
-
-def tlu_output(w: TluWeights, x: np.ndarray) -> int:
-    """Thresholded output: +1 when the activation is > 0, else -1."""
-    return 1 if activation(w, x) > 0.0 else -1
 
 
 def check_range(xb: np.ndarray, cfg: TrainConfig) -> None:

@@ -39,6 +39,12 @@ def run_child(*argv, boot=("-c", "from pairnet.cli import entry; entry()"), cwd=
     return proc.returncode, proc.stdout, proc.stderr
 
 
+# The CLI in a child that caps its own address space at 2 GiB, so that what
+# it asks for beyond that cannot be allocated whatever this host's memory.
+CAPPED_BOOT = ("-c", "import resource; resource.setrlimit(resource.RLIMIT_AS, "
+               "(1 << 31, 1 << 31)); from pairnet.cli import entry; entry()")
+
+
 @pytest.fixture
 def small_csv(tmp_path, capsys):
     """A generated 16-class dataset small enough for fast CLI runs."""
@@ -88,12 +94,8 @@ class TestGen:
         assert not (tmp_path / "x.csv").exists()
 
     def test_scale_beyond_memory_exits_2(self, tmp_path):
-        # The child caps its own address space, so the table it asks for
-        # cannot be allocated whatever this host's memory.
-        boot = ("-c", "import resource; resource.setrlimit(resource.RLIMIT_AS, "
-                "(1 << 31, 1 << 31)); from pairnet.cli import entry; entry()")
         code, _, err = run_child("gen", "--out", tmp_path / "x.csv", "--scale", "1e10",
-                                 boot=boot)
+                                 boot=CAPPED_BOOT)
         assert code == 2, err
         assert "scale 10000000000.0: the dataset does not fit in memory" in err
         assert "Traceback" not in err
@@ -614,6 +616,20 @@ STDOUT_COMMANDS = {
               "--lm-max-iters", "500"],
 }
 
+# The modules of pairnet each command in WRITING_COMMANDS imports.
+_CORE = ["_kernels", "_parallel", "cli", "dataset", "errors"]
+_MODELS = ["linear_machine", "pairwise_net", "tlu"]
+COMMAND_MODULES = {
+    "gen": [*_CORE, "synthgen"],
+    "train-pairnet": [*_CORE, *_MODELS, "model_io"],
+    "train-lm": [*_CORE, *_MODELS, "model_io"],
+    "extract": [*_CORE, "eeg_features"],
+    "evaluate": [*_CORE, *_MODELS, "model_io"],
+    "significance": [*_CORE, "feature_stats"],
+    "intervals": [*_CORE, "feature_stats"],
+    "bench": [*_CORE, *_MODELS, "synthgen"],
+}
+
 
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
@@ -633,22 +649,28 @@ class TestRunner:
     """main times each command and writes <first output>.manifest.json when
     the command wrote files; a report sent to stdout gets no manifest."""
 
-    def test_commands_do_not_import_numpy_ma(self, tmp_path, workspace):
-        # On numpy 2.x the first np.unique call imports numpy.ma, 15-17 ms
-        # and 1.5 MB a process; the commands find distinct values by sorting.
+    @pytest.mark.parametrize("case", sorted(WRITING_COMMANDS))
+    def test_command_imports_only_what_it_runs(self, tmp_path, workspace, case):
+        # Each command imports the pairnet modules it runs and no others.
+        # None imports numpy.ma: on numpy 2.x the first np.unique call, or
+        # np.median of floats, imports it, 15-17 ms and 1.5 MB a process;
+        # the commands find distinct values and medians by sorting.
+        argv = [a.format(**workspace, out=str(tmp_path / case)) for a in WRITING_COMMANDS[case][0]]
         script = """if True:
-            import sys
+            import json, sys
             from pairnet.cli import main
-            data, out = sys.argv[1:]
-            for argv in (["train", data, "--model", "pairnet", "--out", f"{out}/n.txt"],
-                         ["train", data, "--model", "lm", "--out", f"{out}/l.txt"],
-                         ["evaluate", f"{out}/n.txt", data, "--out", f"{out}/r.tsv"]):
-                assert main(argv) == 0, argv
-            print("imported numpy.ma:", "numpy.ma" in sys.modules)
+            assert main(sys.argv[1:]) == 0
+            print(json.dumps(sorted(m for m in sys.modules if m.partition(".")[0] == "pairnet"
+                                    or m in ("numpy.ma", "numpy.random"))))
         """
-        code, out, err = run_child(workspace["data"], tmp_path, boot=("-c", script))
+        code, out, err = run_child(*argv, boot=("-c", script))
         assert code == 0, err
-        assert out.splitlines()[-1] == "imported numpy.ma: False"
+        loaded = json.loads(out.splitlines()[-1])
+        assert "numpy.ma" not in loaded
+        assert ("numpy.random" in loaded) == (case in {"gen", "train-pairnet", "train-lm",
+                                                        "bench"})
+        assert [m for m in loaded if m.startswith("pairnet")] == sorted(
+            ["pairnet", *(f"pairnet.{m}" for m in COMMAND_MODULES[case])])
 
     @pytest.mark.parametrize("case", sorted(WRITING_COMMANDS))
     def test_manifest_lists_inputs_outputs_and_config(self, tmp_path, capsys, monkeypatch,
@@ -789,6 +811,58 @@ class TestRunner:
         assert "seed must be an integer >= 0, got -1" in err and "Traceback" not in err
         assert not (tmp_path / "x.csv").exists() and not (tmp_path / "m.txt").exists()
         assert out == ""
+
+
+class TestOutOfMemory:
+    def test_stage_out_of_memory_exits_4(self, capsys, monkeypatch, workspace):
+        def no_memory(path):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "load_csv", no_memory)
+        code, out, err = run(capsys, "significance", workspace["data"])
+        assert (code, out, err) == (4, "", "pairnet: significance: out of memory\n")
+
+    def test_allocation_beyond_the_address_space_exits_4(self, tmp_path):
+        # evaluate tallies the predicted classes of each record in one
+        # records x r table: 100,000 one-segment records of 3,000 classes,
+        # a 1.4 MB file, ask for 2.2 GiB.
+        r, n = 3000, 100_000
+        model, data, out = tmp_path / "lm.txt", tmp_path / "big.csv", tmp_path / "r.tsv"
+        model.write_text(f"LM v1\nr={r} m=1\nstandardization=none\n"
+                         + "".join(f"CLASS {j}\n0.0 {j}.0\n" for j in range(1, r + 1)))
+        data.write_text("f1,class,record\n"
+                        + "".join(f"1.0,{k % r + 1},{k + 1}\n" for k in range(n)))
+        code, _, err = run_child("evaluate", model, data, "--out", out, boot=CAPPED_BOOT)
+        assert (code, err) == (4, "pairnet: evaluate: out of memory\n")
+        assert not out.exists()
+
+
+def test_export_table():
+    # import pairnet loads no submodule, though dir() lists every name; each
+    # name of __all__ is imported from the module that defines it when
+    # first used; a star import binds exactly __all__; unknown names,
+    # submodules among them, stay AttributeErrors, so that
+    # from pairnet import <submodule> still works.
+    script = """if True:
+        import sys
+        import pairnet
+        assert [m for m in sys.modules if m.startswith("pairnet")] == ["pairnet"]
+        assert set(pairnet.__all__) <= set(dir(pairnet))
+        for name in pairnet.__all__[:-1]:
+            value = getattr(pairnet, name)
+            assert value.__module__.startswith("pairnet."), name
+            assert getattr(sys.modules[value.__module__], name) is value, name
+        assert pairnet.__all__[-1] == "__version__"
+        namespace = {}
+        exec("from pairnet import *", namespace)
+        assert sorted(set(namespace) - {"__builtins__"}) == sorted(pairnet.__all__)
+        assert not hasattr(pairnet, "lm_classify")
+        from pairnet import eeg_features
+        assert eeg_features is sys.modules["pairnet.eeg_features"]
+        print("ok")
+    """
+    code, out, err = run_child(boot=("-c", script))
+    assert (code, out) == (0, "ok\n"), err
 
 
 class TestBadHeaderValues:

@@ -189,6 +189,22 @@ class TestLoadCsv:
             loads_csv(text)
         assert exc.value.line == line
 
+    @pytest.mark.parametrize("text,message", [
+        ("a,class,record\nx,35,1\n2.0,37\n", "line 3: expected 3 cells, found 2"),
+        ("a,class,record\nnan,35,1\nx,37,2\n", "line 3: non-numeric value 'x' in column 'a'"),
+        ("a,class,record\n1.0,35,0\nx,37,2\n", "line 3: non-numeric value 'x' in column 'a'"),
+        ("a,class,record\nx,35,1\n2.0,35,2\n", "line 2: non-numeric value 'x' in column 'a'"),
+        ("a,b,class,record\n1.0,y,35,1\nx,2.0,37,2\n",
+         "line 2: non-numeric value 'y' in column 'b'"),
+    ], ids=["cell-count-over-non-numeric", "non-numeric-over-non-finite",
+            "non-numeric-over-record", "non-numeric-over-class-count", "first-non-numeric"])
+    def test_which_fault_wins(self, text, message):
+        # Widths are checked as the rows are read, the numbers after them,
+        # then finiteness, the class count and the record ids.
+        with pytest.raises(ParseError) as exc:
+            loads_csv(text)
+        assert str(exc.value) == message
+
     @pytest.mark.parametrize("text,line", [
         ("a" * 140_000 + ",class,record\n1.0,35,1\n2.0,37,2\n", 1),
         ("a,class,record\n1.0,35,1\n\n2.0," + "c" * 140_000 + ",2\n", 4),

@@ -4,8 +4,8 @@ wiring against the same references, and the choice between the compiled and
 the numpy loops.
 
 ``build_visit_order`` below draws every epoch's permutation up front; it is
-the oracle for ``visit_order`` and ``epochs``, which draw each only when the
-loop reaches its epoch. ``_pocket_loop_impl`` and ``_lm_loop_impl`` are
+the oracle for ``epochs`` and the ``visit_order`` over it, which draw each
+only when the loop reaches its epoch. ``_pocket_loop_impl`` and ``_lm_loop_impl`` are
 plain scalar loops that sum every dot product left to right, indexing a list
 of the order; they are the oracle for both implementations of ``pocket_loop``
 and ``lm_loop``, which decide by BLAS dot products. Those probe problems use
@@ -41,10 +41,17 @@ from hypothesis import strategies as st
 import pairnet
 from pairnet import Dataset, TrainConfig, derive_pair_seed, train_pairwise, train_pocket
 from pairnet import _kernels, dataset, eeg_features, load_csv, save_csv
-from pairnet._kernels import (epochs, lm_loop, lm_loop_c, lm_loop_numpy, pocket_loop,
-                              pocket_loop_c, pocket_loop_numpy, visit_order)
+from pairnet._kernels import (_indices, epochs, lm_loop, lm_loop_c, lm_loop_numpy,
+                              pocket_loop, pocket_loop_c, pocket_loop_numpy)
 from pairnet.cli import main
 from pairnet.linear_machine import lm_train_pocket
+
+
+def visit_order(n, max_iters, seed):
+    """The example index visited at each of max_iters iterations, as Python
+    ints: the epochs of ``epochs(n, max_iters, seed)`` one after another, as
+    the numpy loops take them."""
+    return _indices(epochs(n, max_iters, seed))
 
 
 def build_visit_order(n, max_iters, seed):

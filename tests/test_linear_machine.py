@@ -9,8 +9,6 @@ from pairnet import (
     Standardization,
     TrainConfig,
     TrainingError,
-    lm_classify,
-    lm_discriminants,
     lm_train_pocket,
 )
 from pairnet.errors import DimensionError
@@ -33,11 +31,11 @@ def make_dataset(X, y, records=None, r=None):
 class TestDiscriminants:
     def test_two_class(self):
         lm = LinearMachine(r=2, m=1, weights=np.array([[0.0, 1.0], [0.0, -1.0]]))
-        np.testing.assert_array_equal(lm_discriminants(lm, np.array([2.0])), [2.0, -2.0])
+        np.testing.assert_array_equal(lm.discriminants_batch(np.array([[2.0]]))[0], [2.0, -2.0])
 
     def test_all_zero_machine(self):
         lm = LinearMachine(r=3, m=2, weights=np.zeros((3, 3)))
-        np.testing.assert_array_equal(lm_discriminants(lm, np.array([5.0, -1.0])), [0, 0, 0])
+        np.testing.assert_array_equal(lm.discriminants_batch(np.array([[5.0, -1.0]])), [[0, 0, 0]])
 
     def test_against_dot_product_oracle(self):
         rng = np.random.default_rng(0)
@@ -46,12 +44,12 @@ class TestDiscriminants:
         for _ in range(20):
             x = rng.normal(size=4)
             expected = [W[j, 0] + sum(W[j, 1 + i] * x[i] for i in range(4)) for j in range(3)]
-            np.testing.assert_allclose(lm_discriminants(lm, x), expected, rtol=1e-12)
+            np.testing.assert_allclose(lm.discriminants_batch(x[None])[0], expected, rtol=1e-12)
 
     def test_dimension_mismatch(self):
         lm = LinearMachine(r=2, m=2, weights=np.zeros((2, 3)))
         with pytest.raises(DimensionError):
-            lm_discriminants(lm, np.array([1.0]))
+            lm.discriminants_batch(np.array([[1.0]]))
 
     def test_bad_weight_shape(self):
         with pytest.raises(DimensionError):
@@ -61,16 +59,16 @@ class TestDiscriminants:
 class TestClassify:
     def test_winner(self):
         lm = LinearMachine(r=2, m=1, weights=np.array([[0.0, 1.0], [0.0, -1.0]]))
-        assert lm_classify(lm, np.array([2.0])) == 1
+        assert lm.classify_batch(np.array([[2.0]]))[0] == 1
 
     def test_tie_goes_to_lowest_id(self):
         lm = LinearMachine(r=3, m=1, weights=np.zeros((3, 2)))
-        assert lm_classify(lm, np.array([4.0])) == 1
+        assert lm.classify_batch(np.array([[4.0]]))[0] == 1
 
     def test_middle_winner(self):
         W = np.array([[1.0, 0.0], [3.0, 0.0], [2.0, 0.0]])
         lm = LinearMachine(r=3, m=1, weights=W)
-        assert lm_classify(lm, np.array([0.0])) == 2
+        assert lm.classify_batch(np.array([[0.0]]))[0] == 2
 
     @pytest.mark.parametrize("n", [1, 2 * BLOCK_ROWS + 37])
     def test_blocks_match_rows(self, n):
@@ -86,7 +84,7 @@ class TestClassify:
         for k, row in zip(at, itertools.cycle(ties)):
             X[k] = row
         preds = lm.classify_batch(X)
-        np.testing.assert_array_equal(preds, [lm_classify(lm, x) for x in X])
+        np.testing.assert_array_equal(preds, [lm.classify_batch(x[None])[0] for x in X])
         for k, row in zip(at, itertools.cycle(ties)):
             assert preds[k] == ties[row]
 
@@ -151,15 +149,15 @@ class TestTraining:
             W = rng.normal(size=(3, 4))
             x = rng.normal(size=3)
             lm = LinearMachine(r=3, m=3, weights=W)
-            winner = lm_classify(lm, x)
+            winner = int(lm.classify_batch(x[None])[0])
             true = winner % 3 + 1  # any class other than the winner
             c = float(rng.uniform(0.2, 2.0))
             xt = np.concatenate([[1.0], x])
             W2 = W.copy()
             W2[true - 1] += c * xt
             W2[winner - 1] -= c * xt
-            before = lm_discriminants(lm, x)
-            after = lm_discriminants(LinearMachine(r=3, m=3, weights=W2), x)
+            before = lm.discriminants_batch(x[None])[0]
+            after = LinearMachine(r=3, m=3, weights=W2).discriminants_batch(x[None])[0]
             gain = c * (1.0 + float(x @ x))
             assert after[true - 1] - before[true - 1] == pytest.approx(gain, rel=1e-9)
             assert after[winner - 1] - before[winner - 1] == pytest.approx(-gain, rel=1e-9)

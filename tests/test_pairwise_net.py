@@ -25,8 +25,25 @@ from pairnet import (
     train_pairwise,
     train_pocket,
 )
-from pairnet.errors import EmptyInputError
-from pairnet.tlu import BLOCK_ROWS, activation, tlu_output
+from pairnet.errors import DimensionError, EmptyInputError
+from pairnet.tlu import BLOCK_ROWS
+
+
+def activation(w, x):
+    """The oracle of one test's raw value: w[0] + sum(w[1:] * x)."""
+    w = np.asarray(w, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 1 or w.ndim != 1 or w.shape[0] != x.shape[0] + 1:
+        raise DimensionError(
+            f"weight length {w.shape} does not match feature length {x.shape}"
+        )
+    return float(w[0] + w[1:] @ x)
+
+
+def tlu_output(w, x):
+    """The oracle of one test's thresholded output: +1 when the activation
+    is > 0, else -1."""
+    return 1 if activation(w, x) > 0.0 else -1
 
 
 def make_dataset(X, y, records=None, r=None):
@@ -56,6 +73,32 @@ def const_test(i, j, value, m=1):
     w = np.zeros(m + 1)
     w[0] = value
     return PairwiseTest(i=i, j=j, weights=w)
+
+
+class TestActivation:
+    def test_direct_arithmetic(self):
+        assert activation(np.array([-0.5, 1.0, 0.0]), np.array([1.0, 0.0])) == 0.5
+
+    def test_zero_weights(self):
+        assert activation(np.zeros(3), np.array([7.0, -2.0])) == 0.0
+
+    def test_sum(self):
+        assert activation(np.array([0.0, 1.0, 1.0]), np.array([2.0, 3.0])) == 5.0
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionError):
+            activation(np.zeros(3), np.zeros(3))
+
+
+class TestTluOutput:
+    def test_positive(self):
+        assert tlu_output(np.array([0.5, 0.0]), np.array([1.0])) == 1
+
+    def test_negative(self):
+        assert tlu_output(np.array([-2.0, 0.0]), np.array([1.0])) == -1
+
+    def test_zero_activation_is_negative(self):
+        assert tlu_output(np.zeros(2), np.array([5.0])) == -1
 
 
 class TestEnumeratePairs:

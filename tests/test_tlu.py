@@ -2,41 +2,12 @@ import numpy as np
 import pytest
 
 from pairnet import (
-    DimensionError,
     EmptyInputError,
     ParameterError,
     TrainConfig,
     TrainingError,
-    activation,
-    tlu_output,
     train_pocket,
 )
-
-
-class TestActivation:
-    def test_direct_arithmetic(self):
-        assert activation(np.array([-0.5, 1.0, 0.0]), np.array([1.0, 0.0])) == 0.5
-
-    def test_zero_weights(self):
-        assert activation(np.zeros(3), np.array([7.0, -2.0])) == 0.0
-
-    def test_sum(self):
-        assert activation(np.array([0.0, 1.0, 1.0]), np.array([2.0, 3.0])) == 5.0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionError):
-            activation(np.zeros(3), np.zeros(3))
-
-
-class TestTluOutput:
-    def test_positive(self):
-        assert tlu_output(np.array([0.5, 0.0]), np.array([1.0])) == 1
-
-    def test_negative(self):
-        assert tlu_output(np.array([-2.0, 0.0]), np.array([1.0])) == -1
-
-    def test_zero_activation_is_negative(self):
-        assert tlu_output(np.zeros(2), np.array([5.0])) == -1
 
 
 class TestTrainPocket:
