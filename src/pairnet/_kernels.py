@@ -40,8 +40,12 @@ The same library holds two scanners: ``csv_scan``, which
 text read and line parser through ``scan_signal``. Both read a file in
 64 KiB blocks through one line reader, which hands them a block's whole
 lines at a time, and read each number cell once, with one decimal reader
-(``csv_cell`` is that reader on one cell). Where ``load()`` falls back, so
-do both readers, to their Python parsers. It also holds the CSV writer, ``csv_write``, which
+(``csv_cell`` is that reader on one cell); one helper, ``_scan_lines``,
+sizes their arrays by the file's line count and cuts them to the rows filled.
+``scan_csv`` alone lays out a CSV row: the features in a float64 X, the class
+and record cells in a table of their own. Where ``load()`` falls back, so do
+both readers, to their Python parsers. It also holds the CSV writer,
+``csv_write``, which
 ``dataset.save_csv`` tries before its Python rows through ``write_csv``: it
 formats each float as ``repr`` does, with Ryu's shortest-digit algorithm,
 and writes 64 KiB blocks to the file descriptor.
@@ -82,6 +86,9 @@ _BLAS_SYMBOLS = ("scipy_cblas_ddot64_", "scipy_cblas_dgemv64_", "scipy_cblas_dge
 
 # None until load() picks; then the compiled loops, or False for numpy's.
 _loaded = None
+# The bytes of a class or record cell that scan_csv reads: a cell that
+# would fill them leaves the file to the csv module.
+_TEXT_WIDTH = 32
 
 
 class _Unavailable(Exception):
@@ -131,36 +138,26 @@ def _indices(stretches):
     return itertools.chain.from_iterable(s.tolist() for s in stretches)
 
 
-def scan_csv(fd, row, offset, size, limit):
-    """The body of the CSV file open on fd as an array of the structured
-    dtype row, read by the compiled scanner; or None where the compiled
-    library is not loaded or the scanner leaves the file to the csv module.
+def scan_csv(fd, order, m, limit):
+    """The body of the CSV file open on fd as (X, texts), read by the
+    compiled scanner; or None where the compiled library is not loaded or
+    the scanner leaves the file to the csv module.
 
-    Cell k of a line fills the row at byte offset[k]: with a float, or,
-    where size[k] > 0, with its text padded with NUL bytes to size[k]. A
-    line longer than limit bytes, and any line not made of exactly
-    len(offset) plain cells, leaves the file to the csv module (see
-    _loops.c).
-    The file offset of fd does not move."""
-    loops = load()
-    if loops is None:
-        return None
-    offset = np.ascontiguousarray(offset, dtype=np.int64)
-    size = np.ascontiguousarray(size, dtype=np.int64)
-    if not (offset.shape == size.shape == (offset.size,) and np.all(offset >= 0)
-            and np.all(offset + np.where(size > 0, size, 8) <= row.itemsize)):
-        raise ValueError("every cell must lie inside the row")
-    capacity = loops.lib.csv_newlines(fd)
-    if capacity < 0:
-        return None
-    try:
-        # Pages no row is written to stay unused: blank lines need none.
-        table = np.empty(capacity, dtype=row)
-    except MemoryError:
-        return None
-    rows = loops.lib.csv_scan(fd, offset.size, offset.ctypes.data, size.ctypes.data,
-                              limit, table.ctypes.data, row.itemsize, capacity)
-    return None if rows < 0 else table[:rows]
+    Cell order[j] of a line goes to column j of its row: for j < m, a float
+    into X, a C-contiguous (rows, m) float64 array; else its text, padded
+    with NUL bytes, into column j - m of texts, (rows, len(order) - m) cells
+    of _TEXT_WIDTH bytes. order must name each cell of a line once, and
+    1 <= m <= len(order) (else ValueError). A line longer than limit bytes,
+    a text cell of _TEXT_WIDTH bytes or more, and any line not made of
+    exactly len(order) plain cells leave the file to the csv module (see
+    _loops.c). The file offset of fd does not move."""
+    width = len(order)
+    if sorted(order) != list(range(width)) or not 1 <= m <= width:
+        raise ValueError(f"order must name each of its {width} cells once, "
+                         f"and 1 <= m <= {width}; got m={m}")
+    slot = np.argsort(order).astype(np.int64)  # cell k goes to column slot[k]
+    return _scan_lines(fd, [(np.float64, (m,)), (f"S{_TEXT_WIDTH}", (width - m,))],
+                       "csv_scan", width, slot.ctypes.data, m, _TEXT_WIDTH, limit)
 
 
 def scan_signal(fd):
@@ -173,6 +170,15 @@ def scan_signal(fd):
     The second pass reads each line in one sweep, each cell straight into
     its channel, correctly rounded as float() does: most cells by one
     division of the integer their digits spell by a power of ten."""
+    return _scan_lines(fd, [(np.float64, ()), (np.float64, ())], "signal_scan")
+
+
+def _scan_lines(fd, columns, scanner, *args):
+    """Count the lines of the file open on fd, allocate for each (dtype, row
+    shape) of columns an array with a row a line, have the compiled scanner
+    named scanner fill them, called as scanner(fd, *args, *arrays, rows), and
+    return them cut to the rows filled; or None where the library is not
+    loaded, memory runs out or the scanner refuses the file."""
     loops = load()
     if loops is None:
         return None
@@ -180,11 +186,12 @@ def scan_signal(fd):
     if capacity < 0:
         return None
     try:
-        first, second = np.empty(capacity), np.empty(capacity)
+        # Pages no row is written to stay unused: blank lines need none.
+        arrays = [np.empty((capacity, *shape), dtype) for dtype, shape in columns]
     except MemoryError:
         return None
-    rows = loops.lib.signal_scan(fd, first.ctypes.data, second.ctypes.data, capacity)
-    return None if rows < 0 else (first[:rows], second[:rows])
+    rows = getattr(loops.lib, scanner)(fd, *args, *(a.ctypes.data for a in arrays), capacity)
+    return None if rows < 0 else tuple(a[:rows] for a in arrays)
 
 
 def write_csv(fd, X, y, records, labels):
@@ -462,7 +469,7 @@ def _load_compiled():
     lib.csv_cell.restype = ctypes.c_int
     lib.csv_newlines.argtypes = [ctypes.c_int]
     lib.csv_newlines.restype = i64
-    lib.csv_scan.argtypes = [ctypes.c_int, i64, ptr, ptr, i64, ptr, i64, i64]
+    lib.csv_scan.argtypes = [ctypes.c_int, i64, ptr, i64, i64, i64, ptr, ptr, i64]
     lib.csv_scan.restype = i64
     lib.signal_scan.argtypes = [ctypes.c_int, ptr, ptr, i64]
     lib.signal_scan.restype = i64

@@ -365,14 +365,16 @@ done:
     return status;
 }
 
-/* The CSV-body scanner. Where each cell of a row goes: cell k is a float at
- * offset[k] of the row, or, when size[k] > 0, text shorter than size[k]
- * bytes, padded with NUL to size[k] bytes there. */
+/* The CSV-body scanner. Cell k of a line goes to column slot[k] of its
+ * row: a float into X, m to a row, for slot[k] < m; else text shorter than
+ * text_width bytes, padded with NUL to text_width bytes, into column
+ * slot[k] - m of texts, width - m cells to a row. */
 typedef struct {
-    int64_t width;
-    const int64_t *offset, *size;
-    char *table;
-    int64_t itemsize, capacity, rows, limit;
+    int64_t width, m, text_width;
+    const int64_t *slot;
+    double *X;
+    char *texts;
+    int64_t capacity, rows, limit;
 } csv_layout;
 
 /* The header may hold no '"' and no '\r' but before its '\n'. */
@@ -396,24 +398,22 @@ static int csv_line(void *ctx, const char *p, int64_t len)
         return 0;
     if (t->rows == t->capacity)
         return -1;
-    char *row = t->table + t->rows * t->itemsize;
     const char *cell = p, *end = p + len;
     int64_t k = 0;
     for (const char *q = p;; q++) {
         if (q == end || *q == ',') {
             if (k == t->width)
                 return -1;
-            int64_t n = q - cell, size = t->size[k];
-            if (size) {
-                if (n >= size)
+            int64_t n = q - cell, j = t->slot[k];
+            if (j >= t->m) {
+                if (n >= t->text_width)
                     return -1;
-                memcpy(row + t->offset[k], cell, (size_t)n);
-                memset(row + t->offset[k] + n, 0, (size_t)(size - n));
-            } else {
-                double v;
-                if (csv_cell(cell, n, &v))
-                    return -1;
-                memcpy(row + t->offset[k], &v, sizeof v);
+                char *text = t->texts
+                    + (t->rows * (t->width - t->m) + j - t->m) * t->text_width;
+                memcpy(text, cell, (size_t)n);
+                memset(text + n, 0, (size_t)(t->text_width - n));
+            } else if (csv_cell(cell, n, t->X + t->rows * t->m + j)) {
+                return -1;
             }
             k++;
             if (q == end)
@@ -441,15 +441,15 @@ static int csv_lines(void *ctx, const char *p, const char *stop)
     return 0;
 }
 
-/* Parse the body of the CSV file open on fd into table, capacity rows of
- * itemsize bytes laid out as offset and size say, one row per line of
- * width cells. The header, the first line, is skipped, and so are blank
- * lines; no line may be longer than limit bytes. Returns the rows filled,
- * or -1. */
-int64_t csv_scan(int fd, int64_t width, const int64_t *offset, const int64_t *size,
-                 int64_t limit, char *table, int64_t itemsize, int64_t capacity)
+/* Parse the body of the CSV file open on fd into X and texts, capacity rows
+ * each, laid out as slot, m and text_width say, one row per line of width
+ * cells. The header, the first line, is skipped, and so are blank lines; no
+ * line may be longer than limit bytes. Returns the rows filled, or -1. */
+int64_t csv_scan(int fd, int64_t width, const int64_t *slot, int64_t m,
+                 int64_t text_width, int64_t limit, double *X, char *texts,
+                 int64_t capacity)
 {
-    csv_layout t = {width, offset, size, table, itemsize, capacity, 0, limit};
+    csv_layout t = {width, m, text_width, slot, X, texts, capacity, 0, limit};
     return for_each_line(fd, limit, csv_header, csv_lines, &t) ? -1 : t.rows;
 }
 

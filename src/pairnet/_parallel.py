@@ -120,7 +120,8 @@ def ordered_map(fn, items, jobs: int) -> list:
     worker failed first, with the worker's traceback, as text, as its
     cause; an exception that a pickle cannot carry back arrives as a
     WorkerError that names its type and holds its message. With one
-    worker, or where processes cannot be forked, fn runs in this process.
+    worker, or where processes cannot be forked (no os.fork, or an OSError
+    such as a process limit), fn runs over every item in this process.
     The workers are killed and reaped before this returns or raises; if
     one dies (say, killed for memory), the call raises ParameterError
     instead of waiting for its result. A worker whose parent dies exits
@@ -149,6 +150,8 @@ def ordered_map(fn, items, jobs: int) -> list:
             finally:
                 os.close(write)  # in this process: a worker never leaves the block
         shares = [pickle.load(fh) for fh in pipes]
+    except OSError:  # no pipe or process to be had, as at a process limit
+        shares = None
     except (EOFError, pickle.UnpicklingError):
         raise ParameterError(
             f"a worker process died before finishing its task (jobs={jobs}); "
@@ -160,6 +163,8 @@ def ordered_map(fn, items, jobs: int) -> list:
         for pid in pids:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+    if shares is None:
+        return list(map(fn, items))
     failed = [w + workers * len(done) for w, (done, exc) in enumerate(shares) if exc is not None]
     if failed:
         exc, tb = shares[min(failed) % workers][1]

@@ -2,8 +2,8 @@
 
 A dataset is a flat table of feature vectors (segments), each tagged with a
 class id in 1..r and a record id. All segments of one record share one
-class. Arrays are frozen after construction, so datasets can be shared
-freely across threads.
+class. Arrays are frozen after construction, so a dataset can be shared
+with the forked workers of _parallel.ordered_map as it is.
 """
 
 import array
@@ -22,9 +22,6 @@ from .errors import EmptyInputError, ParameterError, ParseError, SchemaError, ch
 
 RESERVED_COLUMNS = ("class", "record")
 _CSV_CHUNK_ROWS = 64
-# The scanner reads class and record cells into this many bytes; it leaves
-# a file with a cell that would fill them to the csv path.
-_TEXT_CELL_WIDTH = 32
 _INT64_MAX = int(np.iinfo(np.int64).max)
 # The parser that read the file load_csv returned last: "scanner" (the
 # compiled one) or "csv"; None before the first.
@@ -246,21 +243,21 @@ def _load_csv_fast(fh, name: str) -> Dataset | None:
     """
     global CSV_PARSER
     hd = _read_header(_csv_rows(csv.reader(fh)), name)
-    row = np.dtype([("X", np.float64, (len(hd.feature_names),))]
-                   + [(col, f"S{_TEXT_CELL_WIDTH}") for col in RESERVED_COLUMNS])
-    table = _scan(fh.fileno(), hd, row)
-    if table is None:
+    # Read, never set: the limit is process-wide.
+    scanned = _kernels.scan_csv(fh.fileno(), hd.order, len(hd.feature_names),
+                                csv.field_size_limit())
+    if scanned is None:
         return None
-    X = table["X"]
+    X, texts = scanned
     if len(X) == 0 or not np.isfinite(X).all():
         return None
-    records = np.char.strip(table["record"])
+    records = np.char.strip(texts[:, 1])
     if not (np.char.isdigit(records).all() and np.char.str_len(records).max() <= 18):
         return None
     records = records.astype(np.int64)
     if records.min() < 1:
         return None
-    classes = np.char.strip(table["class"])
+    classes = np.char.strip(texts[:, 0])
     names = _distinct(classes)
     labels, ids = _class_ids([c.decode("ascii") for c in names])
     if len(labels) < 2:
@@ -269,21 +266,6 @@ def _load_csv_fast(fh, name: str) -> Dataset | None:
     ds = Dataset(X, y, records, tuple(hd.feature_names), tuple(labels))
     CSV_PARSER = "scanner"
     return ds
-
-
-def _scan(fd: int, hd: _Header, row: np.dtype) -> np.ndarray | None:
-    """The body of the file open on fd as an array of row from the compiled
-    scanner, or None where it is not loaded or does not take the file."""
-    # Cell hd.order[j] of a line fills feature j, then class, then record.
-    features, texts = hd.order[:-2], hd.order[-2:]
-    offset = np.empty(hd.width, dtype=np.int64)
-    size = np.zeros(hd.width, dtype=np.int64)
-    offset[features] = row.fields["X"][1] + 8 * np.arange(len(features))
-    for col, name in zip(texts, RESERVED_COLUMNS):
-        field, at = row.fields[name][:2]
-        offset[col], size[col] = at, field.itemsize
-    # Read, never set: the limit is process-wide.
-    return _kernels.scan_csv(fd, row, offset, size, csv.field_size_limit())
 
 
 def _load_csv_rows(fh, name: str) -> Dataset:

@@ -11,7 +11,7 @@ artifact spike that the screening is expected to catch.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -1,3 +1,4 @@
+import errno
 import os
 import signal
 import time
@@ -29,6 +30,18 @@ def _wait_for(probe, what, timeout=30.0):
             return got
         time.sleep(0.05)
     raise AssertionError(f"no {what} after {timeout} s")
+
+
+def fails_on_call(real, call):
+    """real, but raising EAGAIN, as at a process limit, on its call-th call;
+    .calls counts the calls made."""
+    def patched(*args):
+        patched.calls += 1
+        if patched.calls == call:
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return real(*args)
+    patched.calls = 0
+    return patched
 
 
 @pytest.fixture(autouse=True)

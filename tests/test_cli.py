@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import _alive, _children, _wait_for
+from conftest import _alive, _children, _wait_for, fails_on_call
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -744,6 +744,20 @@ class TestRunner:
         code, _, err = run(capsys, "extract", workspace["sig"], str(tmp_path / "missing.txt"),
                            "--classes", "1,2", "--out", str(tmp_path / "x.csv"))
         assert code == 3, err
+
+    def test_failed_fork_trains_in_process(self, tmp_path, capsys, monkeypatch, workspace):
+        # A process limit met at the second fork is no data error: the pairs
+        # are trained in this process, into the network jobs=1 trains.
+        one, two = tmp_path / "one.txt", tmp_path / "two.txt"
+        code, _, err = run(capsys, "train", workspace["data"], "--max-iters", "200",
+                           "--out", str(one), "--jobs", "1")
+        assert code == 0, err
+        fork = fails_on_call(os.fork, 2)
+        monkeypatch.setattr(os, "fork", fork)
+        code, _, err = run(capsys, "train", workspace["data"], "--max-iters", "200",
+                           "--out", str(two), "--jobs", "2")
+        assert code == 0, err
+        assert fork.calls == 2 and two.read_text() == one.read_text()
 
     def test_dead_worker_exits_2_naming_jobs(self, tmp_path, capsys, monkeypatch, workspace):
         # A worker killed from outside (say, for memory) ends the command

@@ -448,23 +448,13 @@ class TestCsvScanner:
 
     @pytest.mark.parametrize("at", [None, 0, 20], ids=["save_csv", "first", "between"])
     def test_holds_one_copy_of_the_features(self, tmp_path, at):
-        # numpy reports its buffers to tracemalloc. The structured table the
-        # scanner fills, plus the C-ordered X that Dataset copies out of it,
-        # bound the peak: the features are taken from the table as a view,
-        # and a second copy would add another X.nbytes. at is the column
-        # before which class and record sit (None: last, as save_csv writes).
+        # numpy reports its buffers to tracemalloc. The scanner's X and its
+        # table of class and record cells, plus the copy of X that Dataset
+        # makes, bound the peak: a further copy of the features would add
+        # another X.nbytes. at is the column before which class and record
+        # sit (None: last, as save_csv writes).
         n, m = 4000, 40
-        y = np.arange(n) % 4 + 1
-        ds = make_dataset(np.random.default_rng(6).normal(size=(n, m)), y, y)
-        path = tmp_path / "saved.csv"
-        save_csv(ds, path)
-        if at is not None:
-            moved = []
-            for line in path.read_text().splitlines():
-                cells = line.split(",")
-                cells[at:at] = cells[-2:]
-                moved.append(",".join(cells[:-2]) + "\r\n")
-            path.write_text("".join(moved))
+        ds, path = saved_with_texts_at(tmp_path, at, n, m)
         load_csv(path)  # np.unique imports numpy.ma on its first call
         tracemalloc.start()
         try:
@@ -473,8 +463,61 @@ class TestCsvScanner:
         finally:
             tracemalloc.stop()
         assert np.array_equal(loaded.X, ds.X) and np.array_equal(loaded.records, ds.records)
-        table_bytes = n * (8 * m + 2 * dataset._TEXT_CELL_WIDTH)
+        table_bytes = n * (8 * m + 2 * _kernels._TEXT_WIDTH)
         assert peak < table_bytes + ds.X.nbytes + ds.X.nbytes // 2
+
+    @pytest.mark.parametrize("at", [None, 0, 20], ids=["save_csv", "first", "between"])
+    def test_fills_X_and_a_text_table(self, tmp_path, at):
+        n, m = 400, 40
+        ds, path = saved_with_texts_at(tmp_path, at, n, m)
+        with open(path, newline="") as fh:
+            hd = dataset._read_header(dataset._csv_rows(csv.reader(fh)), str(path))
+            X, texts = _kernels.scan_csv(fh.fileno(), hd.order, m, 1 << 20)
+        assert X.dtype == np.float64 and X.shape == (n, m) and X.flags.c_contiguous
+        assert texts.dtype == np.dtype("S32") and texts.shape == (n, 2)
+        assert X.tobytes() == ds.X.tobytes()
+        assert texts[:, 0].tolist() == [ds.class_labels[c - 1].encode() for c in ds.y]
+        assert texts[:, 1].astype(np.int64).tolist() == ds.records.tolist()
+
+    @pytest.mark.parametrize("order,m", [
+        ([0, 0, 2], 1), ([0, 2, 3], 1), ([2, 1], 1), ([0, 1, 2], 0), ([0, 1, 2], 4),
+    ], ids=["repeated", "missing", "short", "no-feature", "m-too-large"])
+    def test_scan_csv_refuses_a_bad_layout(self, tmp_path, order, m):
+        path = tmp_path / "data.csv"
+        path.write_text("f1,class,record\n1.0,35,1\n2.0,37,2\n")
+        with open(path, "rb") as fh, pytest.raises(ValueError, match="order must name"):
+            _kernels.scan_csv(fh.fileno(), order, m, 1000)
+
+    @pytest.mark.parametrize("fault", ["out-of-memory", "refused"])
+    @pytest.mark.parametrize("kind,good,bad", [
+        ("csv", "f1,class,record\n1.0,35,1\n2.0,37,2\n",
+         'f1,class,record\n1.0,35,1\n"2.0",37,2\n'),
+        ("signal", "fs=100\n1.5 -2\n2.5 7\n", "fs=100\n1.5 -2\nx 7\n"),
+    ])
+    def test_scanners_return_none_and_keep_the_offset(self, tmp_path, monkeypatch,
+                                                      fault, kind, good, bad):
+        # Both scanners count, allocate and cut through one helper: arrays
+        # that do not fit, or a line the scanner refuses, return None.
+        def scan(fd):
+            if kind == "csv":
+                return _kernels.scan_csv(fd, [0, 1, 2], 1, 1000)
+            return _kernels.scan_signal(fd)
+
+        def no_memory(*args, **kwargs):
+            raise MemoryError
+
+        path = tmp_path / "data.txt"
+        path.write_text(good)
+        with open(path, "rb") as fh:
+            assert scan(fh.fileno()) is not None
+        if fault == "refused":
+            path.write_text(bad)
+        else:
+            monkeypatch.setattr(np, "empty", no_memory)
+        with open(path, "rb") as fh:
+            fh.seek(5)
+            assert scan(fh.fileno()) is None
+            assert os.lseek(fh.fileno(), 0, os.SEEK_CUR) == 5
 
     def test_save_load_round_trip_is_bit_exact(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(11)
@@ -553,13 +596,32 @@ class TestCsvScanner:
 
     def test_file_offset_does_not_move(self, tmp_path):
         path = tmp_path / "data.csv"
-        path.write_text("f1,class,record\n1.0,35,1\n2.0,37,2\n")
-        row = np.dtype([("x", "f8"), ("c", "S4"), ("r", "S4")])
+        path.write_text("record,f1,class\n1,1.0,35\n2,2.0,37\n")
         with open(path, "rb") as fh:
             fh.seek(5)
-            table = _kernels.scan_csv(fh.fileno(), row, [0, 8, 12], [0, 4, 4], 1000)
+            X, texts = _kernels.scan_csv(fh.fileno(), [1, 2, 0], 1, 1000)
             assert os.lseek(fh.fileno(), 0, os.SEEK_CUR) == 5
-        assert table.tolist() == [(1.0, b"35", b"1"), (2.0, b"37", b"2")]
+        assert X.tolist() == [[1.0], [2.0]]
+        assert texts.tolist() == [[b"35", b"1"], [b"37", b"2"]]
+
+
+def saved_with_texts_at(tmp_path, at, n, m):
+    """A dataset of n rows and m features and the CSV save_csv writes of it,
+    with the class and record columns moved before column at (None: left
+    last)."""
+    y = np.arange(n) % 4 + 1
+    records = y + 4 * (np.arange(n) % 5)  # record ids that are not class labels
+    ds = make_dataset(np.random.default_rng(6).normal(size=(n, m)), y, records)
+    path = tmp_path / "saved.csv"
+    save_csv(ds, path)
+    if at is not None:
+        moved = []
+        for line in path.read_text().splitlines():
+            cells = line.split(",")
+            cells[at:at] = cells[-2:]
+            moved.append(",".join(cells[:-2]) + "\r\n")
+        path.write_text("".join(moved))
+    return ds, path
 
 
 def reference_save_csv(ds, path):

@@ -5,6 +5,7 @@ import time
 import traceback
 
 import pytest
+from conftest import fails_on_call
 
 from pairnet import _parallel, cli
 from pairnet._parallel import ordered_map
@@ -32,6 +33,15 @@ def test_one_job_or_one_item_runs_inline():
 def test_without_fork_runs_inline(monkeypatch):
     monkeypatch.delattr(os, "fork")
     assert ordered_map(lambda _: os.getpid(), range(3), 2) == [os.getpid()] * 3
+
+
+@pytest.mark.parametrize("name,call", [("fork", 1), ("fork", 2), ("pipe", 2)])
+def test_failed_fork_runs_inline(monkeypatch, name, call):
+    # A worker forked before the failure is killed and reaped: the
+    # no_child_left fixture checks it.
+    monkeypatch.setattr(os, name, fails_on_call(getattr(os, name), call))
+    assert ordered_map(lambda k: (k * k, os.getpid()), range(5), 2) == [
+        (k * k, os.getpid()) for k in range(5)]
 
 
 @pytest.mark.parametrize("jobs", [0, -1])
